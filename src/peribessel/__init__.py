@@ -43,18 +43,19 @@ from .lattice import (
     tree_sum,
 )
 from .multipliers import (
+    ConvergenceError,
     HypothesisError,
     MultiplierProblem,
     MultiplierReport,
-    PowerIterationError,
     default_test_family,
     equivalence_report,
     intersection_norm,
     multiplier_matrix,
     multiplier_norm_l2,
     multiplier_norm_sampled,
-    power_iteration_norm,
+    multiplier_operator,
     symmetry_check,
+    top_singular_value,
 )
 from .verify import CheckResult, VerifyContext, run_suite
 
@@ -62,12 +63,12 @@ __all__ = [
     "CheckResult",
     "CoeffFileError",
     "ConditionVerdict",
+    "ConvergenceError",
     "GridFunction",
     "HypothesisError",
     "Lattice",
     "MultiplierProblem",
     "MultiplierReport",
-    "PowerIterationError",
     "SpaceIndex",
     "SpectralField",
     "VerifyContext",
@@ -94,15 +95,16 @@ __all__ = [
     "multiplier_matrix",
     "multiplier_norm_l2",
     "multiplier_norm_sampled",
+    "multiplier_operator",
     "parse_coeff_file",
     "pointwise_product",
-    "power_iteration_norm",
     "real_part_field",
     "restrict_field",
     "run_suite",
     "strichartz_case",
     "symmetry_check",
     "synthesize",
+    "top_singular_value",
     "tree_sum",
     "write_coeff_file",
 ]

@@ -16,14 +16,13 @@ import numpy as np
 from .lattice import (
     Lattice,
     SpectralField,
+    TWO_PI,
     _require_same_lattice,
     lp_norm,
     make_lattice,
     synthesize,
     tree_sum,
 )
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)

@@ -26,21 +26,23 @@ TWO_PI = 2.0 * np.pi
 _MAX_CARDINALITY = np.iinfo(np.int64).max
 
 
-def tree_sum(values: np.ndarray):
+def tree_sum(values: np.ndarray, axis: int | None = None):
     """Sum an array with a fixed adjacent-pair reduction tree.
 
     Pairs element 2i with 2i+1 at every level; an odd trailing element is
     carried to the next level unchanged.  The reduction order is a pure
     function of the input length, hence bitwise reproducible regardless of
-    parallelism in the surrounding code.
+    parallelism in the surrounding code.  ``axis=None`` sums the flattened
+    array; otherwise every line along ``axis`` is reduced by the same tree.
     """
-    a = np.asarray(values).ravel()
-    if a.size == 0:
-        return a.dtype.type(0)
-    while a.size > 1:
-        even = a[: a.size - (a.size % 2)]
+    a = np.asarray(values)
+    a = a.ravel() if axis is None else np.moveaxis(a, axis, 0)
+    if len(a) == 0:
+        return np.zeros(a.shape[1:], dtype=a.dtype)[()]
+    while len(a) > 1:
+        even = a[: len(a) - (len(a) % 2)]
         paired = even[0::2] + even[1::2]
-        if a.size % 2:
+        if len(a) % 2:
             paired = np.concatenate([paired, a[-1:]])
         a = paired
     return a[0]
@@ -110,16 +112,6 @@ class Lattice:
     def contains(self, k) -> bool:
         k = np.asarray(k, dtype=np.int64)
         return k.shape == (self.n,) and bool(np.all(np.abs(k) <= self.radius))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Lattice)
-            and self.n == other.n
-            and self.radius == other.radius
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.radius))
 
 
 def make_lattice(n: int, radius: int) -> Lattice:

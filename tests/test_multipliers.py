@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from peribessel import (
+    ConvergenceError,
     HypothesisError,
     MultiplierProblem,
-    PowerIterationError,
     SpaceIndex,
     SpectralField,
     constant_field,
@@ -19,10 +19,11 @@ from peribessel import (
     multiplier_matrix,
     multiplier_norm_l2,
     multiplier_norm_sampled,
+    multiplier_operator,
     pointwise_product,
-    power_iteration_norm,
     real_part_field,
     symmetry_check,
+    top_singular_value,
 )
 from peribessel.calculus import bessel_weights
 
@@ -70,6 +71,25 @@ class TestMultiplierMatrix:
     def test_requires_p_q_two(self):
         with pytest.raises(ValueError, match="p = q = 2"):
             multiplier_matrix(random_problem(3, 0, p=3.0))
+        with pytest.raises(ValueError, match="p = q = 2"):
+            multiplier_operator(random_problem(3, 0, q=3.0))
+
+
+class TestMultiplierOperator:
+    # the matrix-free operator must reproduce the dense reference matrix and
+    # its adjoint, including the window edges where truncation closes the model
+    @pytest.mark.parametrize("n, radius", [(1, 6), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("kind, alpha", [("dirac", None), ("power-decay", 1.0)])
+    def test_matches_dense_matrix(self, n, radius, kind, alpha):
+        # seeded phases make the power-decay field complex and not real-valued
+        u = gen_distribution(kind, make_lattice(n, radius), alpha=alpha, seed=3)
+        prob = problem(u, s=0.8, t=1.1)
+        matrix = multiplier_matrix(prob)
+        matvec, rmatvec = multiplier_operator(prob)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(u.lattice.size) + 1j * rng.standard_normal(u.lattice.size)
+        assert rel_err(matvec(x), matrix @ x) < 1e-13
+        assert rel_err(rmatvec(x), matrix.conj().T @ x) < 1e-13
 
 
 class TestMultiplierNormL2:
@@ -87,18 +107,35 @@ class TestMultiplierNormL2:
         norm = multiplier_norm_l2(problem(delta_field(make_lattice(1, 8), (0,))))
         assert norm == pytest.approx(INV_SQRT_2PI, abs=1e-8)
 
-    def test_power_iteration_matches_svd(self):
+    def test_lanczos_matches_svd(self):
         for seed in range(5):
             prob = random_problem(6, seed)
-            matrix = multiplier_matrix(prob)
-            assert power_iteration_norm(matrix) == pytest.approx(
-                svd_operator_norm(matrix), rel=1e-8
+            assert multiplier_norm_l2(prob) == pytest.approx(
+                svd_operator_norm(multiplier_matrix(prob)), rel=1e-10
             )
 
-    def test_power_iteration_reports_residual_on_budget_exhaustion(self):
-        matrix = multiplier_matrix(random_problem(4, 1))
-        with pytest.raises(PowerIterationError, match="residual"):
-            power_iteration_norm(matrix, tol=0.0, max_iterations=3)
+    def test_lanczos_reports_residual_on_step_cap(self):
+        prob = random_problem(4, 1)
+        operator = multiplier_operator(prob)
+        with pytest.raises(ConvergenceError, match="residual") as caught:
+            top_singular_value(*operator, prob.u.lattice.size, tol=0.0, max_steps=3)
+        assert caught.value.iterations == 3
+        assert caught.value.residual > 0.0
+
+    @pytest.mark.parametrize(
+        "n, radius, alpha, s, t",
+        [
+            # near-tied top singular values: sigma2 / sigma1 = 0.968
+            (2, 16, 0.0, 0.6, 0.6),
+            (3, 4, 1.0, 1.0, 1.5),
+        ],
+    )
+    def test_hard_inputs_match_svd(self, n, radius, alpha, s, t):
+        u = gen_distribution("power-decay", make_lattice(n, radius), alpha=alpha)
+        prob = problem(u, s=s, t=t)
+        assert multiplier_norm_l2(prob) == pytest.approx(
+            svd_operator_norm(multiplier_matrix(prob)), rel=1e-10
+        )
 
     def test_homogeneity(self):
         prob = random_problem(5, 2)

@@ -208,11 +208,16 @@ class TestCliDeterminism:
         assert abs(ratios[1] / ratios[0] - 1.0) <= 0.05
 
     def test_results_independent_of_thread_count(self, tmp_path):
-        # transforms, norms, and products use FFTs and fixed-order reductions
-        # only, so BLAS/OpenMP thread pools must not influence a single bit
+        # transforms, norms, products and the multiplier solver use FFTs and
+        # fixed-order reductions only, so BLAS/OpenMP thread pools must not
+        # influence a single bit
         u_path, prod_path = tmp_path / "u.json", tmp_path / "w.json"
+        big_path = tmp_path / "big.json"
         run_cli("gen", "--kind", "power-decay", "--radius", "8", "--alpha", "1",
                 "--seed", "5", "--out", str(u_path))
+        # n = 2, R = 16: 1089 lattice points, a multi-step Lanczos solve
+        run_cli("gen", "--kind", "power-decay", "--n", "2", "--radius", "16",
+                "--alpha", "1", "--seed", "5", "--out", str(big_path))
         outputs = []
         for threads in ("1", "8"):
             env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
@@ -225,5 +230,11 @@ class TestCliDeterminism:
                        "--exact-product", "--out", str(prod_path)],
                 capture_output=True, env=env, timeout=120,
             )
-            outputs.append((norm.stdout, prod_path.read_bytes()))
+            mult = subprocess.run(
+                CLI + ["mult-norm", "--input", str(big_path), "--s", "1.5", "--t", "1.5",
+                       "--radii", "8,16"],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert mult.returncode == 0, mult.stderr
+            outputs.append((norm.stdout, prod_path.read_bytes(), mult.stdout))
         assert outputs[0] == outputs[1]
