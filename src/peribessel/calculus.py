@@ -4,7 +4,8 @@ The lifting operator multiplies coefficients by the Bessel weight
 ``(1 + |k|^2)^(s/2)`` (|k| Euclidean).  It is an exact bijection on truncated
 fields, forms a semigroup in s, and carries H^s_p isometrically onto
 H^(s-a)_p.  Norms for p = 2 use the closed coefficient form; other p go
-through synthesis and grid quadrature.
+through synthesis and grid quadrature.  Products convolve by zero-padded FFT,
+or by an exact shift when one factor is a scaled basis field.
 """
 
 from __future__ import annotations
@@ -115,18 +116,30 @@ def duality_pair(u: SpectralField, v: SpectralField, s: float = 0.0) -> complex:
     return complex(tree_sum(u.coeffs * np.conj(v.coeffs)))
 
 
+def _convolver(a: np.ndarray, shape: tuple):
+    """Cyclic convolution with ``a`` at length ``shape``: the map
+    ``b -> ifftn(FFT(a) * fftn(b, shape))``, with FFT(a) taken once.  A length
+    of at least the two extents summed minus one per axis wraps nothing."""
+    axes = tuple(range(a.ndim))
+    spectrum = np.fft.fftn(a, shape, axes)
+    return lambda b: np.fft.ifftn(spectrum * np.fft.fftn(b, shape, axes), axes=axes)
+
+
 def _full_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense full convolution of two equal-shape coefficient cubes."""
+    """Full linear convolution of two equal-shape coefficient cubes: the other
+    cube shifted and scaled, exactly, when one cube has a single nonzero (a
+    scaled basis field); otherwise :func:`_convolver` at length 2*side-1."""
     side = a.shape[0]
-    n = a.ndim
-    out = np.zeros((2 * side - 1,) * n, dtype=np.complex128)
-    flat_a = a.ravel()
-    for flat_pos, offset in enumerate(np.ndindex(*a.shape)):
-        value = flat_a[flat_pos]
-        if value == 0:
-            continue
-        window = tuple(slice(o, o + side) for o in offset)
-        out[window] += value * b
+    full = (2 * side - 1,) * a.ndim
+    nonzero_a, nonzero_b = np.flatnonzero(a), np.flatnonzero(b)
+    if len(nonzero_a) != 1 and len(nonzero_b) != 1:
+        return _convolver(a, full)(b)
+    if len(nonzero_a) == 1:
+        position, product = nonzero_a[0], a.flat[nonzero_a[0]] * b
+    else:
+        position, product = nonzero_b[0], a * b.flat[nonzero_b[0]]
+    out = np.zeros(full, dtype=np.complex128)
+    out[tuple(slice(o, o + side) for o in np.unravel_index(position, a.shape))] += product
     return out
 
 
@@ -139,7 +152,8 @@ def pointwise_product(
     ``coeff_l(f*u) = (2*pi)^(-n/2) * sum_k coeff_k(f) * coeff_{l-k}(u)``.
     By default the result is truncated back to the input radius (closing the
     model); with ``exact=True`` the full convolution is kept on a lattice of
-    radius 2R, where it matches dealiased grid multiplication.
+    radius 2R, where it matches dealiased grid multiplication.  A factor with
+    one nonzero coefficient shifts the other exactly; other pairs use an FFT.
     """
     _require_same_lattice(f, u)
     lattice = f.lattice

@@ -52,13 +52,17 @@ def _int_list(text: str):
     return [int(part) for part in str(text).split(",") if part.strip()]
 
 
-_CONVERTERS = {}
+def _subcommand(sub, registry: dict, name: str, summary: str) -> argparse.ArgumentParser:
+    """Add and register a subcommand parser; ``config_converters`` maps each
+    dest it accepts from a config file to that flag's type (None: as given)."""
+    parser = registry[name] = sub.add_parser(name, help=summary)
+    parser.config_converters = {}
+    return parser
 
 
 def _arg(parser, *names, **kwargs):
     action = parser.add_argument(*names, **kwargs)
-    if kwargs.get("type") is not None:
-        _CONVERTERS.setdefault(parser.prog, {})[action.dest] = kwargs["type"]
+    parser.config_converters[action.dest] = kwargs.get("type")
     return action
 
 
@@ -76,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     registry = {}
     parser.subcommand_registry = registry
 
-    gen = sub.add_parser("gen", help="generate a coefficient field and write it to a file")
-    registry["gen"] = gen
+    gen = _subcommand(sub, registry, "gen", "generate a coefficient field and write it to a file")
     _arg(gen, "--kind", choices=KINDS, required=True)
     _arg(gen, "--n", type=int, default=1, help="torus dimension")
     _arg(gen, "--radius", type=int, default=8, help="lattice radius R")
@@ -85,40 +88,36 @@ def build_parser() -> argparse.ArgumentParser:
     _arg(gen, "--seed", type=int, default=0)
     _arg(gen, "--out", required=True, help="output coefficient file (JSON)")
 
-    norm = sub.add_parser("norm", help="H^s_p norm of a coefficient field")
-    registry["norm"] = norm
+    norm = _subcommand(sub, registry, "norm", "H^s_p norm of a coefficient field")
     _arg(norm, "--input", required=True, help="coefficient file")
     _arg(norm, "--s", type=_numeric, default=0)
     _arg(norm, "--p", type=_numeric, default=2)
     _arg(norm, "--grid-size", type=int, default=None, help="quadrature points per axis")
     _arg(norm, "--format", choices=("json", "csv"), default="json")
 
-    applyj = sub.add_parser("apply-j", help="apply the lifting operator of order s")
-    registry["apply-j"] = applyj
+    applyj = _subcommand(sub, registry, "apply-j", "apply the lifting operator of order s")
     _arg(applyj, "--input", required=True)
     _arg(applyj, "--s", type=_numeric, default=0)
     _arg(applyj, "--out", required=True)
 
-    pair = sub.add_parser("pair", help="duality pairing of two coefficient fields")
-    registry["pair"] = pair
+    pair = _subcommand(sub, registry, "pair", "duality pairing of two coefficient fields")
     _arg(pair, "--input", required=True, help="first field (negative-order side)")
     _arg(pair, "--input2", required=True, help="second field (positive-order side)")
     _arg(pair, "--s", type=_numeric, default=0)
     _arg(pair, "--format", choices=("json", "csv"), default="json")
 
-    product = sub.add_parser("product", help="pointwise product of two fields")
-    registry["product"] = product
+    product = _subcommand(sub, registry, "product", "pointwise product of two fields")
     _arg(product, "--input", required=True, help="smooth factor")
     _arg(product, "--input2", required=True, help="distribution factor")
-    product.add_argument(
+    _arg(
+        product,
         "--exact-product",
         action="store_true",
         help="keep the full convolution on a radius-2R lattice instead of truncating",
     )
     _arg(product, "--out", required=True)
 
-    mult = sub.add_parser("mult-norm", help="multiplier norm vs intersection norm")
-    registry["mult-norm"] = mult
+    mult = _subcommand(sub, registry, "mult-norm", "multiplier norm vs intersection norm")
     _arg(mult, "--input", required=True)
     _arg(mult, "--s", type=_numeric, default=1)
     _arg(mult, "--t", type=_numeric, default=1)
@@ -127,11 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     _arg(mult, "--radii", type=_int_list, default=None, help="refinement radii, e.g. 4,8")
     _arg(mult, "--grid-size", type=int, default=None)
     _arg(mult, "--seed", type=int, default=0, help="seed for the sampled test family")
-    mult.add_argument("--force", action="store_true", help="skip the index-hypothesis gate")
+    _arg(mult, "--force", action="store_true", help="skip the index-hypothesis gate")
     _arg(mult, "--format", choices=("json", "csv"), default="json")
 
-    verify = sub.add_parser("verify", help="run a verification suite")
-    registry["verify"] = verify
+    verify = _subcommand(sub, registry, "verify", "run a verification suite")
     _arg(verify, "suite", choices=SUITES + ("all",))
     _arg(verify, "--radius", type=int, default=8)
     _arg(verify, "--n", type=int, default=1)
@@ -142,8 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     _arg(verify, "--q", type=_numeric, default=2)
     _arg(verify, "--format", choices=("text", "json"), default="text")
 
-    sweep = sub.add_parser("sweep", help="multiplier-norm sweep over an index grid")
-    registry["sweep"] = sweep
+    sweep = _subcommand(sub, registry, "sweep", "multiplier-norm sweep over an index grid")
     _arg(sweep, "--s-grid", type=_numeric_list, required=True, help="e.g. 1,1.5,2")
     _arg(sweep, "--t-grid", type=_numeric_list, required=True)
     _arg(sweep, "--p-grid", type=_numeric_list, required=True)
@@ -154,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     _arg(sweep, "--n", type=int, default=1)
     _arg(sweep, "--seed", type=int, default=0)
     _arg(sweep, "--grid-size", type=int, default=None)
-    sweep.add_argument("--force", action="store_true")
+    _arg(sweep, "--force", action="store_true")
     _arg(sweep, "--out", required=True, help="output CSV path")
 
     return parser
@@ -173,14 +170,13 @@ def _apply_config(parser: argparse.ArgumentParser, argv):
         raise UsageError("config file must hold a JSON object")
     all_dests = set()
     for subparser in parser.subcommand_registry.values():
-        dests = {action.dest for action in subparser._actions}
-        all_dests.update(dests)
-        converters = _CONVERTERS.get(subparser.prog, {})
-        defaults = {}
-        for key, value in config.items():
-            if key in dests:
-                converter = converters.get(key)
-                defaults[key] = converter(value) if converter is not None else value
+        converters = subparser.config_converters
+        all_dests.update(converters)
+        defaults = {
+            key: value if converters[key] is None else converters[key](value)
+            for key, value in config.items()
+            if key in converters
+        }
         if defaults:
             subparser.set_defaults(**defaults)
     unknown = set(config) - all_dests

@@ -15,7 +15,7 @@ pairwise reduction, so results do not depend on thread count or chunking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -250,11 +250,19 @@ def _require_same_lattice(u: SpectralField, v: SpectralField):
         )
 
 
-def _alternating_signs(lattice: Lattice) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _grid_scatter(lattice: Lattice, points_per_axis: int) -> tuple:
+    """Flat DFT-cube positions (k mod N) and signs (-1)^(sum k) of the lattice
+    frequencies, frozen and cached per (lattice, N) for synthesize and analyze."""
+    N = points_per_axis
+    flat = np.ravel_multi_index(
+        tuple((lattice.indices[:, axis] % N) for axis in range(lattice.n)),
+        (N,) * lattice.n,
+    )
     # exp(i<k, x_j>) at x_j = -pi + 2*pi*j/N splits into (-1)^(sum k) times the
     # plain DFT phase exp(2*pi*i <k, j>/N); these are the (-1)^(sum k) factors.
     parity = np.sum(lattice.indices, axis=1) % 2
-    return 1.0 - 2.0 * parity
+    return _freeze(flat), _freeze(1.0 - 2.0 * parity)
 
 
 def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:
@@ -270,11 +278,8 @@ def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:
             f"grid too small: need at least {lattice.side} points per axis, got {N}"
         )
     spectrum = np.zeros((N,) * lattice.n, dtype=np.complex128)
-    flat = np.ravel_multi_index(
-        tuple((lattice.indices[:, axis] % N) for axis in range(lattice.n)),
-        (N,) * lattice.n,
-    )
-    spectrum.ravel()[flat] = u.coeffs * _alternating_signs(lattice)
+    flat, signs = _grid_scatter(lattice, N)
+    spectrum.ravel()[flat] = u.coeffs * signs
     samples = (N ** lattice.n) * np.fft.ifftn(spectrum) * TWO_PI ** (-lattice.n / 2.0)
     return GridFunction(samples)
 
@@ -293,16 +298,8 @@ def analyze(g: GridFunction, lattice: Lattice) -> SpectralField:
             f"grid too small: need at least {lattice.side} points per axis, got {N}"
         )
     spectrum = np.fft.fftn(g.samples)
-    flat = np.ravel_multi_index(
-        tuple((lattice.indices[:, axis] % N) for axis in range(lattice.n)),
-        (N,) * lattice.n,
-    )
-    coeffs = (
-        TWO_PI ** (lattice.n / 2.0)
-        / (N ** lattice.n)
-        * _alternating_signs(lattice)
-        * spectrum.ravel()[flat]
-    )
+    flat, signs = _grid_scatter(lattice, N)
+    coeffs = TWO_PI ** (lattice.n / 2.0) / (N ** lattice.n) * signs * spectrum.ravel()[flat]
     return SpectralField(lattice, coeffs)
 
 

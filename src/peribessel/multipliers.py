@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .calculus import SpaceIndex, bessel_weights, hs_norm, pointwise_product
+from .calculus import SpaceIndex, _convolver, bessel_weights, hs_norm, pointwise_product
 from .conditions import conjugate_exponent, strichartz_case
 from .generators import gen_distribution
 from .lattice import (
@@ -179,18 +179,17 @@ def multiplier_operator(prob: MultiplierProblem) -> tuple:
     if not (prob.p == 2 and prob.q == 2):
         raise ValueError("the multiplier operator requires p = q = 2")
     lattice = prob.u.lattice
-    padded, axes = (3 * lattice.radius + 1,) * lattice.n, tuple(range(lattice.n))
+    padded = (3 * lattice.radius + 1,) * lattice.n
     # Cube positions are index + R, so the product's index l sits at l + 2R.
     window = (slice(lattice.radius, lattice.radius + lattice.side),) * lattice.n
 
     def side(u: SpectralField, s: float, t: float):
-        spectrum = np.fft.fftn(u.cube(), padded, axes)
+        convolve = _convolver(u.cube(), padded)
         source = bessel_weights(-float(s), lattice)
         target = TWO_PI ** (-lattice.n / 2.0) * bessel_weights(-float(t), lattice)
 
         def apply(v: np.ndarray) -> np.ndarray:
-            cube = np.fft.fftn((source * v).reshape(lattice.shape), padded, axes)
-            return target * np.fft.ifftn(spectrum * cube, axes=axes)[window].ravel()
+            return target * convolve((source * v).reshape(lattice.shape))[window].ravel()
 
         return apply
 

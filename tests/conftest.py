@@ -42,5 +42,20 @@ def rectangle_quadrature(values: np.ndarray) -> complex:
     return complex((TWO_PI / points) ** n * np.sum(values))
 
 
+def convolve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two equal-shape cubes, one offset of ``a``
+    at a time (zero entries skipped)."""
+    side = a.shape[0]
+    out = np.zeros((2 * side - 1,) * a.ndim, dtype=np.complex128)
+    flat_a = a.ravel()
+    for flat_pos, offset in enumerate(np.ndindex(*a.shape)):
+        value = flat_a[flat_pos]
+        if value == 0:
+            continue
+        window = tuple(slice(o, o + side) for o in offset)
+        out[window] += value * b
+    return out
+
+
 def svd_operator_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.svd(matrix, compute_uv=False)[0])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from peribessel import (
     GridFunction,
     SpaceIndex,
+    SpectralField,
     action,
     analyze,
     bessel_weight,
@@ -24,7 +25,7 @@ from peribessel import (
 from peribessel.conditions import conjugate_exponent
 from peribessel.lattice import tree_sum
 
-from conftest import rectangle_quadrature, rel_err
+from conftest import convolve_direct, rectangle_quadrature, rel_err
 
 TWO_PI = 2.0 * np.pi
 
@@ -239,3 +240,41 @@ class TestPointwiseProduct:
             pointwise_product(
                 constant_field(make_lattice(1, 2)), constant_field(make_lattice(1, 3))
             )
+
+    @staticmethod
+    def _direct(f, u, exact):
+        """Loop-oracle product, full or centre-truncated like pointwise_product."""
+        lat = f.lattice
+        full = TWO_PI ** (-lat.n / 2.0) * convolve_direct(f.cube(), u.cube())
+        if exact:
+            return full.ravel()
+        return full[(slice(lat.radius, lat.radius + lat.side),) * lat.n].ravel()
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("n,radius", [(1, 6), (2, 3), (3, 2)])
+    def test_dense_factors_match_direct_convolution(self, n, radius, exact):
+        lat = make_lattice(n, radius)
+        u = random_field(lat, seed=4)
+        two = np.zeros(lat.size, dtype=complex)
+        two[[0, lat.size // 2 + 1]] = [0.5 - 2.0j, 1.25]
+        factors = [
+            gen_distribution("random-smooth", lat, seed=3),
+            gen_distribution("power-decay", lat, alpha=1.5, seed=7),
+            SpectralField(lat, two),
+        ]
+        assert np.any(factors[1].coeffs.imag != 0)
+        for f in factors:
+            for left, right in ((f, u), (u, f)):
+                out = pointwise_product(left, right, exact=exact).coeffs
+                assert rel_err(out, self._direct(left, right, exact)) <= 1e-13
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("n,radius", [(1, 6), (2, 3), (3, 2)])
+    def test_basis_factors_are_bitwise_direct(self, n, radius, exact):
+        lat = make_lattice(n, radius)
+        u = random_field(lat, seed=5)
+        corner = (radius,) + (-radius,) * (n - 1)
+        for basis in (constant_field(lat), delta_field(lat, corner)):
+            for left, right in ((basis, u), (u, basis)):
+                out = pointwise_product(left, right, exact=exact).coeffs
+                assert out.tobytes() == self._direct(left, right, exact).tobytes()

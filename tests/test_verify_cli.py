@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from peribessel import hs_norm, parse_coeff_file, run_suite
+from peribessel import cli, hs_norm, parse_coeff_file, run_suite
 from peribessel.calculus import SpaceIndex
 from peribessel.verify import REGISTRY, SUITES, VerifyContext, format_report
 
@@ -174,6 +175,23 @@ class TestCliConfig:
         config.write_text('{"galaxy": 7}')
         assert run_cli("--config", str(config), "verify", "embedding").returncode == 2
 
+    def test_build_parser_leaves_no_module_state(self):
+        def module_containers():
+            return {
+                name: copy.deepcopy(value)
+                for name, value in vars(cli).items()
+                if isinstance(value, (dict, list, set)) and not name.startswith("__")
+            }
+
+        before = module_containers()
+        first, second = cli.build_parser(), cli.build_parser()
+        assert module_containers() == before
+        # converters live on each parser, so the two parsers share none
+        for name, subparser in first.subcommand_registry.items():
+            twin = second.subcommand_registry[name]
+            assert subparser.config_converters == twin.config_converters
+            assert subparser.config_converters is not twin.config_converters
+
 
 class TestCliDeterminism:
     def test_identical_invocations_are_byte_identical(self, tmp_path):
@@ -213,8 +231,15 @@ class TestCliDeterminism:
         # influence a single bit
         u_path, prod_path = tmp_path / "u.json", tmp_path / "w.json"
         big_path = tmp_path / "big.json"
+        smooth_path, decay_path = tmp_path / "f2.json", tmp_path / "u2.json"
+        prod2_path = tmp_path / "w2.json"
         run_cli("gen", "--kind", "power-decay", "--radius", "8", "--alpha", "1",
                 "--seed", "5", "--out", str(u_path))
+        # n = 2, R = 8: a dense exact product, FFT convolution in two axes
+        run_cli("gen", "--kind", "random-smooth", "--n", "2", "--radius", "8",
+                "--seed", "5", "--out", str(smooth_path))
+        run_cli("gen", "--kind", "power-decay", "--n", "2", "--radius", "8",
+                "--alpha", "1", "--seed", "6", "--out", str(decay_path))
         # n = 2, R = 16: 1089 lattice points, a multi-step Lanczos solve
         run_cli("gen", "--kind", "power-decay", "--n", "2", "--radius", "16",
                 "--alpha", "1", "--seed", "5", "--out", str(big_path))
@@ -230,11 +255,19 @@ class TestCliDeterminism:
                        "--exact-product", "--out", str(prod_path)],
                 capture_output=True, env=env, timeout=120,
             )
+            product_2d = subprocess.run(
+                CLI + ["product", "--input", str(smooth_path), "--input2",
+                       str(decay_path), "--exact-product", "--out", str(prod2_path)],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert product_2d.returncode == 0, product_2d.stderr
             mult = subprocess.run(
                 CLI + ["mult-norm", "--input", str(big_path), "--s", "1.5", "--t", "1.5",
                        "--radii", "8,16"],
                 capture_output=True, env=env, timeout=120,
             )
             assert mult.returncode == 0, mult.stderr
-            outputs.append((norm.stdout, prod_path.read_bytes(), mult.stdout))
+            outputs.append(
+                (norm.stdout, prod_path.read_bytes(), prod2_path.read_bytes(), mult.stdout)
+            )
         assert outputs[0] == outputs[1]
