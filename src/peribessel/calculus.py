@@ -66,26 +66,16 @@ def default_grid_points(lattice: Lattice) -> int:
     return 2 * lattice.side
 
 
-def hs_norm(
-    u: SpectralField,
-    index: SpaceIndex,
-    grid_points: int | None = None,
-    method: str = "auto",
-) -> float:
+def hs_norm(u: SpectralField, index: SpaceIndex, grid_points: int | None = None) -> float:
     """Norm of u in H^s_p: the L_p norm of the order-s lift of u.
 
     For p = 2 this is computed in the closed coefficient form
     sqrt(sum_k (1 + |k|^2)^s |coeff_k|^2); for other p the lifted field is
     synthesized on a uniform grid (default 2*(2R+1) points per axis) and the
-    rectangle-rule L_p norm is taken.  ``method`` forces one path:
-    "coefficient" (p = 2 only) or "quadrature".
+    rectangle-rule L_p norm is taken.
     """
-    if method not in ("auto", "coefficient", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
     p = float(index.p)
-    if method == "coefficient" or (method == "auto" and p == 2.0):
-        if p != 2.0:
-            raise ValueError("coefficient form is available only for p = 2")
+    if p == 2.0:
         weights = bessel_weights(float(index.s), u.lattice)
         total = tree_sum(weights * weights * np.abs(u.coeffs) ** 2)
         return float(np.sqrt(total))

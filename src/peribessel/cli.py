@@ -12,19 +12,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from fractions import Fraction
 
 from .calculus import SpaceIndex, duality_pair, hs_norm, lift, pointwise_product
 from .coeffio import CoeffFileError, parse_coeff_file, write_coeff_file
-from .conditions import strichartz_case
 from .generators import KINDS, gen_distribution
 from .lattice import make_lattice
 from .multipliers import (
     CSV_COLUMNS,
+    HypothesisError,
     MultiplierProblem,
     equivalence_report,
+    index_cells,
 )
 from .verify import SUITES, VerifyContext, format_report, run_suite
 
@@ -37,7 +39,10 @@ def _numeric(text: str):
     """Parse a CLI number: '4/3' -> Fraction, '2' -> int, '1.5' -> float."""
     text = str(text).strip()
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     try:
         return int(text)
     except ValueError:
@@ -172,11 +177,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv):
     for subparser in parser.subcommand_registry.values():
         converters = subparser.config_converters
         all_dests.update(converters)
-        defaults = {
-            key: value if converters[key] is None else converters[key](value)
-            for key, value in config.items()
-            if key in converters
-        }
+        defaults = {}
+        for key, value in config.items():
+            if key not in converters:
+                continue
+            try:
+                defaults[key] = value if converters[key] is None else converters[key](value)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"config value {key}={value!r}: {exc}") from None
         if defaults:
             subparser.set_defaults(**defaults)
     unknown = set(config) - all_dests
@@ -279,49 +287,29 @@ def _cmd_sweep(args) -> int:
     grids = (args.s_grid, args.t_grid, args.p_grid, args.q_grid, args.radius_grid)
     if any(len(grid) == 0 for grid in grids):
         raise UsageError("sweep grids must be nonempty")
+    fields = {
+        radius: gen_distribution(
+            args.u_kind, make_lattice(args.n, radius), alpha=args.alpha, seed=args.seed
+        )
+        for radius in args.radius_grid
+    }
     rows = []
     refusals = 0
-    for s in args.s_grid:
-        for t in args.t_grid:
-            for p in args.p_grid:
-                for q in args.q_grid:
-                    for radius in args.radius_grid:
-                        lattice = make_lattice(args.n, radius)
-                        field = gen_distribution(
-                            args.u_kind, lattice, alpha=args.alpha, seed=args.seed
-                        )
-                        verdict = strichartz_case(s, t, p, q, args.n)
-                        if not verdict.holds and not args.force:
-                            refusals += 1
-                            sys.stderr.write(
-                                f"warning: refused (s={s}, t={t}, p={p}, q={q}, "
-                                f"R={radius}): {verdict.detail}\n"
-                            )
-                            rows.append(
-                                [
-                                    str(args.n),
-                                    str(radius),
-                                    repr(float(s)),
-                                    repr(float(t)),
-                                    repr(float(p)),
-                                    repr(float(q)),
-                                    "",
-                                    "",
-                                    "",
-                                    "",
-                                    "",
-                                    "refused",
-                                ]
-                            )
-                            continue
-                        prob = MultiplierProblem(field, s, t, p, q)
-                        report = equivalence_report(
-                            prob,
-                            force=True,
-                            grid_points=args.grid_size,
-                            family_seed=args.seed,
-                        )
-                        rows.append(report.csv_row() + ["ok"])
+    for s, t, p, q, radius in itertools.product(*grids):
+        prob = MultiplierProblem(fields[radius], s, t, p, q)
+        try:
+            report = equivalence_report(
+                prob, force=args.force, grid_points=args.grid_size, family_seed=args.seed
+            )
+        except HypothesisError as exc:
+            refusals += 1
+            sys.stderr.write(
+                f"warning: refused (s={s}, t={t}, p={p}, q={q}, R={radius}): {exc}\n"
+            )
+            cells = index_cells(args.n, radius, s, t, p, q)
+            rows.append(cells + [""] * (len(CSV_COLUMNS) - len(cells)) + ["refused"])
+        else:
+            rows.append(report.csv_row() + ["ok"])
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(list(CSV_COLUMNS) + ["status"])

@@ -2,13 +2,15 @@
 
 Schema: ``{"n": int, "radius": int, "entries": [[k_1, ..., k_n, re, im], ...]}``.
 Indices omitted from ``entries`` carry coefficient zero; a duplicated index is
-an error, as is an index outside the declared radius or a non-finite value.
+an error, as is an index outside the declared radius.  ``n``, ``radius`` and
+index components must be JSON integers, ``re`` and ``im`` finite JSON numbers;
+booleans are neither.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 
 import numpy as np
 
@@ -17,6 +19,17 @@ from .lattice import SpectralField, make_lattice
 
 class CoeffFileError(ValueError):
     """Malformed coefficient file."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number (not a bool) that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max
 
 
 def field_to_dict(u: SpectralField) -> dict:
@@ -35,8 +48,10 @@ def field_from_dict(data: dict) -> SpectralField:
         if key not in data:
             raise CoeffFileError(f"missing required key {key!r}")
     n, radius = data["n"], data["radius"]
-    if not (isinstance(n, int) and isinstance(radius, int)):
+    if not (_is_int(n) and _is_int(radius)):
         raise CoeffFileError("'n' and 'radius' must be integers")
+    if not isinstance(data["entries"], list):
+        raise CoeffFileError("'entries' must be a list")
     lattice = make_lattice(n, radius)
     coeffs = np.zeros(lattice.size, dtype=np.complex128)
     seen = set()
@@ -46,17 +61,18 @@ def field_from_dict(data: dict) -> SpectralField:
                 f"each entry must be [k_1,...,k_{n}, re, im]; got {entry!r}"
             )
         k = tuple(entry[:n])
-        if not all(isinstance(c, int) for c in k):
+        if not all(_is_int(c) for c in k):
             raise CoeffFileError(f"index components must be integers, got {k!r}")
         if not lattice.contains(k):
             raise CoeffFileError(f"index {k} outside declared radius {radius}")
         if k in seen:
             raise CoeffFileError(f"duplicate index {k}")
         seen.add(k)
-        re, im = float(entry[n]), float(entry[n + 1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise CoeffFileError(f"non-finite coefficient at index {k}")
-        coeffs[lattice.position(k)] = complex(re, im)
+        if not all(_is_finite_number(part) for part in entry[n:]):
+            raise CoeffFileError(
+                f"coefficient at index {k} must be two finite JSON numbers, got {entry[n:]!r}"
+            )
+        coeffs[lattice.position(k)] = complex(entry[n], entry[n + 1])
     return SpectralField(lattice, coeffs)
 
 

@@ -49,6 +49,11 @@ CSV_COLUMNS = (
 )
 
 
+def index_cells(n: int, radius: int, s, t, p, q) -> list:
+    """The first six :data:`CSV_COLUMNS` cells of a report row: n, R, s, t, p, q."""
+    return [str(n), str(radius), *(repr(float(x)) for x in (s, t, p, q))]
+
+
 class ConvergenceError(RuntimeError):
     """The singular-value solver hit its step cap before its residual test."""
 
@@ -125,13 +130,7 @@ class MultiplierReport:
         }
 
     def csv_row(self) -> list:
-        return [
-            str(self.n),
-            str(self.radius),
-            repr(float(self.s)),
-            repr(float(self.t)),
-            repr(float(self.p)),
-            repr(float(self.q)),
+        return index_cells(self.n, self.radius, self.s, self.t, self.p, self.q) + [
             repr(self.multiplier_norm),
             "1" if self.exact else "0",
             repr(self.intersection_norm),

@@ -18,6 +18,7 @@ from peribessel import (
     hs_norm,
     lift,
     linear_combine,
+    lp_norm,
     make_lattice,
     pointwise_product,
     synthesize,
@@ -84,8 +85,8 @@ class TestHsNorm:
     def test_two_paths_agree_for_p2(self):
         for seed in range(10):
             u = random_field(make_lattice(1, 16), seed=seed, decay=0.75)
-            closed = hs_norm(u, SpaceIndex(1.2, 2.0), method="coefficient")
-            quad = hs_norm(u, SpaceIndex(1.2, 2.0), grid_points=64, method="quadrature")
+            closed = hs_norm(u, SpaceIndex(1.2, 2.0))
+            quad = lp_norm(synthesize(lift(1.2, u), 64), 2.0)
             assert abs(closed - quad) / closed < 1e-12
 
     def test_p3_grid_refinement_oracle(self):
@@ -114,8 +115,6 @@ class TestHsNorm:
             hs_norm(u, SpaceIndex(0.0, 0.9))
         with pytest.raises(ValueError, match="grid too small"):
             hs_norm(u, SpaceIndex(0.0, 3.0), grid_points=4)
-        with pytest.raises(ValueError):
-            hs_norm(u, SpaceIndex(0.0, 3.0), method="coefficient")
 
 
 class TestAction:

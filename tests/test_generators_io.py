@@ -137,6 +137,28 @@ class TestCoeffFiles:
         with pytest.raises(CoeffFileError, match="entry"):
             parse_coeff_file(path)
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"n": 1, "radius": 1, "entries": 5}',
+            '{"n": 1, "radius": 1, "entries": [[0, [1.0], 0]]}',
+            '{"n": 1, "radius": 1, "entries": [[0, "abc", 0]]}',
+            '{"n": 1, "radius": 1, "entries": [[0, "1.5", 0]]}',
+            '{"n": 1, "radius": 1, "entries": [[0, 1.0, true]]}',
+            '{"n": 1, "radius": 1, "entries": [[0, 1%s, 0]]}' % ("0" * 400),
+            '{"n": true, "radius": 1, "entries": []}',
+            '{"n": 1, "radius": false, "entries": []}',
+            '{"n": 1, "radius": 1, "entries": [[true, 1.0, 0]]}',
+        ],
+        ids=["entries-int", "re-list", "re-text", "re-numeric-text", "im-bool",
+             "re-overflow", "n-bool", "radius-bool", "index-bool"],
+    )
+    def test_wrongly_typed_values_rejected(self, tmp_path, document):
+        path = tmp_path / "typed.json"
+        path.write_text(document)
+        with pytest.raises(CoeffFileError):
+            parse_coeff_file(path)
+
     def test_delta_round_trip_sparsity(self, tmp_path):
         u = delta_field(make_lattice(1, 5), (-3,))
         path = tmp_path / "d.json"

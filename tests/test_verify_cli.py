@@ -1,17 +1,34 @@
 import copy
+import csv
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from peribessel import cli, hs_norm, parse_coeff_file, run_suite
+from peribessel import (
+    MultiplierProblem,
+    cli,
+    equivalence_report,
+    gen_distribution,
+    hs_norm,
+    make_lattice,
+    parse_coeff_file,
+    run_suite,
+)
 from peribessel.calculus import SpaceIndex
+from peribessel.multipliers import CSV_COLUMNS, index_cells
 from peribessel.verify import REGISTRY, SUITES, VerifyContext, format_report
 
 CLI = [sys.executable, "-m", "peribessel.cli"]
+# CLI child processes import the package from this checkout, as pytest does
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+)
 
 # every library invariant must be wired to a named check
 REQUIRED_CHECKS = {
@@ -40,7 +57,7 @@ REQUIRED_CHECKS = {
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, cwd=cwd, timeout=300
+        CLI + list(args), capture_output=True, text=True, cwd=cwd, timeout=300, env=CHILD_ENV
     )
 
 
@@ -145,6 +162,11 @@ class TestCliExitCodes:
         bad.write_text("{not json")
         assert run_cli("norm", "--input", str(bad)).returncode == 2
 
+    def test_zero_denominator_flag_is_usage_error(self, tmp_path):
+        result = run_cli("norm", "--input", str(tmp_path / "u.json"), "--p", "1/0")
+        assert result.returncode == 2
+        assert "error:" in result.stderr and "Traceback" not in result.stderr
+
     def test_verify_suite_passes(self):
         result = run_cli("verify", "embedding", "--radius", "4")
         assert result.returncode == 0
@@ -174,6 +196,19 @@ class TestCliConfig:
         config = tmp_path / "conf.json"
         config.write_text('{"galaxy": 7}')
         assert run_cli("--config", str(config), "verify", "embedding").returncode == 2
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"p": "1/0"}, {"radius": "abc"}, {"radius": [8]}, {"n": None}],
+        ids=["zero-denominator", "int-text", "int-list", "int-null"],
+    )
+    def test_unconvertible_config_value_is_usage_error(self, tmp_path, config):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(config))
+        result = run_cli("--config", str(path), "verify", "embedding")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: config value")
+        assert len(result.stderr.splitlines()) == 1
 
     def test_build_parser_leaves_no_module_state(self):
         def module_containers():
@@ -245,7 +280,7 @@ class TestCliDeterminism:
                 "--alpha", "1", "--seed", "5", "--out", str(big_path))
         outputs = []
         for threads in ("1", "8"):
-            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            env = dict(CHILD_ENV, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
             norm = subprocess.run(
                 CLI + ["norm", "--input", str(u_path), "--s", "1.5", "--p", "3"],
                 capture_output=True, text=True, env=env, timeout=120,
@@ -271,3 +306,45 @@ class TestCliDeterminism:
                 (norm.stdout, prod_path.read_bytes(), prod2_path.read_bytes(), mult.stdout)
             )
         assert outputs[0] == outputs[1]
+
+
+class TestSweep:
+    # s = 1 passes the index gate at every radius; s = 0.4 is refused
+    GRID = ("--s-grid", "1,0.4", "--t-grid", "0.1", "--p-grid", "2", "--q-grid", "2",
+            "--radius-grid", "4,8", "--seed", "2")
+
+    def sweep(self, tmp_path, *extra):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", *self.GRID, *extra, "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == list(CSV_COLUMNS) + ["status"]
+        return rows
+
+    @staticmethod
+    def report_row(s, radius):
+        field = gen_distribution("power-decay", make_lattice(1, radius), alpha=3.0, seed=2)
+        prob = MultiplierProblem(field, s, 0.1, 2, 2)
+        return equivalence_report(prob, force=True, family_seed=2).csv_row() + ["ok"]
+
+    def test_rows_match_in_process_reports(self, tmp_path, capsys):
+        refused = [index_cells(1, radius, 0.4, 0.1, 2, 2) + [""] * 5 + ["refused"]
+                   for radius in (4, 8)]
+        expected = [self.report_row(1, 4), self.report_row(1, 8)] + refused
+        assert self.sweep(tmp_path) == expected
+        assert capsys.readouterr().err.count("index hypotheses fail") == 2
+
+    def test_force_reports_refused_points(self, tmp_path):
+        expected = [self.report_row(s, radius) for s in (1, 0.4) for radius in (4, 8)]
+        assert self.sweep(tmp_path, "--force") == expected
+
+    def test_field_generated_once_per_distinct_radius(self, tmp_path, monkeypatch):
+        radii = []
+
+        def counting(kind, lattice, **kwargs):
+            radii.append(lattice.radius)
+            return gen_distribution(kind, lattice, **kwargs)
+
+        monkeypatch.setattr(cli, "gen_distribution", counting)
+        self.sweep(tmp_path)
+        assert sorted(radii) == [4, 8]
