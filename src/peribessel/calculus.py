@@ -36,8 +36,8 @@ class SpaceIndex:
     def __post_init__(self):
         if not np.isfinite(self.s):
             raise ValueError(f"smoothness index must be finite, got {self.s}")
-        if not self.p >= 1.0:
-            raise ValueError(f"integrability index must satisfy p >= 1, got {self.p}")
+        if not 1.0 <= self.p < np.inf:
+            raise ValueError(f"integrability index must satisfy 1 <= p < inf, got {self.p}")
 
 
 def bessel_weight(s: float, k) -> float:

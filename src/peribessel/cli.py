@@ -57,18 +57,36 @@ def _int_list(text: str):
     return [int(part) for part in str(text).split(",") if part.strip()]
 
 
-def _subcommand(sub, registry: dict, name: str, summary: str) -> argparse.ArgumentParser:
-    """Add and register a subcommand parser; ``config_converters`` maps each
-    dest it accepts from a config file to that flag's type (None: as given)."""
-    parser = registry[name] = sub.add_parser(name, help=summary)
+def _subcommand(sub, name: str, summary: str, run) -> argparse.ArgumentParser:
+    """Add a subcommand parser whose ``args.run`` is ``run``.  Its
+    ``config_converters`` maps each dest it accepts from a config file to that
+    flag's ``(type, choices)``; a store_true flag's type is ``bool``."""
+    parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(run=run)
     parser.config_converters = {}
     return parser
 
 
 def _arg(parser, *names, **kwargs):
     action = parser.add_argument(*names, **kwargs)
-    parser.config_converters[action.dest] = kwargs.get("type")
+    kind = bool if action.nargs == 0 else action.type
+    parser.config_converters[action.dest] = (kind, action.choices)
     return action
+
+
+def _config_value(value, kind, choices):
+    """Convert a config value as its flag converts the same text on the command
+    line; a store_true flag takes only a JSON boolean."""
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ValueError("expected true or false")
+        return value
+    if value is None or isinstance(value, (bool, list, dict)):
+        raise ValueError("expected a JSON string or number")
+    value = str(value) if kind is None else kind(str(value))
+    if choices is not None and value not in choices:
+        raise ValueError(f"invalid choice (choose from {', '.join(map(repr, choices))})")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,10 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON file supplying defaults for any flag")
     sub = parser.add_subparsers(dest="command", required=True)
-    registry = {}
-    parser.subcommand_registry = registry
+    parser.subcommand_registry = sub.choices
 
-    gen = _subcommand(sub, registry, "gen", "generate a coefficient field and write it to a file")
+    gen = _subcommand(sub, "gen", "generate a coefficient field and write it to a file", _cmd_gen)
     _arg(gen, "--kind", choices=KINDS, required=True)
     _arg(gen, "--n", type=int, default=1, help="torus dimension")
     _arg(gen, "--radius", type=int, default=8, help="lattice radius R")
@@ -93,25 +110,25 @@ def build_parser() -> argparse.ArgumentParser:
     _arg(gen, "--seed", type=int, default=0)
     _arg(gen, "--out", required=True, help="output coefficient file (JSON)")
 
-    norm = _subcommand(sub, registry, "norm", "H^s_p norm of a coefficient field")
+    norm = _subcommand(sub, "norm", "H^s_p norm of a coefficient field", _cmd_norm)
     _arg(norm, "--input", required=True, help="coefficient file")
     _arg(norm, "--s", type=_numeric, default=0)
     _arg(norm, "--p", type=_numeric, default=2)
     _arg(norm, "--grid-size", type=int, default=None, help="quadrature points per axis")
     _arg(norm, "--format", choices=("json", "csv"), default="json")
 
-    applyj = _subcommand(sub, registry, "apply-j", "apply the lifting operator of order s")
+    applyj = _subcommand(sub, "apply-j", "apply the lifting operator of order s", _cmd_apply_j)
     _arg(applyj, "--input", required=True)
     _arg(applyj, "--s", type=_numeric, default=0)
     _arg(applyj, "--out", required=True)
 
-    pair = _subcommand(sub, registry, "pair", "duality pairing of two coefficient fields")
+    pair = _subcommand(sub, "pair", "duality pairing of two coefficient fields", _cmd_pair)
     _arg(pair, "--input", required=True, help="first field (negative-order side)")
     _arg(pair, "--input2", required=True, help="second field (positive-order side)")
     _arg(pair, "--s", type=_numeric, default=0)
     _arg(pair, "--format", choices=("json", "csv"), default="json")
 
-    product = _subcommand(sub, registry, "product", "pointwise product of two fields")
+    product = _subcommand(sub, "product", "pointwise product of two fields", _cmd_product)
     _arg(product, "--input", required=True, help="smooth factor")
     _arg(product, "--input2", required=True, help="distribution factor")
     _arg(
@@ -122,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _arg(product, "--out", required=True)
 
-    mult = _subcommand(sub, registry, "mult-norm", "multiplier norm vs intersection norm")
+    mult = _subcommand(sub, "mult-norm", "multiplier norm vs intersection norm", _cmd_mult_norm)
     _arg(mult, "--input", required=True)
     _arg(mult, "--s", type=_numeric, default=1)
     _arg(mult, "--t", type=_numeric, default=1)
@@ -134,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     _arg(mult, "--force", action="store_true", help="skip the index-hypothesis gate")
     _arg(mult, "--format", choices=("json", "csv"), default="json")
 
-    verify = _subcommand(sub, registry, "verify", "run a verification suite")
+    verify = _subcommand(sub, "verify", "run a verification suite", _cmd_verify)
     _arg(verify, "suite", choices=SUITES + ("all",))
     _arg(verify, "--radius", type=int, default=8)
     _arg(verify, "--n", type=int, default=1)
@@ -145,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     _arg(verify, "--q", type=_numeric, default=2)
     _arg(verify, "--format", choices=("text", "json"), default="text")
 
-    sweep = _subcommand(sub, registry, "sweep", "multiplier-norm sweep over an index grid")
+    sweep = _subcommand(sub, "sweep", "multiplier-norm sweep over an index grid", _cmd_sweep)
     _arg(sweep, "--s-grid", type=_numeric_list, required=True, help="e.g. 1,1.5,2")
     _arg(sweep, "--t-grid", type=_numeric_list, required=True)
     _arg(sweep, "--p-grid", type=_numeric_list, required=True)
@@ -162,34 +179,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv):
-    """Load --config (if any) and install its values as defaults; flags win."""
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return
-    with open(known.config, "r", encoding="utf-8") as handle:
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv.  With --config, install the file's values as defaults of the
+    subcommand being run, each as its flag takes it, and parse again: flags win."""
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    with open(args.config, "r", encoding="utf-8") as handle:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
-    all_dests = set()
-    for subparser in parser.subcommand_registry.values():
-        converters = subparser.config_converters
-        all_dests.update(converters)
-        defaults = {}
-        for key, value in config.items():
-            if key not in converters:
-                continue
-            try:
-                defaults[key] = value if converters[key] is None else converters[key](value)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"config value {key}={value!r}: {exc}") from None
-        if defaults:
-            subparser.set_defaults(**defaults)
-    unknown = set(config) - all_dests
+    registry = parser.subcommand_registry
+    unknown = set(config).difference(*(sub.config_converters for sub in registry.values()))
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    subparser = registry[args.command]
+    defaults = {}
+    for key, value in config.items():
+        if key in subparser.config_converters:
+            try:
+                defaults[key] = _config_value(value, *subparser.config_converters[key])
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"config value {key}={value!r}: {exc}") from None
+    subparser.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _emit_record(record: dict, fmt: str, stream):
@@ -255,11 +268,10 @@ def _cmd_mult_norm(args) -> int:
         family_seed=args.seed,
     )
     if args.format == "json":
-        sys.stdout.write(json.dumps(report.as_dict()) + "\n")
+        record = report.as_dict()
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerow(report.csv_row())
+        record = dict(zip(CSV_COLUMNS, report.csv_row()))
+    _emit_record(record, args.format, sys.stdout)
     return 0
 
 
@@ -319,25 +331,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "gen": _cmd_gen,
-    "norm": _cmd_norm,
-    "apply-j": _cmd_apply_j,
-    "pair": _cmd_pair,
-    "product": _cmd_product,
-    "mult-norm": _cmd_mult_norm,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        _apply_config(parser, argv)
-        args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        args = _parse_args(parser, argv)
+        return args.run(args)
     except (UsageError, CoeffFileError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -4,7 +4,8 @@ Schema: ``{"n": int, "radius": int, "entries": [[k_1, ..., k_n, re, im], ...]}``
 Indices omitted from ``entries`` carry coefficient zero; a duplicated index is
 an error, as is an index outside the declared radius.  ``n``, ``radius`` and
 index components must be JSON integers, ``re`` and ``im`` finite JSON numbers;
-booleans are neither.
+booleans are neither.  The declared lattice may hold at most
+:data:`MAX_COEFFICIENTS` coefficients, checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import sys
 import numpy as np
 
 from .lattice import SpectralField, make_lattice
+
+# Largest declared cardinality (2R+1)^n a file may ask for: 1 GiB of complex128.
+MAX_COEFFICIENTS = 2**26
 
 
 class CoeffFileError(ValueError):
@@ -52,7 +56,14 @@ def field_from_dict(data: dict) -> SpectralField:
         raise CoeffFileError("'n' and 'radius' must be integers")
     if not isinstance(data["entries"], list):
         raise CoeffFileError("'entries' must be a list")
-    lattice = make_lattice(n, radius)
+    try:
+        lattice = make_lattice(n, radius)
+    except ValueError as exc:
+        raise CoeffFileError(f"bad lattice header: {exc}") from None
+    if lattice.size > MAX_COEFFICIENTS:
+        raise CoeffFileError(
+            f"lattice (2R+1)^n = {lattice.size} exceeds {MAX_COEFFICIENTS} coefficients"
+        )
     coeffs = np.zeros(lattice.size, dtype=np.complex128)
     seen = set()
     for entry in data["entries"]:

@@ -3,9 +3,12 @@
 A distribution is represented by its complex coefficients with respect to the
 orthonormal exponential basis, truncated to the symmetric box of multi-indices
 ``{k in Z^n : max_m |k_m| <= R}``.  The basis function with index k takes the
-value ``(2*pi)^(-n/2) * exp(i<k, x>)`` on ``[-pi, pi)^n``, so every
-``(2*pi)^(n/2)`` factor lives inside the synthesis/analysis transforms and
-nowhere else.
+value ``(2*pi)^(-n/2) * exp(i<k, x>)`` on ``[-pi, pi)^n``.  The
+``(2*pi)^(n/2)`` factors this normalization brings live in the
+synthesis/analysis transforms, in :func:`constant_field` (the all-ones
+function), in the product of two fields (``calculus.pointwise_product``, the
+multiplier operator and matrix in ``multipliers``) and in the ``dirac``
+generator; nowhere else.
 
 Values are immutable after construction and every operation is a pure
 function.  All scalar reductions go through :func:`tree_sum`, a fixed-order
@@ -71,7 +74,8 @@ class Lattice:
         if self.radius < 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
         side = 2 * self.radius + 1
-        if side ** self.n > _MAX_CARDINALITY:
+        # 3^64 already overflows, so a larger n never reaches the big power
+        if side > 1 and (self.n >= 64 or side ** self.n > _MAX_CARDINALITY):
             raise ValueError(
                 f"lattice cardinality {side}^{self.n} overflows the platform integer"
             )
@@ -160,7 +164,8 @@ class GridFunction:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
+        # asarray, unlike ascontiguousarray, keeps a 0-d input 0-d
+        samples = np.asarray(self.samples, dtype=np.complex128, order="C")
         if samples.ndim < 1:
             raise ValueError("samples must have at least one axis")
         if any(length != samples.shape[0] for length in samples.shape):
@@ -309,8 +314,8 @@ def lp_norm(g: GridFunction, p: float) -> float:
     Exact in the limit of grid refinement for smooth integrands; for p = 2 and
     band-limited input it reproduces the l2 coefficient norm (Parseval).
     """
-    if not p >= 1.0:
-        raise ValueError(f"integrability index must satisfy p >= 1, got {p}")
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"integrability index must satisfy 1 <= p < inf, got {p}")
     weight = (TWO_PI / g.points_per_axis) ** g.n
     total = float(np.real(tree_sum(np.abs(g.samples) ** p)))
     return (weight * total) ** (1.0 / p)

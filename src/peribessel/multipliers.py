@@ -12,7 +12,7 @@ family, which always contains the all-ones function so the classical
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -88,7 +88,7 @@ class MultiplierProblem:
         if not (self.s >= 0 and self.t >= 0):
             raise ValueError(f"smoothness indices must satisfy s, t >= 0, got {self.s}, {self.t}")
         for name, value in (("p", self.p), ("q", self.q)):
-            if not value > 1:
+            if not 1 < value < np.inf:
                 raise ValueError(f"{name} must lie in (1, inf), got {value}")
 
     @property
@@ -114,20 +114,7 @@ class MultiplierReport:
     refinement: tuple
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "radius": self.radius,
-            "s": float(self.s),
-            "t": float(self.t),
-            "p": float(self.p),
-            "q": float(self.q),
-            "multiplier_norm": self.multiplier_norm,
-            "exact": self.exact,
-            "intersection_norm": self.intersection_norm,
-            "ratio": self.ratio,
-            "lower_bound_certificate": self.lower_bound_certificate,
-            "refinement": [[radius, norm] for radius, norm in self.refinement],
-        }
+        return {**asdict(self), "refinement": [list(step) for step in self.refinement]}
 
     def csv_row(self) -> list:
         return index_cells(self.n, self.radius, self.s, self.t, self.p, self.q) + [

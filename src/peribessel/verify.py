@@ -1,10 +1,12 @@
 """Self-verification suites: one check per library invariant.
 
-Each registered check names the mathematical law it exercises, measures a
-worst-case error over seeded samples, and compares it against a fixed
-tolerance.  Suites group the checks by theme (fourier, bessel, duality,
-embedding, multiplier); ``run_suite("all", ...)`` runs the whole registry.
-All randomness is a pure function of the seed.
+A check is one function decorated with ``@_check(check_id, suite, tolerance,
+law)``: it measures a worst-case error over seeded samples, and the decorator
+appends it to :data:`REGISTRY` in definition order, naming the law it
+exercises and the fixed tolerance the error is compared against.  Suites group
+the checks by theme (fourier, bessel, duality, embedding, multiplier);
+``run_suite("all", ...)`` runs the whole registry.  All randomness is a pure
+function of the seed.
 """
 
 from __future__ import annotations
@@ -81,6 +83,20 @@ class CheckSpec:
     runner: Callable
 
 
+REGISTRY: tuple = ()
+
+
+def _check(check_id: str, suite: str, tolerance: float, law: str):
+    """Register the decorated runner ``ctx -> error`` as a check."""
+
+    def register(runner):
+        global REGISTRY
+        REGISTRY += (CheckSpec(check_id, suite, law, tolerance, runner),)
+        return runner
+
+    return register
+
+
 def _rel(value, reference) -> float:
     value = np.asarray(value)
     reference = np.asarray(reference)
@@ -101,6 +117,7 @@ def _sample_fields(ctx: VerifyContext, count: int, kind: str = "power-decay", al
 # --------------------------------------------------------------------------
 
 
+@_check("round-trip", "fourier", 1e-12, "analyze(synthesize(u, N)) = u for every N >= 2R+1")
 def _check_round_trip(ctx):
     worst = 0.0
     for j, u in enumerate(_sample_fields(ctx, 8, alpha=0.5)):
@@ -109,6 +126,7 @@ def _check_round_trip(ctx):
     return worst
 
 
+@_check("parseval", "fourier", 1e-12, "lp_norm(synthesize(u, N), 2)^2 = sum_k |coeff_k|^2")
 def _check_parseval(ctx):
     worst = 0.0
     for u in _sample_fields(ctx, 8, alpha=0.5):
@@ -118,6 +136,7 @@ def _check_parseval(ctx):
     return worst
 
 
+@_check("conjugation-reality", "fourier", 1e-12, "samples are real iff coeff(-k) = conj(coeff(k))")
 def _check_reality(ctx):
     worst = 0.0
     for u in _sample_fields(ctx, 6, alpha=0.5):
@@ -127,6 +146,8 @@ def _check_reality(ctx):
     return worst
 
 
+@_check("quadrature-spectral-decay", "fourier", 2.0 ** -6,
+        "rectangle-rule error decays faster than any fixed power of 1/N")
 def _check_quadrature_decay(ctx):
     del ctx
     nodes = 1024
@@ -143,6 +164,7 @@ def _check_quadrature_decay(ctx):
     return max(ratios) if ratios else 0.0
 
 
+@_check("determinism", "fourier", 0.0, "repeated evaluation is bitwise identical")
 def _check_determinism(ctx):
     def run():
         u = gen_distribution("power-decay", make_lattice(ctx.n, ctx.radius), 1.0, ctx.seed)
@@ -158,6 +180,7 @@ def _check_determinism(ctx):
 # --------------------------------------------------------------------------
 
 
+@_check("lift-semigroup", "bessel", 1e-13, "lift(s, lift(t, u)) = lift(s+t, u)")
 def _check_semigroup(ctx):
     rng = np.random.default_rng(ctx.seed)
     worst = 0.0
@@ -167,6 +190,7 @@ def _check_semigroup(ctx):
     return worst
 
 
+@_check("lift-isometry", "bessel", 1e-10, "|lift(a, u)|_{H^(s-a)_p} = |u|_{H^s_p}")
 def _check_lift_isometry(ctx):
     worst = 0.0
     for j, u in enumerate(_sample_fields(ctx, 6, alpha=1.0)):
@@ -178,6 +202,7 @@ def _check_lift_isometry(ctx):
     return worst
 
 
+@_check("h2-two-paths", "bessel", 1e-12, "closed-form and quadrature H^s_2 norms agree")
 def _check_h2_two_paths(ctx):
     worst = 0.0
     for u in _sample_fields(ctx, 8, alpha=0.75):
@@ -187,6 +212,7 @@ def _check_h2_two_paths(ctx):
     return worst
 
 
+@_check("lift-eigenrelation", "bessel", 1e-14, "lift(s, basis_k) = (1+|k|^2)^(s/2) * basis_k")
 def _check_eigenrelation(ctx):
     lattice = make_lattice(ctx.n, ctx.radius)
     probe = make_lattice(ctx.n, min(4, ctx.radius))
@@ -205,6 +231,8 @@ def _check_eigenrelation(ctx):
 # --------------------------------------------------------------------------
 
 
+@_check("pairing-s-independent", "duality", 1e-13,
+        "<lift(-s, u), lift(s, v)>_{L2} is independent of s")
 def _check_pairing_s_independent(ctx):
     fields = _sample_fields(ctx, 6, alpha=0.75)
     worst = 0.0
@@ -218,6 +246,7 @@ def _check_pairing_s_independent(ctx):
     return worst
 
 
+@_check("hoelder-duality-bound", "duality", 1e-12, "|<u; v>_s| <= |u|_{H^(-s)_p'} * |v|_{H^s_p}")
 def _check_hoelder_bound(ctx):
     fields = _sample_fields(ctx, 24, alpha=1.0)
     worst = 0.0
@@ -232,6 +261,8 @@ def _check_hoelder_bound(ctx):
     return max(worst, 0.0)
 
 
+@_check("product-norm-bounded", "duality", 20.0,
+        "|f*g|_{H^t_q} / (|f|_{H^s_p} |g|_{H^t_q}) stays bounded under refinement")
 def _check_product_norm_bounded(ctx):
     # p = q with s > n/p: the product norm ratio must stay bounded and its
     # running maximum must stabilize when the radius doubles.
@@ -258,6 +289,7 @@ def _check_product_norm_bounded(ctx):
 # --------------------------------------------------------------------------
 
 
+@_check("embedding-monotone-p2", "embedding", 1e-14, "t <= s implies |u|_{H^t_2} <= |u|_{H^s_2}")
 def _check_embedding_monotone_p2(ctx):
     worst = 0.0
     for u in _sample_fields(ctx, 6, alpha=0.75):
@@ -268,6 +300,8 @@ def _check_embedding_monotone_p2(ctx):
     return max(worst, 0.0)
 
 
+@_check("conjugate-involution", "embedding", 1e-14,
+        "conjugate_exponent is an involution on (1, inf)")
 def _check_conjugate_involution(ctx):
     rng = np.random.default_rng(ctx.seed)
     worst = 0.0
@@ -279,6 +313,8 @@ def _check_conjugate_involution(ctx):
     return worst
 
 
+@_check("strichartz-swap-symmetry", "embedding", 0.0,
+        "hypotheses hold for (s,t,p,q) iff they hold for (t,s,q',p')")
 def _check_strichartz_symmetry(ctx):
     rng = np.random.default_rng(ctx.seed)
     mismatches = 0
@@ -296,6 +332,8 @@ def _check_strichartz_symmetry(ctx):
     return float(mismatches)
 
 
+@_check("embedding-monotone-predicate", "embedding", 0.0,
+        "raising s or lowering t never breaks an embedding")
 def _check_embedding_monotone_predicate(ctx):
     rng = np.random.default_rng(ctx.seed)
     violations = 0
@@ -321,6 +359,8 @@ def _multiplier_radius(ctx) -> int:
     return min(ctx.radius, 8 if ctx.n == 1 else 4)
 
 
+@_check("swap-adjoint-identity", "multiplier", 1e-14,
+        "swapped-problem matrix is the conjugate transpose (real-valued u)")
 def _check_swap_adjoint(ctx):
     radius = _multiplier_radius(ctx)
     lattice = make_lattice(ctx.n, radius)
@@ -335,6 +375,8 @@ def _check_swap_adjoint(ctx):
     return worst
 
 
+@_check("certificate-lower-bound", "multiplier", 1e-12,
+        "|u|_{H^(-t)_2} <= |E|_{H^s_2} * multiplier norm")
 def _check_certificate(ctx):
     radius = _multiplier_radius(ctx)
     lattice = make_lattice(ctx.n, radius)
@@ -349,6 +391,8 @@ def _check_certificate(ctx):
     return max(worst, 0.0)
 
 
+@_check("sampled-below-exact", "multiplier", 1e-10,
+        "sampled lower bound never exceeds the exact matrix norm")
 def _check_sampled_below_exact(ctx):
     radius = _multiplier_radius(ctx)
     lattice = make_lattice(ctx.n, radius)
@@ -362,6 +406,8 @@ def _check_sampled_below_exact(ctx):
     return max(worst, 0.0)
 
 
+@_check("refinement-stability", "multiplier", 0.05,
+        "multiplier/intersection ratio moves <= 5% from R to 2R")
 def _check_refinement_stability(ctx):
     coarse = max(ctx.radius, 8)
     lattice = make_lattice(ctx.n, 2 * coarse)
@@ -374,6 +420,8 @@ def _check_refinement_stability(ctx):
     return abs(ratios[2 * coarse] / ratios[coarse] - 1.0)
 
 
+@_check("scaling-homogeneity", "multiplier", 1e-10,
+        "multiplier norm of c*u equals |c| times that of u")
 def _check_homogeneity(ctx):
     radius = _multiplier_radius(ctx)
     lattice = make_lattice(ctx.n, radius)
@@ -387,181 +435,22 @@ def _check_homogeneity(ctx):
     return worst
 
 
+@_check("delta-closed-form", "multiplier", 1e-8,
+        "basis field at 0 has multiplier norm (2*pi)^(-1/2) at s=t=1")
 def _check_delta_closed_form(ctx):
     lattice = make_lattice(1, _multiplier_radius(ctx))
     norm = multiplier_norm_l2(MultiplierProblem(delta_field(lattice, (0,)), 1.0, 1.0, 2.0, 2.0))
     return abs(norm - TWO_PI ** -0.5)
 
 
+@_check("constant-closed-form", "multiplier", 1e-10,
+        "all-ones field has multiplier norm exactly 1")
 def _check_constant_closed_form(ctx):
     lattice = make_lattice(1, _multiplier_radius(ctx))
     norm = multiplier_norm_l2(MultiplierProblem(constant_field(lattice), 1.0, 1.0, 2.0, 2.0))
     return abs(norm - 1.0)
 
 
-REGISTRY = (
-    CheckSpec(
-        "round-trip",
-        "fourier",
-        "analyze(synthesize(u, N)) = u for every N >= 2R+1",
-        1e-12,
-        _check_round_trip,
-    ),
-    CheckSpec(
-        "parseval",
-        "fourier",
-        "lp_norm(synthesize(u, N), 2)^2 = sum_k |coeff_k|^2",
-        1e-12,
-        _check_parseval,
-    ),
-    CheckSpec(
-        "conjugation-reality",
-        "fourier",
-        "samples are real iff coeff(-k) = conj(coeff(k))",
-        1e-12,
-        _check_reality,
-    ),
-    CheckSpec(
-        "quadrature-spectral-decay",
-        "fourier",
-        "rectangle-rule error decays faster than any fixed power of 1/N",
-        2.0 ** -6,
-        _check_quadrature_decay,
-    ),
-    CheckSpec(
-        "determinism",
-        "fourier",
-        "repeated evaluation is bitwise identical",
-        0.0,
-        _check_determinism,
-    ),
-    CheckSpec(
-        "lift-semigroup",
-        "bessel",
-        "lift(s, lift(t, u)) = lift(s+t, u)",
-        1e-13,
-        _check_semigroup,
-    ),
-    CheckSpec(
-        "lift-isometry",
-        "bessel",
-        "|lift(a, u)|_{H^(s-a)_p} = |u|_{H^s_p}",
-        1e-10,
-        _check_lift_isometry,
-    ),
-    CheckSpec(
-        "h2-two-paths",
-        "bessel",
-        "closed-form and quadrature H^s_2 norms agree",
-        1e-12,
-        _check_h2_two_paths,
-    ),
-    CheckSpec(
-        "lift-eigenrelation",
-        "bessel",
-        "lift(s, basis_k) = (1+|k|^2)^(s/2) * basis_k",
-        1e-14,
-        _check_eigenrelation,
-    ),
-    CheckSpec(
-        "pairing-s-independent",
-        "duality",
-        "<lift(-s, u), lift(s, v)>_{L2} is independent of s",
-        1e-13,
-        _check_pairing_s_independent,
-    ),
-    CheckSpec(
-        "hoelder-duality-bound",
-        "duality",
-        "|<u; v>_s| <= |u|_{H^(-s)_p'} * |v|_{H^s_p}",
-        1e-12,
-        _check_hoelder_bound,
-    ),
-    CheckSpec(
-        "product-norm-bounded",
-        "duality",
-        "|f*g|_{H^t_q} / (|f|_{H^s_p} |g|_{H^t_q}) stays bounded under refinement",
-        20.0,
-        _check_product_norm_bounded,
-    ),
-    CheckSpec(
-        "embedding-monotone-p2",
-        "embedding",
-        "t <= s implies |u|_{H^t_2} <= |u|_{H^s_2}",
-        1e-14,
-        _check_embedding_monotone_p2,
-    ),
-    CheckSpec(
-        "conjugate-involution",
-        "embedding",
-        "conjugate_exponent is an involution on (1, inf)",
-        1e-14,
-        _check_conjugate_involution,
-    ),
-    CheckSpec(
-        "strichartz-swap-symmetry",
-        "embedding",
-        "hypotheses hold for (s,t,p,q) iff they hold for (t,s,q',p')",
-        0.0,
-        _check_strichartz_symmetry,
-    ),
-    CheckSpec(
-        "embedding-monotone-predicate",
-        "embedding",
-        "raising s or lowering t never breaks an embedding",
-        0.0,
-        _check_embedding_monotone_predicate,
-    ),
-    CheckSpec(
-        "swap-adjoint-identity",
-        "multiplier",
-        "swapped-problem matrix is the conjugate transpose (real-valued u)",
-        1e-14,
-        _check_swap_adjoint,
-    ),
-    CheckSpec(
-        "certificate-lower-bound",
-        "multiplier",
-        "|u|_{H^(-t)_2} <= |E|_{H^s_2} * multiplier norm",
-        1e-12,
-        _check_certificate,
-    ),
-    CheckSpec(
-        "sampled-below-exact",
-        "multiplier",
-        "sampled lower bound never exceeds the exact matrix norm",
-        1e-10,
-        _check_sampled_below_exact,
-    ),
-    CheckSpec(
-        "refinement-stability",
-        "multiplier",
-        "multiplier/intersection ratio moves <= 5% from R to 2R",
-        0.05,
-        _check_refinement_stability,
-    ),
-    CheckSpec(
-        "scaling-homogeneity",
-        "multiplier",
-        "multiplier norm of c*u equals |c| times that of u",
-        1e-10,
-        _check_homogeneity,
-    ),
-    CheckSpec(
-        "delta-closed-form",
-        "multiplier",
-        "basis field at 0 has multiplier norm (2*pi)^(-1/2) at s=t=1",
-        1e-8,
-        _check_delta_closed_form,
-    ),
-    CheckSpec(
-        "constant-closed-form",
-        "multiplier",
-        "all-ones field has multiplier norm exactly 1",
-        1e-10,
-        _check_constant_closed_form,
-    ),
-)
 
 
 def run_suite(suite: str, ctx: VerifyContext | None = None) -> list:

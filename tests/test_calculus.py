@@ -113,6 +113,10 @@ class TestHsNorm:
         u = constant_field(make_lattice(1, 4))
         with pytest.raises(ValueError):
             hs_norm(u, SpaceIndex(0.0, 0.9))
+        with pytest.raises(ValueError, match="1 <= p < inf"):
+            SpaceIndex(0.0, np.inf)
+        with pytest.raises(ValueError, match="smoothness index must be finite"):
+            SpaceIndex(np.inf, 2.0)
         with pytest.raises(ValueError, match="grid too small"):
             hs_norm(u, SpaceIndex(0.0, 3.0), grid_points=4)
 

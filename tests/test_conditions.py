@@ -25,6 +25,16 @@ def test_conjugate_exponent_rejects_endpoint():
     for bad in (1, 1.0, 0.5, Fraction(1)):
         with pytest.raises(ValueError):
             conjugate_exponent(bad)
+    with pytest.raises(ValueError, match="finite"):
+        conjugate_exponent(float("inf"))
+
+
+@pytest.mark.parametrize("predicate", [embedding_holds, strichartz_case])
+def test_predicates_reject_bad_arguments(predicate):
+    with pytest.raises(TypeError, match="boolean"):
+        predicate(1, 1, True, 2, 1)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        predicate(1, 1, 2, 2, 0)
 
 
 @given(st.floats(min_value=1.0 + 1e-6, max_value=100.0))

@@ -15,6 +15,7 @@ from peribessel import (
     synthesize,
     write_coeff_file,
 )
+from peribessel import coeffio
 
 TWO_PI = 2.0 * np.pi
 
@@ -158,6 +159,35 @@ class TestCoeffFiles:
         path.write_text(document)
         with pytest.raises(CoeffFileError):
             parse_coeff_file(path)
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ('{"n": 0, "radius": 1, "entries": []}', "dimension must be >= 1"),
+            ('{"n": 1, "radius": -2, "entries": []}', "radius must be >= 0"),
+            ('{"n": 1, "radius": 1000000000, "entries": []}', "exceeds 67108864 coefficients"),
+            ('{"n": 2, "radius": 4096, "entries": []}', "exceeds 67108864 coefficients"),
+            ('{"n": 100000000, "radius": 1, "entries": []}', "overflows"),
+        ],
+        ids=["n-zero", "radius-negative", "radius-huge", "just-over-limit", "n-huge"],
+    )
+    def test_bad_lattice_header_rejected(self, tmp_path, document, message):
+        path = tmp_path / "header.json"
+        path.write_text(document)
+        with pytest.raises(CoeffFileError, match=message):
+            parse_coeff_file(path)
+
+    def test_coefficient_limit_is_inclusive(self, monkeypatch):
+        assert coeffio.MAX_COEFFICIENTS == 2**26
+        monkeypatch.setattr(coeffio, "MAX_COEFFICIENTS", 25)
+        u = coeffio.field_from_dict({"n": 2, "radius": 2, "entries": [[0, 0, 1.0, 0.0]]})
+        assert u.lattice.size == 25 and u.coefficient((0, 0)) == 1.0
+        with pytest.raises(CoeffFileError, match="49 exceeds 25"):
+            coeffio.field_from_dict({"n": 2, "radius": 3, "entries": []})
+
+    def test_non_object_rejected(self):
+        with pytest.raises(CoeffFileError, match="JSON object"):
+            coeffio.field_from_dict([1, 2, []])
 
     def test_delta_round_trip_sparsity(self, tmp_path):
         u = delta_field(make_lattice(1, 5), (-3,))

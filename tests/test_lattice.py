@@ -54,6 +54,11 @@ class TestMakeLattice:
         with pytest.raises(ValueError, match="overflow"):
             make_lattice(64, 2)
 
+    def test_huge_dimension_rejected_without_computing_the_power(self):
+        # 3^(10^9) would take minutes to compute as an exact integer
+        with pytest.raises(ValueError, match="overflow"):
+            make_lattice(10**9, 1)
+
     def test_symmetric_and_contains_zero(self):
         lat = make_lattice(2, 3)
         index_set = {tuple(k) for k in lat.indices}
@@ -73,6 +78,10 @@ class TestMakeLattice:
     def test_position_rejects_outside(self):
         with pytest.raises(ValueError):
             make_lattice(1, 2).position((3,))
+
+    def test_position_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="multi-index of length 2"):
+            make_lattice(2, 2).position((1,))
 
 
 class TestFieldConstructors:
@@ -100,6 +109,10 @@ class TestFieldConstructors:
     def test_constant_field_synthesizes_ones(self):
         samples = synthesize(constant_field(make_lattice(2, 2)), 7).samples
         assert np.allclose(samples, 1.0, rtol=0, atol=1e-14)
+
+    def test_rejects_wrong_coefficient_count(self):
+        with pytest.raises(ValueError, match="expected 5 coefficients"):
+            SpectralField(make_lattice(1, 2), np.ones(4))
 
     def test_rejects_nonfinite_coefficients(self):
         lat = make_lattice(1, 1)
@@ -184,6 +197,25 @@ class TestTransforms:
         expected[lat.position((1,))] = np.sqrt(TWO_PI)
         assert rel_err(field.coeffs, expected) < 1e-14
 
+    def test_analyze_rejects_small_grid(self):
+        g = GridFunction(np.ones(4, dtype=complex))
+        with pytest.raises(ValueError, match="grid too small"):
+            analyze(g, make_lattice(1, 2))
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            (np.array(1.0), "at least one axis"),
+            (np.ones((4, 5)), "square per axis"),
+            (np.ones(0), "nonempty"),
+            (np.array([1.0, np.nan]), "finite"),
+        ],
+        ids=["0-d", "non-square", "empty", "nan"],
+    )
+    def test_grid_function_rejects_bad_samples(self, samples, message):
+        with pytest.raises(ValueError, match=message):
+            GridFunction(samples)
+
     def test_analyze_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             analyze(GridFunction(np.ones((5, 5), dtype=complex)), make_lattice(1, 2))
@@ -215,8 +247,9 @@ class TestLpNorm:
         assert lp_norm(g, 2.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_rejects_p_below_one(self):
-        with pytest.raises(ValueError):
-            lp_norm(GridFunction(np.ones(4, dtype=complex)), 0.5)
+        for p in (0.5, np.inf, np.nan):
+            with pytest.raises(ValueError, match="1 <= p < inf"):
+                lp_norm(GridFunction(np.ones(4, dtype=complex)), p)
 
     def test_parseval(self):
         rng = np.random.default_rng(11)

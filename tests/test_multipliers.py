@@ -42,6 +42,21 @@ def random_problem(radius, seed, n=1, alpha=1.0, **kwargs):
     return problem(gen_distribution("power-decay", lat, alpha=alpha, seed=seed), **kwargs)
 
 
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ((-0.5, 1.0, 2.0, 2.0), "smoothness indices"),
+        ((1.0, 1.0, 1.0, 2.0), r"p must lie in \(1, inf\)"),
+        ((1.0, 1.0, np.inf, 2.0), r"p must lie in \(1, inf\)"),
+        ((1.0, 1.0, 2.0, np.inf), r"q must lie in \(1, inf\)"),
+    ],
+    ids=["s-negative", "p-one", "p-inf", "q-inf"],
+)
+def test_problem_rejects_bad_indices(indices, message):
+    with pytest.raises(ValueError, match=message):
+        problem(constant_field(make_lattice(1, 2)), *indices)
+
+
 class TestMultiplierMatrix:
     def test_constant_field_gives_bessel_diagonal(self):
         lat = make_lattice(1, 4)
@@ -178,6 +193,10 @@ class TestMultiplierNormSampled:
                 random_problem(3, 0), [delta_field(lat, (0,))]
             )
 
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            multiplier_norm_sampled(random_problem(3, 0), [])
+
     def test_zero_norm_member_rejected(self):
         lat = make_lattice(1, 3)
         zero = SpectralField(lat, np.zeros(lat.size))
@@ -282,6 +301,13 @@ class TestEquivalenceReport:
         prob = random_problem(4, 0)
         with pytest.raises(ValueError, match="radius"):
             equivalence_report(prob, radii=[9])
+        with pytest.raises(ValueError, match="at least one radius"):
+            equivalence_report(prob, radii=[])
+
+    def test_field_zero_on_top_radius_rejected(self):
+        prob = problem(delta_field(make_lattice(1, 4), (4,)))
+        with pytest.raises(ValueError, match="restriction to radius 2 is zero"):
+            equivalence_report(prob, radii=[2])
 
     def test_sampled_route_for_general_exponents(self):
         prob = random_problem(4, 2, s=1.5, t=0.5, p=3.0, q=2.0, alpha=2.0)

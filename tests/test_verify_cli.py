@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from peribessel import (
     make_lattice,
     parse_coeff_file,
     run_suite,
+    verify,
 )
 from peribessel.calculus import SpaceIndex
 from peribessel.multipliers import CSV_COLUMNS, index_cells
@@ -67,6 +69,38 @@ class TestVerifySuites:
         assert REQUIRED_CHECKS <= ids
         assert {spec.suite for spec in REGISTRY} == set(SUITES)
         assert all(spec.law for spec in REGISTRY)
+
+    def test_every_check_function_is_registered_once(self):
+        runners = [spec.runner for spec in REGISTRY]
+        checks = [
+            value
+            for name, value in vars(verify).items()
+            if name.startswith("_check_") and callable(value)
+        ]
+        assert len(checks) == len(REGISTRY) == len({spec.check_id for spec in REGISTRY})
+        assert all(runners.count(check) == 1 for check in checks)
+
+    def test_run_suite_reads_the_registry_when_called(self, monkeypatch):
+        # Swapping one entry's runner, as a profiler timing a single check does,
+        # must reach run_suite without touching the check function itself.
+        calls = []
+        index = next(i for i, spec in enumerate(REGISTRY) if spec.check_id == "lift-semigroup")
+
+        def counting_runner(ctx):
+            calls.append(ctx)
+            return REGISTRY[index].runner(ctx)
+
+        swapped = dataclasses.replace(REGISTRY[index], runner=counting_runner)
+        monkeypatch.setattr(
+            verify, "REGISTRY", REGISTRY[:index] + (swapped,) + REGISTRY[index + 1 :]
+        )
+        ctx = VerifyContext(radius=4)
+        results = run_suite("bessel", ctx)
+        assert calls == [ctx]
+        assert [r.check_id for r in results] == [
+            spec.check_id for spec in REGISTRY if spec.suite == "bessel"
+        ]
+        assert all(result.passed for result in results)
 
     def test_all_suites_pass(self):
         results = run_suite("all", VerifyContext(radius=6, n=1, seed=0))
@@ -162,6 +196,26 @@ class TestCliExitCodes:
         bad.write_text("{not json")
         assert run_cli("norm", "--input", str(bad)).returncode == 2
 
+    def test_infinite_exponent_is_rejected(self, tmp_path):
+        u_path = tmp_path / "u.json"
+        run_cli("gen", "--kind", "power-decay", "--radius", "4", "--alpha", "1",
+                "--out", str(u_path))
+        result = run_cli("norm", "--input", str(u_path), "--p", "inf")
+        assert result.returncode != 0 and result.stdout == ""
+        assert "1 <= p < inf" in result.stderr and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "document",
+        ['{"n": 0, "radius": 1, "entries": []}', '{"n": 1, "radius": 1000000000, "entries": []}'],
+        ids=["n-zero", "radius-huge"],
+    )
+    def test_bad_lattice_header_is_usage_error(self, tmp_path, document):
+        path = tmp_path / "header.json"
+        path.write_text(document)
+        result = run_cli("norm", "--input", str(path))
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
+
     def test_zero_denominator_flag_is_usage_error(self, tmp_path):
         result = run_cli("norm", "--input", str(tmp_path / "u.json"), "--p", "1/0")
         assert result.returncode == 2
@@ -199,8 +253,18 @@ class TestCliConfig:
 
     @pytest.mark.parametrize(
         "config",
-        [{"p": "1/0"}, {"radius": "abc"}, {"radius": [8]}, {"n": None}],
-        ids=["zero-denominator", "int-text", "int-list", "int-null"],
+        [
+            {"p": "1/0"},
+            {"radius": "abc"},
+            {"radius": [8]},
+            {"n": None},
+            {"radius": 2.9},
+            {"n": True},
+            {"format": "xml"},
+            {"seed": {"value": 1}},
+        ],
+        ids=["zero-denominator", "int-text", "int-list", "int-null", "int-from-float",
+             "int-bool", "bad-choice", "int-object"],
     )
     def test_unconvertible_config_value_is_usage_error(self, tmp_path, config):
         path = tmp_path / "conf.json"
@@ -209,6 +273,36 @@ class TestCliConfig:
         assert result.returncode == 2
         assert result.stderr.startswith("error: config value")
         assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            (["mult-norm", "--input", "u.json"], {"force": "no"}),
+            (["mult-norm", "--input", "u.json"], {"force": 1}),
+            (["product", "--input", "f.json", "--input2", "u.json", "--out", "w.json"],
+             {"exact_product": "true"}),
+        ],
+        ids=["force-text", "force-int", "exact-product-text"],
+    )
+    def test_switch_config_value_must_be_boolean(self, tmp_path, command, config):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(config))
+        result = run_cli("--config", str(path), *command, cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: config value")
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_config_choices_are_checked_per_subcommand(self, tmp_path):
+        # "csv" is a --format choice of norm but not of verify
+        u_path = tmp_path / "u.json"
+        run_cli("gen", "--kind", "power-decay", "--radius", "3", "--alpha", "1",
+                "--out", str(u_path))
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"format": "csv", "force": True}))
+        norm = run_cli("--config", str(config), "norm", "--input", str(u_path))
+        assert norm.returncode == 0 and norm.stdout.startswith("s,p,norm\n")
+        refused = run_cli("--config", str(config), "verify", "embedding")
+        assert refused.returncode == 2 and "config value format='csv'" in refused.stderr
 
     def test_build_parser_leaves_no_module_state(self):
         def module_containers():
