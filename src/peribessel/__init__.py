@@ -47,11 +47,11 @@ from .multipliers import (
     HypothesisError,
     MultiplierProblem,
     MultiplierReport,
-    default_test_family,
     equivalence_report,
     intersection_norm,
     multiplier_matrix,
     multiplier_norm_l2,
+    multiplier_norm_lp,
     multiplier_norm_sampled,
     multiplier_operator,
     symmetry_check,
@@ -79,7 +79,6 @@ __all__ = [
     "conj_field",
     "conjugate_exponent",
     "constant_field",
-    "default_test_family",
     "delta_field",
     "duality_pair",
     "embedding_holds",
@@ -94,6 +93,7 @@ __all__ = [
     "make_lattice",
     "multiplier_matrix",
     "multiplier_norm_l2",
+    "multiplier_norm_lp",
     "multiplier_norm_sampled",
     "multiplier_operator",
     "parse_coeff_file",

@@ -18,9 +18,8 @@ import sys
 from fractions import Fraction
 
 from .calculus import SpaceIndex, duality_pair, hs_norm, lift, pointwise_product
-from .coeffio import CoeffFileError, parse_coeff_file, write_coeff_file
+from .coeffio import CoeffFileError, bounded_lattice, parse_coeff_file, write_coeff_file
 from .generators import KINDS, gen_distribution
-from .lattice import make_lattice
 from .multipliers import (
     CSV_COLUMNS,
     HypothesisError,
@@ -147,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     _arg(mult, "--q", type=_numeric, default=2)
     _arg(mult, "--radii", type=_int_list, default=None, help="refinement radii, e.g. 4,8")
     _arg(mult, "--grid-size", type=int, default=None)
-    _arg(mult, "--seed", type=int, default=0, help="seed for the sampled test family")
     _arg(mult, "--force", action="store_true", help="skip the index-hypothesis gate")
     _arg(mult, "--format", choices=("json", "csv"), default="json")
 
@@ -219,7 +217,7 @@ def _emit_record(record: dict, fmt: str, stream):
 def _cmd_gen(args) -> int:
     if args.kind == "power-decay" and args.alpha is None:
         raise UsageError("--kind power-decay requires --alpha")
-    lattice = make_lattice(args.n, args.radius)
+    lattice = bounded_lattice(args.n, args.radius, UsageError)
     field = gen_distribution(args.kind, lattice, alpha=args.alpha, seed=args.seed)
     write_coeff_file(args.out, field)
     return 0
@@ -261,11 +259,7 @@ def _cmd_mult_norm(args) -> int:
     field = parse_coeff_file(args.input)
     prob = MultiplierProblem(field, args.s, args.t, args.p, args.q)
     report = equivalence_report(
-        prob,
-        radii=args.radii,
-        force=args.force,
-        grid_points=args.grid_size,
-        family_seed=args.seed,
+        prob, radii=args.radii, force=args.force, grid_points=args.grid_size
     )
     if args.format == "json":
         record = report.as_dict()
@@ -299,20 +293,17 @@ def _cmd_sweep(args) -> int:
     grids = (args.s_grid, args.t_grid, args.p_grid, args.q_grid, args.radius_grid)
     if any(len(grid) == 0 for grid in grids):
         raise UsageError("sweep grids must be nonempty")
+    lattices = {radius: bounded_lattice(args.n, radius, UsageError) for radius in args.radius_grid}
     fields = {
-        radius: gen_distribution(
-            args.u_kind, make_lattice(args.n, radius), alpha=args.alpha, seed=args.seed
-        )
-        for radius in args.radius_grid
+        radius: gen_distribution(args.u_kind, lattice, alpha=args.alpha, seed=args.seed)
+        for radius, lattice in lattices.items()
     }
     rows = []
     refusals = 0
     for s, t, p, q, radius in itertools.product(*grids):
         prob = MultiplierProblem(fields[radius], s, t, p, q)
         try:
-            report = equivalence_report(
-                prob, force=args.force, grid_points=args.grid_size, family_seed=args.seed
-            )
+            report = equivalence_report(prob, force=args.force, grid_points=args.grid_size)
         except HypothesisError as exc:
             refusals += 1
             sys.stderr.write(

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .lattice import SpectralField, make_lattice
+from .lattice import Lattice, SpectralField, make_lattice
 
 # Largest declared cardinality (2R+1)^n a file may ask for: 1 GiB of complex128.
 MAX_COEFFICIENTS = 2**26
@@ -34,6 +34,20 @@ def _is_finite_number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return abs(value) <= sys.float_info.max
+
+
+def bounded_lattice(n: int, radius: int, error: type) -> Lattice:
+    """``make_lattice(n, radius)``, refused with the caller's ``error`` if invalid
+    or over :data:`MAX_COEFFICIENTS` coefficients, before anything is allocated."""
+    try:
+        lattice = make_lattice(n, radius)
+    except ValueError as exc:
+        raise error(f"bad lattice: {exc}") from None
+    if lattice.size > MAX_COEFFICIENTS:
+        raise error(
+            f"lattice (2R+1)^n = {lattice.size} exceeds {MAX_COEFFICIENTS} coefficients"
+        )
+    return lattice
 
 
 def field_to_dict(u: SpectralField) -> dict:
@@ -56,14 +70,7 @@ def field_from_dict(data: dict) -> SpectralField:
         raise CoeffFileError("'n' and 'radius' must be integers")
     if not isinstance(data["entries"], list):
         raise CoeffFileError("'entries' must be a list")
-    try:
-        lattice = make_lattice(n, radius)
-    except ValueError as exc:
-        raise CoeffFileError(f"bad lattice header: {exc}") from None
-    if lattice.size > MAX_COEFFICIENTS:
-        raise CoeffFileError(
-            f"lattice (2R+1)^n = {lattice.size} exceeds {MAX_COEFFICIENTS} coefficients"
-        )
+    lattice = bounded_lattice(n, radius, CoeffFileError)
     coeffs = np.zeros(lattice.size, dtype=np.complex128)
     seen = set()
     for entry in data["entries"]:

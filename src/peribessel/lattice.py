@@ -79,6 +79,8 @@ class Lattice:
             raise ValueError(
                 f"lattice cardinality {side}^{self.n} overflows the platform integer"
             )
+        if self.n > 64:  # a coefficient cube has n axes; numpy allows 64
+            raise ValueError(f"dimension must be <= 64, numpy's axis limit, got {self.n}")
 
     @property
     def side(self) -> int:

@@ -168,8 +168,10 @@ class TestCoeffFiles:
             ('{"n": 1, "radius": 1000000000, "entries": []}', "exceeds 67108864 coefficients"),
             ('{"n": 2, "radius": 4096, "entries": []}', "exceeds 67108864 coefficients"),
             ('{"n": 100000000, "radius": 1, "entries": []}', "overflows"),
+            ('{"n": 100, "radius": 0, "entries": []}', "dimension must be <= 64"),
         ],
-        ids=["n-zero", "radius-negative", "radius-huge", "just-over-limit", "n-huge"],
+        ids=["n-zero", "radius-negative", "radius-huge", "just-over-limit", "n-huge",
+             "n-over-axis-limit"],
     )
     def test_bad_lattice_header_rejected(self, tmp_path, document, message):
         path = tmp_path / "header.json"

@@ -54,6 +54,12 @@ class TestMakeLattice:
         with pytest.raises(ValueError, match="overflow"):
             make_lattice(64, 2)
 
+    def test_rejects_dimension_beyond_numpy_axis_limit(self):
+        # radius 0 has one coefficient in any dimension, but a cube of n axes
+        assert make_lattice(64, 0).size == 1
+        with pytest.raises(ValueError, match="dimension must be <= 64"):
+            make_lattice(65, 0)
+
     def test_huge_dimension_rejected_without_computing_the_power(self):
         # 3^(10^9) would take minutes to compute as an exact integer
         with pytest.raises(ValueError, match="overflow"):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from peribessel import (
     SpaceIndex,
     SpectralField,
     constant_field,
-    default_test_family,
     delta_field,
     equivalence_report,
     gen_distribution,
@@ -18,6 +19,7 @@ from peribessel import (
     make_lattice,
     multiplier_matrix,
     multiplier_norm_l2,
+    multiplier_norm_lp,
     multiplier_norm_sampled,
     multiplier_operator,
     pointwise_product,
@@ -26,6 +28,8 @@ from peribessel import (
     top_singular_value,
 )
 from peribessel.calculus import bessel_weights
+from peribessel import multipliers
+from peribessel.multipliers import BOYD_STEPS, _dual
 
 from conftest import rel_err, svd_operator_norm
 
@@ -40,6 +44,12 @@ def problem(u, s=1.0, t=1.0, p=2.0, q=2.0):
 def random_problem(radius, seed, n=1, alpha=1.0, **kwargs):
     lat = make_lattice(n, radius)
     return problem(gen_distribution("power-decay", lat, alpha=alpha, seed=seed), **kwargs)
+
+
+def low_family(lat):
+    """The constant field and the deltas at |k|_inf <= 2."""
+    probe = make_lattice(lat.n, min(2, lat.radius))
+    return [constant_field(lat)] + [delta_field(lat, k) for k in probe.indices]
 
 
 @pytest.mark.parametrize(
@@ -87,7 +97,7 @@ class TestMultiplierMatrix:
         with pytest.raises(ValueError, match="p = q = 2"):
             multiplier_matrix(random_problem(3, 0, p=3.0))
         with pytest.raises(ValueError, match="p = q = 2"):
-            multiplier_operator(random_problem(3, 0, q=3.0))
+            multiplier_norm_l2(random_problem(3, 0, q=3.0))
 
 
 class TestMultiplierOperator:
@@ -105,6 +115,14 @@ class TestMultiplierOperator:
         x = rng.standard_normal(u.lattice.size) + 1j * rng.standard_normal(u.lattice.size)
         assert rel_err(matvec(x), matrix @ x) < 1e-13
         assert rel_err(rmatvec(x), matrix.conj().T @ x) < 1e-13
+
+
+    def test_independent_of_p_and_q(self):
+        u = gen_distribution("power-decay", make_lattice(2, 3), alpha=1.0, seed=3)
+        x = np.random.default_rng(7).standard_normal(u.lattice.size)
+        two = multiplier_operator(problem(u, s=0.8, t=1.1))
+        other = multiplier_operator(problem(u, s=0.8, t=1.1, p=3.0, q=1.5))
+        assert all(np.array_equal(a(x), b(x)) for a, b in zip(two, other))
 
 
 class TestMultiplierNormL2:
@@ -163,8 +181,7 @@ class TestMultiplierNormSampled:
     def test_zero_field_any_family(self):
         lat = make_lattice(1, 4)
         zero = SpectralField(lat, np.zeros(lat.size))
-        family = default_test_family(lat)
-        assert multiplier_norm_sampled(problem(zero), family) == 0.0
+        assert multiplier_norm_sampled(problem(zero), low_family(lat)) == 0.0
 
     def test_constant_only_family_gives_certificate(self):
         lat = make_lattice(1, 6)
@@ -182,20 +199,18 @@ class TestMultiplierNormSampled:
         prob = problem(u)
         exact = multiplier_norm_l2(prob)
         small = multiplier_norm_sampled(prob, [constant_field(lat)])
-        full = multiplier_norm_sampled(prob, default_test_family(lat))
+        full = multiplier_norm_sampled(prob, low_family(lat))
         assert small <= full <= exact + 1e-10
         assert full == pytest.approx(exact, rel=1e-6)
-
-    def test_family_must_contain_constant(self):
-        lat = make_lattice(1, 3)
-        with pytest.raises(ValueError, match="constant"):
-            multiplier_norm_sampled(
-                random_problem(3, 0), [delta_field(lat, (0,))]
-            )
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             multiplier_norm_sampled(random_problem(3, 0), [])
+
+    def test_member_on_another_lattice_rejected(self):
+        # (n, R) = (2, 1) has as many coefficients as u's (1, 4)
+        with pytest.raises(ValueError, match="lattice mismatch"):
+            multiplier_norm_sampled(random_problem(4, 0), [constant_field(make_lattice(2, 1))])
 
     def test_zero_norm_member_rejected(self):
         lat = make_lattice(1, 3)
@@ -206,8 +221,99 @@ class TestMultiplierNormSampled:
     def test_sampled_below_exact_general(self):
         for seed in range(4):
             prob = random_problem(5, seed, alpha=2.0)
-            family = default_test_family(prob.u.lattice, seed=seed)
+            family = low_family(prob.u.lattice)
             assert multiplier_norm_sampled(prob, family) <= multiplier_norm_l2(prob) + 1e-10
+
+
+class TestMultiplierNormLp:
+    # Boyd's method at p = q = 2 is power iteration on A^H A, so it must reach
+    # the exact norm; the (2, 4) power-decay field with alpha = 0 at s = t = 0.6
+    # has near-tied top singular values
+    @pytest.mark.parametrize("n, radius", [(1, 8), (2, 4), (3, 4)])
+    @pytest.mark.parametrize(
+        "kind, alpha, s, t",
+        [
+            ("power-decay", 0.0, 0.6, 0.6),
+            ("power-decay", 1.0, 1.0, 1.5),
+            ("random-smooth", None, 2.0, 0.5),
+            ("dirac", None, 1.0, 1.0),
+        ],
+    )
+    def test_matches_exact_norm_at_p_q_two(self, n, radius, kind, alpha, s, t):
+        u = gen_distribution(kind, make_lattice(n, radius), alpha=alpha, seed=3)
+        prob = problem(u, s=s, t=t)
+        assert multiplier_norm_lp(prob) == pytest.approx(multiplier_norm_l2(prob), rel=1e-6)
+
+    @pytest.mark.parametrize("p, q", [(3.0, 1.5), (1.5, 3.0), (4 / 3, 4 / 3), (2.0, 1.5)])
+    @pytest.mark.parametrize("kind, alpha", [("power-decay", 1.0), ("dirac", None)])
+    def test_at_least_the_certificate(self, p, q, kind, alpha):
+        u = gen_distribution(kind, make_lattice(2, 4), alpha=alpha, seed=5)
+        prob = problem(u, s=1.5, t=0.5, p=p, q=q)
+        certificate = multiplier_norm_sampled(prob, [constant_field(u.lattice)])
+        assert multiplier_norm_lp(prob) >= certificate
+
+    # The iteration itself must gain: against the fixed family it replaced
+    # (constant, deltas at |k| <= 2, three seeded decaying fields), with the
+    # measured gain rounded down to two digits
+    @pytest.mark.parametrize(
+        "kind, alpha, s, t, p, q, gain",
+        [
+            ("dirac", None, 1.5, 0.5, 3.0, 1.5, 1.41),
+            ("dirac", None, 1.5, 0.5, 1.5, 3.0, 2.93),
+            ("dirac", None, 2.0, 0.5, 4.0, 3.0, 1.17),
+            ("dirac", None, 3.0, 0.0, Fraction(21, 20), Fraction(3, 2), 1.41),
+            ("power-decay", 0.0, 1.5, 0.5, 3.0, 1.5, 1.01),
+            ("power-decay", 0.0, 1.5, 0.5, 1.5, 3.0, 1.54),
+            ("power-decay", 0.0, 2.0, 0.5, 4.0, 3.0, 1.01),
+            ("power-decay", 0.0, 3.0, 0.0, Fraction(21, 20), Fraction(3, 2), 1.09),
+        ],
+    )
+    def test_beats_the_fixed_family(self, kind, alpha, s, t, p, q, gain):
+        lat = make_lattice(2, 4)
+        u = gen_distribution(kind, lat, alpha=alpha, seed=5)
+        prob = problem(u, s=s, t=t, p=p, q=q)
+        family = low_family(lat) + [
+            gen_distribution("power-decay", lat, alpha=a, seed=101 * i)
+            for i, a in enumerate((1.0, 2.0, 4.0))
+        ]
+        assert multiplier_norm_lp(prob) > gain * multiplier_norm_sampled(prob, family)
+
+    # Away from p = q = 2 the step count is fixed, so the cost of a report does
+    # not depend on the field: the start ratio, BOYD_STEPS steps, the 2N check
+    @pytest.mark.parametrize("p, q", [(3.0, 1.5), (1.5, 3.0)])
+    def test_step_count_independent_of_field(self, monkeypatch, p, q):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return ratio(*args)
+
+        ratio = multipliers._ratio
+        monkeypatch.setattr(multipliers, "_ratio", counted)
+        lat = make_lattice(2, 4)
+        for kind, alpha, seed in [("dirac", None, 0), ("power-decay", 2.0, 3), ("power-decay", 2.0, 8)]:
+            calls.clear()
+            multiplier_norm_lp(problem(gen_distribution(kind, lat, alpha=alpha, seed=seed), p=p, q=q))
+            assert calls == [18] * (BOYD_STEPS + 1) + [36]
+
+    @pytest.mark.parametrize("p", [Fraction(21, 20), 1.05], ids=["fraction", "float"])
+    def test_dirac_near_p_one_stays_finite(self, p):
+        u = gen_distribution("dirac", make_lattice(3, 3))
+        prob = problem(u, s=3, t=0, p=p, q=Fraction(3, 2))
+        value = multiplier_norm_lp(prob)
+        assert np.isfinite(value) and value > 0.0
+
+    def test_zero_field(self):
+        lat = make_lattice(2, 3)
+        assert multiplier_norm_lp(problem(SpectralField(lat, np.zeros(lat.size)), p=3.0)) == 0.0
+
+    def test_dual_maps_zeros_to_zero(self):
+        values = np.array([0.0, 2.0, -1.0j, 0.0, 0.5])
+        with np.errstate(all="raise"):
+            dual = _dual(values, 1.5)
+        w = values / 2.0
+        assert dual[0] == 0.0 and dual[3] == 0.0
+        np.testing.assert_allclose(dual[[1, 2, 4]], np.abs(w[[1, 2, 4]]) ** -0.5 * w[[1, 2, 4]])
 
 
 class TestIntersectionNorm:

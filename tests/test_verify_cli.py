@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -206,8 +207,9 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize(
         "document",
-        ['{"n": 0, "radius": 1, "entries": []}', '{"n": 1, "radius": 1000000000, "entries": []}'],
-        ids=["n-zero", "radius-huge"],
+        ['{"n": 0, "radius": 1, "entries": []}', '{"n": 1, "radius": 1000000000, "entries": []}',
+         '{"n": 100, "radius": 0, "entries": []}'],
+        ids=["n-zero", "radius-huge", "n-over-axis-limit"],
     )
     def test_bad_lattice_header_is_usage_error(self, tmp_path, document):
         path = tmp_path / "header.json"
@@ -215,6 +217,35 @@ class TestCliExitCodes:
         result = run_cli("norm", "--input", str(path))
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--kind", "random-smooth", "--radius", "100000000"], "exceeds"),
+            (["gen", "--kind", "dirac", "--n", "100", "--radius", "0"], "<= 64"),
+            (["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "2", "--q-grid", "2",
+              "--radius-grid", "4,100000000"], "exceeds"),
+        ],
+        ids=["gen-radius", "gen-dimension", "sweep-radius"],
+    )
+    def test_oversized_lattice_is_refused_before_allocation(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a field was generated")
+
+        monkeypatch.setattr(cli, "gen_distribution", never)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = cli.main(argv + ["--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and message in err
+        assert peak < 2**20
 
     def test_zero_denominator_flag_is_usage_error(self, tmp_path):
         result = run_cli("norm", "--input", str(tmp_path / "u.json"), "--p", "1/0")
@@ -396,9 +427,15 @@ class TestCliDeterminism:
                 capture_output=True, env=env, timeout=120,
             )
             assert mult.returncode == 0, mult.stderr
-            outputs.append(
-                (norm.stdout, prod_path.read_bytes(), prod2_path.read_bytes(), mult.stdout)
+            # p != 2: Boyd's power method on the same operator, with quadrature
+            mult_lp = subprocess.run(
+                CLI + ["mult-norm", "--input", str(decay_path), "--s", "2", "--t", "1/2",
+                       "--p", "3", "--q", "3/2"],
+                capture_output=True, env=env, timeout=120,
             )
+            assert mult_lp.returncode == 0, mult_lp.stderr
+            outputs.append((norm.stdout, prod_path.read_bytes(), prod2_path.read_bytes(),
+                            mult.stdout, mult_lp.stdout))
         assert outputs[0] == outputs[1]
 
 
