@@ -48,8 +48,7 @@ def bessel_weight(s: float, k) -> float:
 
 def bessel_weights(s: float, lattice: Lattice) -> np.ndarray:
     """Bessel weights for every lattice index, in enumeration order."""
-    k = lattice.indices.astype(np.float64)
-    return (1.0 + np.sum(k * k, axis=1)) ** (s / 2.0)
+    return (1.0 + lattice.norms_sq) ** (s / 2.0)
 
 
 def lift(s: float, u: SpectralField) -> SpectralField:

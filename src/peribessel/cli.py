@@ -334,6 +334,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation failed'}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -54,9 +54,6 @@ def gen_distribution(
     """
     if kind not in KINDS:
         raise ValueError(f"unknown distribution kind {kind!r}; expected one of {KINDS}")
-    k = lattice.indices.astype(np.float64)
-    norms_sq = np.sum(k * k, axis=1)
-
     if kind == "dirac":
         coeffs = np.full(lattice.size, TWO_PI ** (-lattice.n / 2.0), dtype=np.complex128)
         return SpectralField(lattice, coeffs)
@@ -64,9 +61,9 @@ def gen_distribution(
     if kind == "power-decay":
         if alpha is None or alpha < 0:
             raise ValueError(f"power-decay requires a decay exponent alpha >= 0, got {alpha}")
-        magnitudes = (1.0 + norms_sq) ** (-alpha / 2.0)
+        magnitudes = (1.0 + lattice.norms_sq) ** (-alpha / 2.0)
     else:
-        magnitudes = np.exp(-np.sqrt(norms_sq))
+        magnitudes = np.exp(-np.sqrt(lattice.norms_sq))
 
     phases = _index_phases(lattice, seed)
     return SpectralField(lattice, magnitudes * np.exp(1j * phases))

@@ -18,7 +18,7 @@ pairwise reduction, so results do not depend on thread count or chunking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -33,22 +33,28 @@ def tree_sum(values: np.ndarray, axis: int | None = None):
     """Sum an array with a fixed adjacent-pair reduction tree.
 
     Pairs element 2i with 2i+1 at every level; an odd trailing element is
-    carried to the next level unchanged.  The reduction order is a pure
-    function of the input length, hence bitwise reproducible regardless of
-    parallelism in the surrounding code.  ``axis=None`` sums the flattened
+    copied to the next level unchanged, never added.  The reduction order is
+    a pure function of the input length, hence bitwise reproducible regardless
+    of parallelism in the surrounding code.  ``axis=None`` sums the flattened
     array; otherwise every line along ``axis`` is reduced by the same tree.
+    The levels alternate between two buffers allocated once per call.
     """
-    a = np.asarray(values)
-    a = a.ravel() if axis is None else np.moveaxis(a, axis, 0)
-    if len(a) == 0:
-        return np.zeros(a.shape[1:], dtype=a.dtype)[()]
-    while len(a) > 1:
-        even = a[: len(a) - (len(a) % 2)]
-        paired = even[0::2] + even[1::2]
-        if len(a) % 2:
-            paired = np.concatenate([paired, a[-1:]])
-        a = paired
-    return a[0]
+    a = np.asarray(values).ravel() if axis is None else np.asarray(values)
+    if axis:  # for 2-D arrays swapaxes is moveaxis, at a fraction of its cost
+        a = a.swapaxes(0, axis) if a.ndim == 2 else np.moveaxis(a, axis, 0)
+    length = len(a)
+    if length <= 1:
+        return a[0] if length else np.zeros(a.shape[1:], dtype=a.dtype)[()]
+    first, dtype = (length + 1) // 2, a.dtype.newbyteorder("=")  # as np.add returns
+    out = np.empty((first,) + a.shape[1:], dtype)
+    spare = np.empty(((first + 1) // 2,) + a.shape[1:], dtype)
+    while length > 1:
+        half, odd = divmod(length, 2)
+        np.add(a[0 : 2 * half : 2], a[1 : 2 * half : 2], out[:half])
+        if odd:
+            out[half] = a[length - 1]
+        a, out, spare, length = out, spare, out, half + odd
+    return a[0].copy()  # a view would keep both buffers alive
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -102,6 +108,12 @@ class Lattice:
             indexing="ij",
         )
         return _freeze(np.stack([ax.ravel() for ax in axes], axis=1))
+
+    @cached_property
+    def norms_sq(self) -> np.ndarray:
+        """``|k|^2`` per index in enumeration order, as float64 (exact integers)."""
+        squares = np.arange(-self.radius, self.radius + 1, dtype=np.float64) ** 2
+        return _freeze(reduce(np.add.outer, [squares] * self.n).ravel())
 
     def position(self, k) -> int:
         """Ordinal of multi-index k in the lexicographic enumeration."""

@@ -185,13 +185,20 @@ def multiplier_operator(prob: MultiplierProblem) -> tuple:
     return side(prob.u, prob.s, prob.t), side(conj_field(prob.u), prob.t, prob.s)
 
 
-def _orthogonalize(vector: np.ndarray, basis: list) -> np.ndarray:
-    """Remove the components along the orthonormal vectors in ``basis``."""
-    if not basis:
+def _orthogonalize(vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Remove the components along the orthonormal rows of ``rows``."""
+    if not len(rows):
         return vector
-    rows = np.array(basis)
     coefficients = tree_sum(np.conj(rows) * vector, axis=1)
     return vector - tree_sum(coefficients[:, None] * rows, axis=0)
+
+
+def _store(rows: np.ndarray, k: int, vector: np.ndarray) -> np.ndarray:
+    """Write ``vector`` as row k of ``rows``, doubling the row count when full."""
+    if k == len(rows):
+        rows = np.concatenate([rows, np.empty_like(rows)])
+    rows[k] = vector
+    return rows
 
 
 def top_singular_value(
@@ -209,25 +216,26 @@ def top_singular_value(
     """
     rng = np.random.default_rng(GKL_SEED)
     start = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    right, left = [start / _deterministic_norm(start)], []
+    right, left = np.empty((2, 8, size), dtype=np.complex128)  # row blocks, see _store
+    right[0] = start / _deterministic_norm(start)
     alphas, betas = [], []
     beta = sigma = residual = 0.0
     max_steps = size if max_steps is None else max_steps
-    for _ in range(max_steps):
-        w = matvec(right[-1]) - (beta * left[-1] if left else 0.0)
-        w = _orthogonalize(w, left)
+    for k in range(max_steps):
+        w = matvec(right[k]) - (beta * left[k - 1] if k else 0.0)
+        w = _orthogonalize(w, left[:k])
         alphas.append(_deterministic_norm(w))
         beta = 0.0
         if alphas[-1] > 0.0:
-            left.append(w / alphas[-1])
-            w = _orthogonalize(rmatvec(left[-1]) - alphas[-1] * right[-1], right)
+            left = _store(left, k, w / alphas[-1])
+            w = _orthogonalize(rmatvec(left[k]) - alphas[-1] * right[k], right[: k + 1])
             beta = _deterministic_norm(w)
         x, sigmas, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
         sigma, residual = float(sigmas[0]), beta * abs(float(x[-1, 0]))
         if residual <= tol * sigma:
             return sigma
         betas.append(beta)
-        right.append(w / beta)
+        right = _store(right, k + 1, w / beta)
     raise ConvergenceError(max_steps, residual / sigma if sigma > 0.0 else np.inf)
 
 

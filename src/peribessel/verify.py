@@ -263,24 +263,20 @@ def _check_hoelder_bound(ctx):
 @_check("product-norm-bounded", "duality", 20.0,
         "|f*g|_{H^t_q} / (|f|_{H^s_p} |g|_{H^t_q}) stays bounded under refinement")
 def _check_product_norm_bounded(ctx):
-    # p = q with s > n/p: the product norm ratio must stay bounded and its
-    # running maximum must stabilize when the radius doubles.
+    # p = q with s > n/p: the largest product norm ratio over 250 seeded
+    # random-smooth pairs at the refined radius 2R must stay below the tolerance.
     s, t, p = max(ctx.s, ctx.n / ctx.p + 0.5), min(ctx.t, ctx.s) * 0.5, ctx.p
-    pairs = 250
-    maxima = {}
-    for radius in (ctx.radius, 2 * ctx.radius):
-        lattice = make_lattice(ctx.n, radius)
-        running = 0.0
-        for j in range(pairs):
-            f = gen_distribution("random-smooth", lattice, seed=ctx.seed + 2 * j)
-            g = gen_distribution("random-smooth", lattice, seed=ctx.seed + 2 * j + 1)
-            product = pointwise_product(f, g, exact=True)
-            ratio = hs_norm(product, SpaceIndex(t, p)) / (
-                hs_norm(f, SpaceIndex(s, p)) * hs_norm(g, SpaceIndex(t, p))
-            )
-            running = max(running, ratio)
-        maxima[radius] = running
-    return maxima[2 * ctx.radius]
+    lattice = make_lattice(ctx.n, 2 * ctx.radius)
+    running = 0.0
+    for j in range(250):
+        f = gen_distribution("random-smooth", lattice, seed=ctx.seed + 2 * j)
+        g = gen_distribution("random-smooth", lattice, seed=ctx.seed + 2 * j + 1)
+        product = pointwise_product(f, g, exact=True)
+        ratio = hs_norm(product, SpaceIndex(t, p)) / (
+            hs_norm(f, SpaceIndex(s, p)) * hs_norm(g, SpaceIndex(t, p))
+        )
+        running = max(running, ratio)
+    return running
 
 
 # --------------------------------------------------------------------------

@@ -57,5 +57,21 @@ def convolve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def tree_sum_reference(values, axis=None):
+    """Adjacent-pair tree sum, one fresh array per level: element 2i plus
+    2i+1, an odd trailing element concatenated on unchanged."""
+    a = np.asarray(values)
+    a = a.ravel() if axis is None else np.moveaxis(a, axis, 0)
+    if len(a) == 0:
+        return np.zeros(a.shape[1:], dtype=a.dtype)[()]
+    while len(a) > 1:
+        even = a[: len(a) - (len(a) % 2)]
+        paired = even[0::2] + even[1::2]
+        if len(a) % 2:
+            paired = np.concatenate([paired, a[-1:]])
+        a = paired
+    return a[0]
+
+
 def svd_operator_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.svd(matrix, compute_uv=False)[0])

@@ -197,6 +197,13 @@ class TestDualityPair:
 
 
 class TestPointwiseProduct:
+    def test_exact_product_norm_needs_no_index_table(self):
+        # the radius-2R lattice of an exact product is fresh on every call
+        lat = make_lattice(2, 4)
+        product = pointwise_product(random_field(lat, seed=1), random_field(lat, seed=2), exact=True)
+        hs_norm(product, SpaceIndex(1.5, 2.0))
+        assert "indices" not in vars(product.lattice)
+
     def test_multiplying_by_ones_is_identity(self):
         lat = make_lattice(1, 5)
         u = random_field(lat, seed=8)

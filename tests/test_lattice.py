@@ -23,7 +23,7 @@ from peribessel import (
 )
 from peribessel.lattice import grid_nodes
 
-from conftest import rel_err, synthesize_direct
+from conftest import rel_err, synthesize_direct, tree_sum_reference
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,6 +80,15 @@ class TestMakeLattice:
         lat = make_lattice(3, 2)
         for ordinal in (0, 17, lat.size - 1):
             assert lat.position(lat.indices[ordinal]) == ordinal
+
+    @pytest.mark.parametrize("n, radius", [(1, 0), (1, 5), (2, 3), (3, 4), (4, 2)])
+    def test_norms_sq_match_index_table(self, n, radius):
+        lat = make_lattice(n, radius)
+        norms_sq = lat.norms_sq
+        assert "indices" not in vars(lat)  # built without the index table
+        k = lat.indices.astype(np.float64)
+        assert norms_sq.tobytes() == np.sum(k * k, axis=1).tobytes()
+        assert not norms_sq.flags.writeable
 
     def test_position_rejects_outside(self):
         with pytest.raises(ValueError):
@@ -314,6 +323,53 @@ class TestTreeSum:
     def test_empty_and_singleton(self):
         assert tree_sum(np.array([], dtype=float)) == 0.0
         assert tree_sum(np.array([7.25])) == 7.25
+
+    @staticmethod
+    def assert_same_bits(values, axis=None):
+        result, reference = tree_sum(values, axis), tree_sum_reference(values, axis)
+        assert np.asarray(result).dtype == np.asarray(reference).dtype
+        assert np.shape(result) == np.shape(reference)
+        assert np.asarray(result).tobytes() == np.asarray(reference).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("length", [*range(71), 1089, 5832, 46656])
+    def test_same_tree_as_reference(self, length, dtype):
+        rng = np.random.default_rng(length)
+        values = rng.normal(size=length) * 10.0 ** rng.integers(-8, 8, size=length)
+        if dtype is np.complex128:
+            values = values + 1j * rng.normal(size=length)
+        self.assert_same_bits(values.astype(dtype))
+
+    @pytest.mark.parametrize("shape", [(7, 5), (12, 33), (1, 9), (5, 6, 3), (9, 1, 4)])
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    def test_same_tree_along_axes(self, shape, axis):
+        rng = np.random.default_rng(sum(shape))
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        self.assert_same_bits(values, axis)
+        self.assert_same_bits(values.real, axis)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-0.0],
+            [-0.0, -0.0, -0.0],
+            [-0.0] * 7,
+            [1.5, -0.0, -2.0, 0.0, -0.0],
+            [-0.0, 3.0, -3.0, -0.0, -0.0],
+            [np.inf, 1.0, -0.0],
+            [1.0, 2.0, np.inf, -1.0, 4.0],
+            [-np.inf, -0.0, -1.0],
+        ],
+    )
+    def test_signed_zeros_and_infinities(self, values):
+        real = np.array(values)
+        self.assert_same_bits(real)
+        both = np.empty(len(real), dtype=np.complex128)
+        both.real, both.imag = real, real[::-1]
+        self.assert_same_bits(both)
+        column = real[:, None] * np.ones(3)
+        self.assert_same_bits(column, 0)
+        self.assert_same_bits(column.T, 1)
 
 
 class TestRestrict:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +170,45 @@ class TestMultiplierNormL2:
         assert multiplier_norm_l2(prob) == pytest.approx(
             svd_operator_norm(multiplier_matrix(prob)), rel=1e-10
         )
+
+    # float.hex values recorded with list-held Krylov bases and a tree_sum that
+    # allocated every level (numpy 2.4, OpenBLAS, x86-64): preallocating either
+    # must not move one bit
+    @pytest.mark.parametrize(
+        "n, radius, kind, alpha, s, t, expected",
+        [
+            (2, 16, "power-decay", 0.0, 0.6, 0.6, "0x1.8c3c10a6e4d80p+0"),  # near-tied
+            (3, 4, "power-decay", 1.0, 1.0, 1.5, "0x1.840719282cb08p-3"),
+            (1, 8, "dirac", None, 1.0, 1.0, "0x1.d5637328b29b5p-2"),
+        ],
+        ids=["near-tied-2-16", "power-decay-3-4", "dirac-1-8"],
+    )
+    def test_pinned_bits(self, n, radius, kind, alpha, s, t, expected):
+        u = gen_distribution(kind, make_lattice(n, radius), alpha=alpha)
+        assert multiplier_norm_l2(problem(u, s=s, t=t)).hex() == expected
+
+    def test_memory_grows_with_steps_not_size_squared(self):
+        prob = problem(
+            gen_distribution("power-decay", make_lattice(3, 8), alpha=0.0), s=0.6, t=0.6
+        )
+        matvec, rmatvec = multiplier_operator(prob)
+        size, steps = prob.u.lattice.size, 0
+
+        def counted(v):
+            nonlocal steps
+            steps += 1
+            return matvec(v)
+
+        tracemalloc.start()
+        try:
+            top_singular_value(counted, rmatvec, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        vector_bytes = size * np.dtype(np.complex128).itemsize
+        # two bases of at most 2 * steps rows each, plus row-block temporaries
+        assert peak <= 8 * steps * vector_bytes
+        assert peak < size * vector_bytes / 10  # no size x size buffer
 
     def test_homogeneity(self):
         prob = random_problem(5, 2)

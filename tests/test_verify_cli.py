@@ -247,6 +247,25 @@ class TestCliExitCodes:
         assert err.startswith("error:") and len(err.splitlines()) == 1 and message in err
         assert peak < 2**20
 
+    def test_out_of_memory_is_one_error_line(self, tmp_path):
+        # 2^30 quadrature points (16 GiB) for a one-coefficient field; the child's
+        # address space is capped at 1 GiB so the allocation fails at once
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "wide.json"
+        path.write_text('{"n": 30, "radius": 0, "entries": []}')
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        result = subprocess.run(
+            CLI + ["norm", "--input", str(path), "--p", "3"], capture_output=True, text=True,
+            timeout=120, env=dict(CHILD_ENV, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+            preexec_fn=cap_address_space,
+        )
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr.startswith("error: out of memory")
+        assert len(result.stderr.splitlines()) == 1
+
     def test_zero_denominator_flag_is_usage_error(self, tmp_path):
         result = run_cli("norm", "--input", str(tmp_path / "u.json"), "--p", "1/0")
         assert result.returncode == 2
