@@ -49,7 +49,6 @@ from .multipliers import (
     MultiplierReport,
     equivalence_report,
     intersection_norm,
-    multiplier_matrix,
     multiplier_norm_l2,
     multiplier_norm_lp,
     multiplier_norm_sampled,
@@ -91,7 +90,6 @@ __all__ = [
     "linear_combine",
     "lp_norm",
     "make_lattice",
-    "multiplier_matrix",
     "multiplier_norm_l2",
     "multiplier_norm_lp",
     "multiplier_norm_sampled",

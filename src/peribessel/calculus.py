@@ -107,9 +107,10 @@ def duality_pair(u: SpectralField, v: SpectralField, s: float = 0.0) -> complex:
 
 def _convolver(a: np.ndarray, shape: tuple):
     """Cyclic convolution with ``a`` at length ``shape``: the map
-    ``b -> ifftn(FFT(a) * fftn(b, shape))``, with FFT(a) taken once.  A length
-    of at least the two extents summed minus one per axis wraps nothing."""
-    axes = tuple(range(a.ndim))
+    ``b -> ifftn(FFT(a) * fftn(b, shape))``, with FFT(a) taken once, over the
+    trailing ``a.ndim`` axes of b.  A length of at least the two extents summed
+    minus one per axis wraps nothing."""
+    axes = tuple(range(-a.ndim, 0))
     spectrum = np.fft.fftn(a, shape, axes)
     return lambda b: np.fft.ifftn(spectrum * np.fft.fftn(b, shape, axes), axes=axes)
 

@@ -14,6 +14,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -157,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     _arg(verify, "--s", type=_numeric, default=1)
     _arg(verify, "--t", type=_numeric, default=1)
     _arg(verify, "--p", type=_numeric, default=2)
-    _arg(verify, "--q", type=_numeric, default=2)
     _arg(verify, "--format", choices=("text", "json"), default="text")
 
     sweep = _subcommand(sub, "sweep", "multiplier-norm sweep over an index grid", _cmd_sweep)
@@ -270,6 +270,19 @@ def _cmd_mult_norm(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (args.radius >= 0 and args.seed >= 0 and 0 <= args.s < math.inf
+            and 0 <= args.t < math.inf and 1 <= args.p < math.inf):
+        raise UsageError(
+            f"verify needs radius, seed >= 0, finite s, t >= 0 and 1 <= p < inf; got "
+            f"radius={args.radius}, seed={args.seed}, s={args.s}, t={args.t}, p={args.p}"
+        )
+    # The largest lattice any check builds: product-norm-bounded's exact
+    # products of radius-2R fields, and refinement-stability at 2 max(R, 8).
+    largest = 4 * max(args.radius, 8)
+    try:
+        bounded_lattice(args.n, largest, UsageError)
+    except UsageError as exc:
+        raise UsageError(f"verify builds lattices up to radius {largest}: {exc}") from None
     ctx = VerifyContext(
         radius=args.radius,
         n=args.n,
@@ -277,7 +290,6 @@ def _cmd_verify(args) -> int:
         s=float(args.s),
         t=float(args.t),
         p=float(args.p),
-        q=float(args.q),
     )
     results = run_suite(args.suite, ctx)
     if args.format == "json":

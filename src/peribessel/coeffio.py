@@ -52,10 +52,13 @@ def bounded_lattice(n: int, radius: int, error: type) -> Lattice:
 
 def field_to_dict(u: SpectralField) -> dict:
     lattice = u.lattice
-    entries = []
-    for k, value in zip(lattice.indices, u.coeffs):
-        if value != 0:
-            entries.append([*(int(c) for c in k), float(value.real), float(value.imag)])
+    nonzero = np.flatnonzero(u.coeffs)
+    indices = np.stack(np.unravel_index(nonzero, lattice.shape), axis=1) - lattice.radius
+    values = u.coeffs[nonzero]
+    entries = [
+        [*k, re, im]
+        for k, re, im in zip(indices.tolist(), values.real.tolist(), values.imag.tolist())
+    ]
     return {"n": lattice.n, "radius": lattice.radius, "entries": entries}
 
 

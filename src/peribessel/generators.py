@@ -29,12 +29,11 @@ def _splitmix(x: np.ndarray) -> np.ndarray:
 
 def _index_phases(lattice: Lattice, seed: int) -> np.ndarray:
     """Uniform [0, 2*pi) phase per lattice index, a pure function of (seed, k)."""
+    component = np.arange(-lattice.radius, lattice.radius + 1, dtype=np.int64).view(np.uint64)
     with np.errstate(over="ignore"):
-        state = np.full(lattice.size, np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-        state = _splitmix(state)
-        for axis in range(lattice.n):
-            component = lattice.indices[:, axis].astype(np.int64).view(np.uint64)
-            state = _splitmix(state ^ component)
+        state = _splitmix(np.full(1, np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+        for _ in range(lattice.n):  # axis by axis: the state of each index prefix
+            state = _splitmix(np.bitwise_xor.outer(state, component).ravel())
     unit = (state >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
     return TWO_PI * unit
 

@@ -6,9 +6,9 @@ orthonormal exponential basis, truncated to the symmetric box of multi-indices
 value ``(2*pi)^(-n/2) * exp(i<k, x>)`` on ``[-pi, pi)^n``.  The
 ``(2*pi)^(n/2)`` factors this normalization brings live in the
 synthesis/analysis transforms, in :func:`constant_field` (the all-ones
-function), in the product of two fields (``calculus.pointwise_product``, the
-multiplier operator and matrix in ``multipliers``) and in the ``dirac``
-generator; nowhere else.
+function), in the product of two fields (``calculus.pointwise_product`` and
+the multiplier operator in ``multipliers``) and in the ``dirac`` generator;
+nowhere else.
 
 Values are immutable after construction and every operation is a pure
 function.  All scalar reductions go through :func:`tree_sum`, a fixed-order
@@ -274,14 +274,12 @@ def _grid_scatter(lattice: Lattice, points_per_axis: int) -> tuple:
     """Flat DFT-cube positions (k mod N) and signs (-1)^(sum k) of the lattice
     frequencies, frozen and cached per (lattice, N) for synthesize and analyze."""
     N = points_per_axis
-    flat = np.ravel_multi_index(
-        tuple((lattice.indices[:, axis] % N) for axis in range(lattice.n)),
-        (N,) * lattice.n,
-    )
+    k = np.arange(-lattice.radius, lattice.radius + 1, dtype=np.int64)
+    flat = reduce(lambda outer, inner: np.add.outer(outer * N, inner), [k % N] * lattice.n)
     # exp(i<k, x_j>) at x_j = -pi + 2*pi*j/N splits into (-1)^(sum k) times the
     # plain DFT phase exp(2*pi*i <k, j>/N); these are the (-1)^(sum k) factors.
-    parity = np.sum(lattice.indices, axis=1) % 2
-    return _freeze(flat), _freeze(1.0 - 2.0 * parity)
+    signs = reduce(np.multiply.outer, [1.0 - 2.0 * (k % 2)] * lattice.n)
+    return _freeze(flat.ravel()), _freeze(signs.ravel())
 
 
 def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:

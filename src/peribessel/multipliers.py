@@ -3,11 +3,11 @@
 The multiplication operator ``f -> f*u`` is a weighted convolution in lifted
 coefficients, applied matrix-free through zero-padded FFTs.  For p = q = 2 its
 norm is the top singular value from Golub-Kahan-Lanczos bidiagonalization,
-stopped once the Ritz residual is at most 1e-12 of the Ritz value; the dense
-matrix is kept as the small-lattice reference.  For general (p, q) a lower
-bound is reported: the best norm ratio along Boyd's power method (Boyd, LAA 9,
-1974; Higham, Numer. Math. 62, 1992), started from the all-ones field, so the
-classical ``|u|_{H^(-t)_q} / |E|_{H^s_p}`` certificate is its first step.
+stopped once the Ritz residual is at most 1e-12 of the Ritz value.  For general
+(p, q) a lower bound is reported: the best norm ratio along Boyd's power method
+(Boyd, LAA 9, 1974; Higham, Numer. Math. 62, 1992), started from the all-ones
+field, so the classical ``|u|_{H^(-t)_q} / |E|_{H^s_p}`` certificate is its
+first step.
 """
 
 from __future__ import annotations
@@ -131,46 +131,24 @@ class MultiplierReport:
         ]
 
 
-def multiplier_matrix(prob: MultiplierProblem) -> np.ndarray:
-    """Dense matrix of the multiplication operator in lifted l2 coordinates.
-
-    Entry (l, k) is ``(2*pi)^(-n/2) * (1+|l|^2)^(-t/2) * coeff_{l-k}(u)
-    * (1+|k|^2)^(-s/2)``; differences l-k outside u's lattice contribute zero
-    (truncation closure).  Its l2 operator norm is the multiplier norm of the
-    truncated model for p = q = 2.
-    """
-    if not (prob.p == 2 and prob.q == 2):
-        raise ValueError("the exact multiplier matrix requires p = q = 2")
-    lattice = prob.u.lattice
-    idx = lattice.indices
-    diff = idx[:, None, :] - idx[None, :, :]
-    within = np.all(np.abs(diff) <= lattice.radius, axis=2)
-    flat = np.zeros(diff.shape[:2], dtype=np.int64)
-    for axis in range(lattice.n):
-        flat = flat * lattice.side + (diff[:, :, axis] + lattice.radius)
-    flat = np.where(within, flat, 0)
-    conv = np.where(within, prob.u.coeffs[flat], 0.0)
-    row_weights = bessel_weights(-float(prob.t), lattice)
-    col_weights = bessel_weights(-float(prob.s), lattice)
-    return TWO_PI ** (-lattice.n / 2.0) * row_weights[:, None] * conv * col_weights[None, :]
-
-
 def _deterministic_norm(vector: np.ndarray) -> float:
     return float(np.sqrt(np.real(tree_sum(np.abs(vector) ** 2))))
 
 
 def multiplier_operator(prob: MultiplierProblem) -> tuple:
-    """Matrix-free ``(matvec, rmatvec)`` of :func:`multiplier_matrix`, for any (p, q).
+    """Matrix-free ``(matvec, rmatvec)`` of ``f -> f*u`` in lifted l2 coordinates,
+    for any (p, q); differences of indices outside u's lattice contribute zero.
 
     ``matvec`` maps ``lift(s, f)`` to ``lift(-t, f*u)``: ``(2*pi)^(-n/2) W_{-t}
     window_R(u conv (W_{-s} v))``, W_a the Bessel weights, cyclic of length 3R+1
     per axis (the least at which nothing wraps into the window), FFT(u) taken
     once.  ``rmatvec`` is the adjoint: the same for conj(u), s and t swapped.
+    Either also maps a stack of vectors, shape ``(..., size)``, one vector at a time.
     """
     lattice = prob.u.lattice
     padded = (3 * lattice.radius + 1,) * lattice.n
     # Cube positions are index + R, so the product's index l sits at l + 2R.
-    window = (slice(lattice.radius, lattice.radius + lattice.side),) * lattice.n
+    window = (..., *(slice(lattice.radius, lattice.radius + lattice.side),) * lattice.n)
 
     def side(u: SpectralField, s: float, t: float):
         convolve = _convolver(u.cube(), padded)
@@ -178,7 +156,8 @@ def multiplier_operator(prob: MultiplierProblem) -> tuple:
         target = TWO_PI ** (-lattice.n / 2.0) * bessel_weights(-float(t), lattice)
 
         def apply(v: np.ndarray) -> np.ndarray:
-            return target * convolve((source * v).reshape(lattice.shape))[window].ravel()
+            cubes = (source * v).reshape(v.shape[:-1] + lattice.shape)
+            return target * convolve(cubes)[window].reshape(v.shape)
 
         return apply
 
@@ -265,7 +244,7 @@ def multiplier_norm_sampled(
 
     Maximizes ``|f*u|_{H^(-t)_q} / |f|_{H^s_p}`` over the supplied test
     fields, each on u's lattice.  Products are truncated back to that lattice,
-    keeping the bound consistent with the exact matrix norm.
+    keeping the bound consistent with the exact p = q = 2 norm.
     """
     if len(family) == 0:
         raise ValueError("test family must be nonempty")

@@ -43,9 +43,9 @@ from .lattice import (
 from .multipliers import (
     MultiplierProblem,
     equivalence_report,
-    multiplier_matrix,
     multiplier_norm_l2,
     multiplier_norm_lp,
+    multiplier_operator,
 )
 
 SUITES = ("fourier", "bessel", "duality", "embedding", "multiplier")
@@ -59,7 +59,6 @@ class VerifyContext:
     s: float = 1.0
     t: float = 1.0
     p: float = 2.0
-    q: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -357,15 +356,22 @@ def _multiplier_radius(ctx) -> int:
 @_check("swap-adjoint-identity", "multiplier", 1e-14,
         "swapped-problem matrix is the conjugate transpose (real-valued u)")
 def _check_swap_adjoint(ctx):
+    # matrices of the solvers' operator, its matvec applied to the identity
+    # columns; for real u the swapped matvec is the forward rmatvec that GKL
+    # and Boyd apply
     radius = _multiplier_radius(ctx)
     lattice = make_lattice(ctx.n, radius)
+
+    def matrix(u, s, t):
+        matvec = multiplier_operator(MultiplierProblem(u, s, t, 2.0, 2.0))[0]
+        return matvec(np.eye(lattice.size)).T  # row k of the stack is column k
+
     worst = 0.0
     for j in range(6):
         u = real_part_field(
             gen_distribution("power-decay", lattice, alpha=1.0, seed=ctx.seed + 37 * j)
         )
-        forward = multiplier_matrix(MultiplierProblem(u, ctx.s, ctx.t, 2.0, 2.0))
-        swapped = multiplier_matrix(MultiplierProblem(u, ctx.t, ctx.s, 2.0, 2.0))
+        forward, swapped = matrix(u, ctx.s, ctx.t), matrix(u, ctx.t, ctx.s)
         worst = max(worst, float(np.max(np.abs(swapped - forward.conj().T))))
     return worst
 

@@ -2,13 +2,14 @@
 
 These deliberately avoid the library's FFT/convolution code paths: synthesis
 by direct summation, quadrature by plain rectangle sums, and operator norms by
-LAPACK SVD, so the fast implementations are checked against something slower
-but obviously correct.
+LAPACK SVD of a dense multiplier matrix built entry by entry, so the fast
+implementations are checked against something slower but obviously correct.
 """
 
 import numpy as np
 
-from peribessel import SpectralField
+from peribessel import MultiplierProblem, SpectralField, bessel_weights
+from peribessel.generators import _splitmix
 from peribessel.lattice import grid_nodes
 
 TWO_PI = 2.0 * np.pi
@@ -71,6 +72,62 @@ def tree_sum_reference(values, axis=None):
             paired = np.concatenate([paired, a[-1:]])
         a = paired
     return a[0]
+
+
+def multiplier_matrix(prob: MultiplierProblem) -> np.ndarray:
+    """Dense matrix of the multiplication operator in lifted l2 coordinates.
+
+    Entry (l, k) is ``(2*pi)^(-n/2) * (1+|l|^2)^(-t/2) * coeff_{l-k}(u)
+    * (1+|k|^2)^(-s/2)``; differences l-k outside u's lattice contribute zero
+    (truncation closure).  Its l2 operator norm is the multiplier norm of the
+    truncated model for p = q = 2.
+    """
+    if not (prob.p == 2 and prob.q == 2):
+        raise ValueError("the exact multiplier matrix requires p = q = 2")
+    lattice = prob.u.lattice
+    idx = lattice.indices
+    diff = idx[:, None, :] - idx[None, :, :]
+    within = np.all(np.abs(diff) <= lattice.radius, axis=2)
+    flat = np.zeros(diff.shape[:2], dtype=np.int64)
+    for axis in range(lattice.n):
+        flat = flat * lattice.side + (diff[:, :, axis] + lattice.radius)
+    flat = np.where(within, flat, 0)
+    conv = np.where(within, prob.u.coeffs[flat], 0.0)
+    row_weights = bessel_weights(-float(prob.t), lattice)
+    col_weights = bessel_weights(-float(prob.s), lattice)
+    return TWO_PI ** (-lattice.n / 2.0) * row_weights[:, None] * conv * col_weights[None, :]
+
+
+def grid_scatter_reference(lattice, points_per_axis: int) -> tuple:
+    """DFT-cube positions and (-1)^(sum k) signs, read off the (size, n) index table."""
+    N = points_per_axis
+    flat = np.ravel_multi_index(
+        tuple((lattice.indices[:, axis] % N) for axis in range(lattice.n)),
+        (N,) * lattice.n,
+    )
+    parity = np.sum(lattice.indices, axis=1) % 2
+    return flat, 1.0 - 2.0 * parity
+
+
+def index_phases_reference(lattice, seed: int) -> np.ndarray:
+    """Seeded phases hashed over all n components of every row of the index table."""
+    with np.errstate(over="ignore"):
+        state = np.full(lattice.size, np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+        state = _splitmix(state)
+        for axis in range(lattice.n):
+            component = lattice.indices[:, axis].astype(np.int64).view(np.uint64)
+            state = _splitmix(state ^ component)
+    unit = (state >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return TWO_PI * unit
+
+
+def field_to_dict_reference(u: SpectralField) -> dict:
+    """Coefficient-file document from a walk over every row of the index table."""
+    entries = []
+    for k, value in zip(u.lattice.indices, u.coeffs):
+        if value != 0:
+            entries.append([*(int(c) for c in k), float(value.real), float(value.imag)])
+    return {"n": u.lattice.n, "radius": u.lattice.radius, "entries": entries}
 
 
 def svd_operator_norm(matrix: np.ndarray) -> float:

@@ -25,7 +25,6 @@ from peribessel import (
     lift,
     lp_norm,
     make_lattice,
-    multiplier_matrix,
     multiplier_norm_l2,
     pointwise_product,
     real_part_field,
@@ -35,7 +34,7 @@ from peribessel import (
 )
 from peribessel.conditions import conjugate_exponent
 
-from conftest import rectangle_quadrature, rel_err
+from conftest import multiplier_matrix, rectangle_quadrature, rel_err
 
 TWO_PI = 2.0 * np.pi
 

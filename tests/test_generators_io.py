@@ -5,17 +5,26 @@ import pytest
 
 from peribessel import (
     CoeffFileError,
+    SpaceIndex,
+    SpectralField,
     action,
+    analyze,
     constant_field,
     delta_field,
     gen_distribution,
+    hs_norm,
     make_lattice,
     parse_coeff_file,
+    pointwise_product,
     restrict_field,
     synthesize,
     write_coeff_file,
 )
 from peribessel import coeffio
+from peribessel.generators import _index_phases
+from peribessel.lattice import _grid_scatter
+
+from conftest import field_to_dict_reference, index_phases_reference
 
 TWO_PI = 2.0 * np.pi
 
@@ -70,6 +79,12 @@ class TestGenerators:
         big = gen_distribution("power-decay", make_lattice(1, 16), alpha=2.0, seed=3)
         assert np.array_equal(restrict_field(big, 8).coeffs, small.coeffs)
 
+    @pytest.mark.parametrize("n, radius", [(1, 8), (2, 16), (3, 4), (3, 8), (2, 0), (1, 0)])
+    @pytest.mark.parametrize("seed", [0, 12345, 2**63 + 7])
+    def test_phases_match_index_table_reference(self, n, radius, seed):
+        phases = _index_phases(make_lattice(n, radius), seed)
+        assert phases.tobytes() == index_phases_reference(make_lattice(n, radius), seed).tobytes()
+
     def test_power_decay_requires_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             gen_distribution("power-decay", make_lattice(1, 2))
@@ -79,7 +94,28 @@ class TestGenerators:
             gen_distribution("white-noise", make_lattice(1, 2))
 
 
+def test_library_paths_build_no_index_table(tmp_path):
+    _grid_scatter.cache_clear()  # an entry cached for an equal lattice would hide a build
+    lat = make_lattice(2, 5)
+    u = gen_distribution("power-decay", lat, alpha=1.0, seed=3)
+    hs_norm(u, SpaceIndex(1.0, 3.0))
+    analyze(synthesize(u, 2 * lat.side + 1), lat)
+    write_coeff_file(tmp_path / "u.json", u)
+    assert "indices" not in vars(lat)
+
+
 class TestCoeffFiles:
+    def test_document_matches_index_table_reference(self):
+        lat = make_lattice(2, 3)
+        dense = gen_distribution("power-decay", lat, alpha=1.0, seed=4)
+        coeffs = np.zeros(lat.size, dtype=complex)
+        coeffs[[0, 5, 24, lat.size - 1]] = [complex(1.5, -0.0), complex(-0.0, 2.0), -0.0, 0.25j]
+        signed_zeros = SpectralField(lat, coeffs)
+        exact = pointwise_product(dense, signed_zeros, exact=True)
+        for u in (dense, delta_field(lat, (1, -3)), signed_zeros, exact, constant_field(lat)):
+            expected = json.dumps(field_to_dict_reference(u))
+            assert json.dumps(coeffio.field_to_dict(u)) == expected
+
     def test_round_trip_is_exact(self, tmp_path):
         u = gen_distribution("power-decay", make_lattice(2, 3), alpha=1.0, seed=4)
         path = tmp_path / "u.json"

@@ -21,9 +21,9 @@ from peribessel import (
     synthesize,
     tree_sum,
 )
-from peribessel.lattice import grid_nodes
+from peribessel.lattice import _grid_scatter, grid_nodes
 
-from conftest import rel_err, synthesize_direct, tree_sum_reference
+from conftest import grid_scatter_reference, rel_err, synthesize_direct, tree_sum_reference
 
 TWO_PI = 2.0 * np.pi
 
@@ -234,6 +234,15 @@ class TestTransforms:
     def test_analyze_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             analyze(GridFunction(np.ones((5, 5), dtype=complex)), make_lattice(1, 2))
+
+    @pytest.mark.parametrize("n, radius", [(1, 8), (2, 16), (3, 4), (3, 8), (2, 0), (1, 0)])
+    @pytest.mark.parametrize("factor", [1, 2, 4])
+    def test_scatter_matches_index_table_reference(self, n, radius, factor):
+        lat = make_lattice(n, radius)
+        flat, signs = _grid_scatter(lat, factor * lat.side)
+        ref_flat, ref_signs = grid_scatter_reference(make_lattice(n, radius), factor * lat.side)
+        assert flat.dtype == ref_flat.dtype and flat.tobytes() == ref_flat.tobytes()
+        assert signs.dtype == ref_signs.dtype and signs.tobytes() == ref_signs.tobytes()
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2), st.integers(0, 3))
     @settings(max_examples=30, deadline=None)

@@ -18,7 +18,6 @@ from peribessel import (
     intersection_norm,
     lift,
     make_lattice,
-    multiplier_matrix,
     multiplier_norm_l2,
     multiplier_norm_lp,
     multiplier_norm_sampled,
@@ -32,7 +31,7 @@ from peribessel.calculus import bessel_weights
 from peribessel import multipliers
 from peribessel.multipliers import BOYD_STEPS, _dual
 
-from conftest import rel_err, svd_operator_norm
+from conftest import multiplier_matrix, rel_err, svd_operator_norm
 
 TWO_PI = 2.0 * np.pi
 INV_SQRT_2PI = TWO_PI ** -0.5
@@ -116,6 +115,10 @@ class TestMultiplierOperator:
         x = rng.standard_normal(u.lattice.size) + 1j * rng.standard_normal(u.lattice.size)
         assert rel_err(matvec(x), matrix @ x) < 1e-13
         assert rel_err(rmatvec(x), matrix.conj().T @ x) < 1e-13
+        # a stack of vectors, as verify's swap check applies, maps row by row
+        stack = np.stack([x, 2j * x, rng.standard_normal(u.lattice.size)])
+        assert rel_err(matvec(stack), stack @ matrix.T) < 1e-13
+        assert rel_err(rmatvec(stack), stack @ matrix.conj()) < 1e-13
 
 
     def test_independent_of_p_and_q(self):

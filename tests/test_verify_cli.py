@@ -22,7 +22,8 @@ from peribessel import (
     run_suite,
     verify,
 )
-from peribessel.calculus import SpaceIndex
+from peribessel import multipliers
+from peribessel.calculus import SpaceIndex, bessel_weights
 from peribessel.multipliers import CSV_COLUMNS, index_cells
 from peribessel.verify import REGISTRY, SUITES, VerifyContext, format_report
 
@@ -102,6 +103,21 @@ class TestVerifySuites:
             spec.check_id for spec in REGISTRY if spec.suite == "bessel"
         ]
         assert all(result.passed for result in results)
+
+    def test_swap_check_catches_an_operator_that_is_not_adjoint_consistent(self, monkeypatch):
+        # the check probes multiplier_operator itself: a matvec that skips its
+        # target weight breaks the adjoint identity the solvers rely on
+        spec = next(spec for spec in REGISTRY if spec.check_id == "swap-adjoint-identity")
+        ctx = VerifyContext(radius=4, s=1.0, t=2.0)
+        assert spec.runner(ctx) <= spec.tolerance
+
+        def skipping_target_weight(prob):
+            matvec, rmatvec = multipliers.multiplier_operator(prob)
+            weight = bessel_weights(-float(prob.t), prob.u.lattice)
+            return (lambda v: matvec(v) / weight), rmatvec
+
+        monkeypatch.setattr(verify, "multiplier_operator", skipping_target_weight)
+        assert spec.runner(ctx) > 1e3 * spec.tolerance
 
     def test_all_suites_pass(self):
         results = run_suite("all", VerifyContext(radius=6, n=1, seed=0))
@@ -247,6 +263,47 @@ class TestCliExitCodes:
         assert err.startswith("error:") and len(err.splitlines()) == 1 and message in err
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # refinement-stability and the exact products reach radius 4 max(R, 8)
+            (["--radius", "100000000"], "exceeds"),
+            (["--n", "5"], "exceeds"),
+            (["--n", "0"], "dimension must be >= 1"),
+            (["--n", "70"], "overflows"),
+            (["--radius", "-1"], "radius=-1"),
+            (["--s", "-1"], "s=-1"),
+            (["--t", "nan"], "t=nan"),
+            (["--p", "1/2"], "p=1/2"),
+            (["--seed", "-1"], "seed=-1"),
+        ],
+        ids=["radius-huge", "dimension-huge", "n-zero", "n-overflow", "radius-negative",
+             "s-negative", "t-nan", "p-below-one", "seed-negative"],
+    )
+    def test_bad_verify_input_is_refused_before_any_check(self, capsys, monkeypatch, flags,
+                                                          message):
+        def never(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "run_suite", never)
+        tracemalloc.start()
+        try:
+            code = cli.main(["verify", "fourier"] + flags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert message in captured.err
+        assert peak < 2**20
+
+    def test_verify_has_no_q_flag(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            cli.main(["verify", "embedding", "--q", "3"])
+        assert caught.value.code == 2
+        assert "--q" in capsys.readouterr().err
+
     def test_out_of_memory_is_one_error_line(self, tmp_path):
         # 2^30 quadrature points (16 GiB) for a one-coefficient field; the child's
         # address space is capped at 1 GiB so the allocation fails at once
@@ -341,6 +398,14 @@ class TestCliConfig:
         assert result.returncode == 2
         assert result.stderr.startswith("error: config value")
         assert len(result.stderr.splitlines()) == 1
+
+    def test_q_config_key_is_ignored_by_verify(self, tmp_path):
+        # q belongs to mult-norm; verify reads no q
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"q": "3"}))
+        result = run_cli("--config", str(config), "verify", "embedding")
+        assert result.returncode == 0
+        assert result.stdout == run_cli("verify", "embedding").stdout
 
     def test_config_choices_are_checked_per_subcommand(self, tmp_path):
         # "csv" is a --format choice of norm but not of verify
