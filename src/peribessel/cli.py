@@ -14,7 +14,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -179,11 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Parse argv.  With --config, install the file's values as defaults of the
-    subcommand being run, each as its flag takes it, and parse again: flags win."""
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    with open(args.config, "r", encoding="utf-8") as handle:
+    subcommand being run, each as its flag takes it, and parse again: flags win,
+    and a config value stands in for a required flag."""
+    config_flag = argparse.ArgumentParser(add_help=False)
+    config_flag.add_argument("--config", nargs="?")
+    path = config_flag.parse_known_args(argv)[0].config
+    if not path:
+        return parser.parse_args(argv)
+    with open(path, "r", encoding="utf-8") as handle:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
@@ -191,6 +193,11 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     unknown = set(config).difference(*(sub.config_converters for sub in registry.values()))
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for sub in registry.values():
+        for action in sub._actions:
+            if action.option_strings and action.dest in config:
+                action.required = False
+    args = parser.parse_args(argv)
     subparser = registry[args.command]
     defaults = {}
     for key, value in config.items():
@@ -214,6 +221,12 @@ def _emit_record(record: dict, fmt: str, stream):
         )
 
 
+def _check_grid_size(grid_size, radius: int):
+    """Refuse a ``--grid-size`` below 2R+1 for the largest radius R it samples."""
+    if grid_size is not None and grid_size < 2 * radius + 1:
+        raise UsageError(f"--grid-size {grid_size} is below 2R+1 = {2 * radius + 1}")
+
+
 def _cmd_gen(args) -> int:
     if args.kind == "power-decay" and args.alpha is None:
         raise UsageError("--kind power-decay requires --alpha")
@@ -225,6 +238,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_norm(args) -> int:
     field = parse_coeff_file(args.input)
+    _check_grid_size(args.grid_size, field.lattice.radius)
     value = hs_norm(field, SpaceIndex(float(args.s), float(args.p)), args.grid_size)
     _emit_record(
         {"s": float(args.s), "p": float(args.p), "norm": value}, args.format, sys.stdout
@@ -257,6 +271,11 @@ def _cmd_product(args) -> int:
 
 def _cmd_mult_norm(args) -> int:
     field = parse_coeff_file(args.input)
+    radius = field.lattice.radius
+    radii = [radius] if args.radii is None else args.radii
+    if not radii or not all(0 <= r <= radius for r in radii):
+        raise UsageError(f"--radii must list radii in [0, {radius}]; got {args.radii}")
+    _check_grid_size(args.grid_size, max(radii))
     prob = MultiplierProblem(field, args.s, args.t, args.p, args.q)
     report = equivalence_report(
         prob, radii=args.radii, force=args.force, grid_points=args.grid_size
@@ -270,27 +289,10 @@ def _cmd_mult_norm(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not (args.radius >= 0 and args.seed >= 0 and 0 <= args.s < math.inf
-            and 0 <= args.t < math.inf and 1 <= args.p < math.inf):
-        raise UsageError(
-            f"verify needs radius, seed >= 0, finite s, t >= 0 and 1 <= p < inf; got "
-            f"radius={args.radius}, seed={args.seed}, s={args.s}, t={args.t}, p={args.p}"
-        )
-    # The largest lattice any check builds: product-norm-bounded's exact
-    # products of radius-2R fields, and refinement-stability at 2 max(R, 8).
-    largest = 4 * max(args.radius, 8)
     try:
-        bounded_lattice(args.n, largest, UsageError)
-    except UsageError as exc:
-        raise UsageError(f"verify builds lattices up to radius {largest}: {exc}") from None
-    ctx = VerifyContext(
-        radius=args.radius,
-        n=args.n,
-        seed=args.seed,
-        s=float(args.s),
-        t=float(args.t),
-        p=float(args.p),
-    )
+        ctx = VerifyContext(args.radius, args.n, args.seed, args.s, args.t, args.p)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     results = run_suite(args.suite, ctx)
     if args.format == "json":
         sys.stdout.write(
@@ -306,6 +308,7 @@ def _cmd_sweep(args) -> int:
     if any(len(grid) == 0 for grid in grids):
         raise UsageError("sweep grids must be nonempty")
     lattices = {radius: bounded_lattice(args.n, radius, UsageError) for radius in args.radius_grid}
+    _check_grid_size(args.grid_size, max(args.radius_grid))
     fields = {
         radius: gen_distribution(args.u_kind, lattice, alpha=args.alpha, seed=args.seed)
         for radius, lattice in lattices.items()

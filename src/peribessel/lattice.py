@@ -151,7 +151,8 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
+        # a fresh array: freezing it leaves the caller's array, or its base, alone
+        coeffs = np.array(self.coeffs, dtype=np.complex128, order="C", ndmin=1)
         if coeffs.shape != (self.lattice.size,):
             raise ValueError(
                 f"expected {self.lattice.size} coefficients, got shape {coeffs.shape}"
@@ -178,8 +179,8 @@ class GridFunction:
     samples: np.ndarray
 
     def __post_init__(self):
-        # asarray, unlike ascontiguousarray, keeps a 0-d input 0-d
-        samples = np.asarray(self.samples, dtype=np.complex128, order="C")
+        # a fresh array, as in SpectralField; a 0-d input stays 0-d
+        samples = np.array(self.samples, dtype=np.complex128, order="C")
         if samples.ndim < 1:
             raise ValueError("samples must have at least one axis")
         if any(length != samples.shape[0] for length in samples.shape):

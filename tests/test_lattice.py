@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from peribessel import (
     GridFunction,
+    SpaceIndex,
     SpectralField,
     analyze,
     conj_field,
     constant_field,
     delta_field,
+    hs_norm,
     is_real_valued,
     linear_combine,
     lp_norm,
@@ -141,6 +143,18 @@ class TestFieldConstructors:
         with pytest.raises(ValueError):
             u.coeffs[0] = 5.0
 
+    def test_callers_array_stays_writable_and_detached(self):
+        a = np.zeros(5, dtype=np.complex128)
+        u = SpectralField(make_lattice(1, 2), a)
+        a[0] = 1.0
+        assert u.coeffs[0] == 0.0 and not u.coeffs.flags.writeable
+
+    def test_view_of_callers_array_is_detached(self):
+        base = np.zeros(5, dtype=np.complex128)
+        u = SpectralField(make_lattice(1, 2), base[:])
+        base[2] = 3.0
+        assert hs_norm(u, SpaceIndex(0.0, 2.0)) == 0.0
+
 
 class TestConjAndCombine:
     def test_conj_of_delta_moves_index(self):
@@ -230,6 +244,18 @@ class TestTransforms:
     def test_grid_function_rejects_bad_samples(self, samples, message):
         with pytest.raises(ValueError, match=message):
             GridFunction(samples)
+
+    def test_grid_functions_array_stays_writable_and_detached(self):
+        samples = np.ones((4, 4), dtype=np.complex128)
+        g = GridFunction(samples)
+        samples[0, 0] = 5.0
+        assert g.samples[0, 0] == 1.0 and not g.samples.flags.writeable
+
+    def test_grid_function_view_of_callers_array_is_detached(self):
+        base = np.ones(8, dtype=np.complex128)
+        g = GridFunction(base[:])
+        base[:] = 2.0
+        assert lp_norm(g, 2.0) == lp_norm(GridFunction(np.ones(8)), 2.0)
 
     def test_analyze_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):

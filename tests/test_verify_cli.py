@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from peribessel import (
     parse_coeff_file,
     run_suite,
     verify,
+    write_coeff_file,
 )
 from peribessel import multipliers
 from peribessel.calculus import SpaceIndex, bessel_weights
@@ -118,6 +120,49 @@ class TestVerifySuites:
 
         monkeypatch.setattr(verify, "multiplier_operator", skipping_target_weight)
         assert spec.runner(ctx) > 1e3 * spec.tolerance
+
+    def test_nan_sample_fails_its_check(self, monkeypatch):
+        # max(0.0, nan) is 0.0: a check that kept its own running maximum would
+        # report a NaN sample as error 0 and pass
+        monkeypatch.setattr(verify, "REGISTRY", REGISTRY)
+
+        @verify._check("nan-sample", "fourier", 1.0, "a NaN sample is a failure")
+        def _nan_sample(ctx):
+            yield 0.5
+            yield float("nan")
+            yield 0.25
+
+        assert verify.REGISTRY[:-1] == REGISTRY
+        [result] = [r for r in run_suite("fourier", VerifyContext(radius=2))
+                    if r.check_id == "nan-sample"]
+        assert result.passed is False and np.isnan(result.error)
+        assert np.isnan(_nan_sample(VerifyContext(radius=2)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: run_suite("all", VerifyContext(n=5)), lambda: VerifyContext(radius=-1)],
+        ids=["dimension-huge", "radius-negative"],
+    )
+    def test_library_refuses_bad_context_before_any_check(self, monkeypatch, build):
+        def never(ctx):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "REGISTRY", tuple(
+            dataclasses.replace(spec, runner=never) for spec in REGISTRY
+        ))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="verify"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_context_stores_indices_as_floats(self):
+        ctx = VerifyContext(s=Fraction(1, 2), t=1, p=Fraction(4, 3))
+        assert (ctx.s, ctx.t, ctx.p) == (0.5, 1.0, 4 / 3)
+        assert all(type(value) is float for value in (ctx.s, ctx.t, ctx.p))
 
     def test_all_suites_pass(self):
         results = run_suite("all", VerifyContext(radius=6, n=1, seed=0))
@@ -298,6 +343,48 @@ class TestCliExitCodes:
         assert message in captured.err
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["norm", "--p", "3", "--grid-size", "12"], "--grid-size 12 is below 2R+1 = 13"),
+            (["mult-norm", "--grid-size", "4"], "--grid-size 4 is below 2R+1 = 13"),
+            (["mult-norm", "--radii", "2", "--grid-size", "4"], "below 2R+1 = 5"),
+            (["mult-norm", "--radii", "3,7"], "--radii must list radii in [0, 6]; got [3, 7]"),
+            (["mult-norm", "--radii", "-1"], "in [0, 6]; got [-1]"),
+            (["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "3", "--q-grid", "3",
+              "--radius-grid", "2,4", "--grid-size", "4", "--out", "sweep.csv"],
+             "--grid-size 4 is below 2R+1 = 9"),
+        ],
+        ids=["norm-grid", "mult-norm-grid", "mult-norm-grid-radii", "mult-norm-radius-over",
+             "mult-norm-radius-negative", "sweep-grid"],
+    )
+    def test_bad_grid_size_or_radii_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        path = tmp_path / "u.json"
+        write_coeff_file(path, gen_distribution("power-decay", make_lattice(1, 6), alpha=2.0))
+
+        def never(*args, **kwargs):
+            raise AssertionError("work began")
+
+        for name in ("hs_norm", "equivalence_report", "gen_distribution"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.chdir(tmp_path)
+        inputs = [] if argv[0] == "sweep" else ["--input", str(path)]
+        code = cli.main(argv + inputs)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not (tmp_path / "sweep.csv").exists()
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert message in captured.err
+
+    def test_grid_size_of_2r_plus_1_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "u.json"
+        field = gen_distribution("power-decay", make_lattice(1, 6), alpha=2.0)
+        write_coeff_file(path, field)
+        assert cli.main(["norm", "--input", str(path), "--p", "3", "--grid-size", "13"]) == 0
+        reported = json.loads(capsys.readouterr().out)["norm"]
+        assert reported == hs_norm(field, SpaceIndex(0.0, 3.0), 13)
+
     def test_verify_has_no_q_flag(self, capsys):
         with pytest.raises(SystemExit) as caught:
             cli.main(["verify", "embedding", "--q", "3"])
@@ -352,6 +439,23 @@ class TestCliConfig:
         overridden = run_cli("--config", str(config), "norm", "--input", str(u_path),
                              "--s", "0")
         assert json.loads(overridden.stdout)["s"] == 0.0
+
+    def test_config_value_stands_in_for_a_required_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"kind": "dirac", "out": "x.json"}))
+        assert cli.main(["--config", str(config), "gen"]) == 0
+        assert parse_coeff_file(tmp_path / "x.json").lattice.radius == 8
+        assert cli.main(["--config", str(config), "gen", "--out", "y.json", "--radius", "2"]) == 0
+        assert parse_coeff_file(tmp_path / "y.json").lattice.radius == 2
+        # a required flag the file does not supply stays required, and so does
+        # verify's positional suite
+        config.write_text(json.dumps({"kind": "dirac", "suite": "fourier"}))
+        for argv, missing in ((["gen"], "--out"), (["verify"], "suite")):
+            with pytest.raises(SystemExit) as caught:
+                cli.main(["--config", str(config)] + argv)
+            assert caught.value.code == 2
+            assert f"the following arguments are required: {missing}" in capsys.readouterr().err
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         config = tmp_path / "conf.json"
