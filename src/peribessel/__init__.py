@@ -51,9 +51,7 @@ from .multipliers import (
     intersection_norm,
     multiplier_norm_l2,
     multiplier_norm_lp,
-    multiplier_norm_sampled,
     multiplier_operator,
-    symmetry_check,
     top_singular_value,
 )
 from .verify import CheckResult, VerifyContext, run_suite
@@ -92,7 +90,6 @@ __all__ = [
     "make_lattice",
     "multiplier_norm_l2",
     "multiplier_norm_lp",
-    "multiplier_norm_sampled",
     "multiplier_operator",
     "parse_coeff_file",
     "pointwise_product",
@@ -100,7 +97,6 @@ __all__ = [
     "restrict_field",
     "run_suite",
     "strichartz_case",
-    "symmetry_check",
     "synthesize",
     "top_singular_value",
     "tree_sum",

@@ -13,7 +13,7 @@ first step.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .lattice import (
     GridFunction,
     SpectralField,
     TWO_PI,
-    _require_same_lattice,
     analyze,
     conj_field,
     constant_field,
@@ -90,8 +89,8 @@ class MultiplierProblem:
     q: float
 
     def __post_init__(self):
-        if not (self.s >= 0 and self.t >= 0):
-            raise ValueError(f"smoothness indices must satisfy s, t >= 0, got {self.s}, {self.t}")
+        if not (0 <= self.s < np.inf and 0 <= self.t < np.inf):
+            raise ValueError(f"smoothness indices must be finite and >= 0, got {self.s}, {self.t}")
         for name, value in (("p", self.p), ("q", self.q)):
             if not 1 < value < np.inf:
                 raise ValueError(f"{name} must lie in (1, inf), got {value}")
@@ -229,28 +228,11 @@ def multiplier_norm_l2(prob: MultiplierProblem) -> float:
 def _ratio(prob: MultiplierProblem, matvec, x: SpectralField, points: int) -> tuple:
     """Ratio |f*u|_{H^(-t)_q} / |f|_{H^s_p} on ``points`` nodes per axis for the
     test field f with ``x = lift(s, f)``, and the samples of lift(-t, f*u)."""
-    _require_same_lattice(x, prob.u)
     denominator = lp_norm(synthesize(x, points), float(prob.p))
     if denominator == 0.0:
         raise ValueError("test field has zero source-space norm")
     image = synthesize(SpectralField(x.lattice, matvec(x.coeffs)), points)
     return lp_norm(image, float(prob.q)) / denominator, image
-
-
-def multiplier_norm_sampled(
-    prob: MultiplierProblem, family: Sequence[SpectralField], grid_points: int | None = None
-) -> float:
-    """Lower bound of the multiplier norm: best ratio over a given family.
-
-    Maximizes ``|f*u|_{H^(-t)_q} / |f|_{H^s_p}`` over the supplied test
-    fields, each on u's lattice.  Products are truncated back to that lattice,
-    keeping the bound consistent with the exact p = q = 2 norm.
-    """
-    if len(family) == 0:
-        raise ValueError("test family must be nonempty")
-    matvec, _ = multiplier_operator(prob)
-    points = default_grid_points(prob.u.lattice) if grid_points is None else grid_points
-    return max(_ratio(prob, matvec, lift(float(prob.s), f), points)[0] for f in family)
 
 
 def _dual(values: np.ndarray, r: float) -> np.ndarray:
@@ -309,22 +291,6 @@ def _intersection_terms(u, s, p, t, q, grid_points) -> tuple:
         hs_norm(u, SpaceIndex(-float(t), float(q)), grid_points),
         hs_norm(u, SpaceIndex(-float(s), p_conj), grid_points),
     )
-
-
-class SymmetryResult(NamedTuple):
-    forward: float
-    swapped: float
-    gap: float
-
-
-def symmetry_check(prob: MultiplierProblem) -> SymmetryResult:
-    """Compare the norm of u: H^s_2 -> H^(-t)_2 with the swapped problem
-    u: H^t_2 -> H^(-s)_2 (the conjugate-index mirror; both exact at p = q = 2).
-    """
-    forward = multiplier_norm_l2(prob)
-    swapped_problem = MultiplierProblem(prob.u, s=prob.t, t=prob.s, p=prob.p, q=prob.q)
-    swapped = multiplier_norm_l2(swapped_problem)
-    return SymmetryResult(forward, swapped, abs(forward - swapped))
 
 
 def equivalence_report(

@@ -56,8 +56,9 @@ SUITES = ("fourier", "bessel", "duality", "embedding", "multiplier")
 
 @dataclass(frozen=True)
 class VerifyContext:
-    """Inputs of a verification run, with s, t and p stored as floats.  Values out
-    of range, or a check lattice too large for ``bounded_lattice``, raise ValueError."""
+    """Inputs of a verification run, with radius, n and seed stored as ints and s, t
+    and p as floats.  A radius, n or seed that is not an integer, values out of
+    range, or a check lattice too large for ``bounded_lattice`` raise ValueError."""
 
     radius: int = 8
     n: int = 1
@@ -67,6 +68,11 @@ class VerifyContext:
     p: float = 2.0
 
     def __post_init__(self):
+        for name in ("radius", "n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"verify needs an integer {name}; got {name}={value!r}")
+            object.__setattr__(self, name, int(value))
         if not (self.radius >= 0 and self.seed >= 0 and 0 <= self.s < math.inf
                 and 0 <= self.t < math.inf and 1 <= self.p < math.inf):
             raise ValueError(

@@ -4,11 +4,15 @@ These deliberately avoid the library's FFT/convolution code paths: synthesis
 by direct summation, quadrature by plain rectangle sums, and operator norms by
 LAPACK SVD of a dense multiplier matrix built entry by entry, so the fast
 implementations are checked against something slower but obviously correct.
+``best_ratio`` is the exception: a lower bound built from the library's own
+ratio evaluation, for tests that compare fixed test fields with the solvers.
 """
 
 import numpy as np
 
-from peribessel import MultiplierProblem, SpectralField, bessel_weights
+from peribessel import MultiplierProblem, SpectralField, bessel_weights, lift, multiplier_operator
+from peribessel import multipliers
+from peribessel.calculus import default_grid_points
 from peribessel.generators import _splitmix
 from peribessel.lattice import grid_nodes
 
@@ -132,3 +136,12 @@ def field_to_dict_reference(u: SpectralField) -> dict:
 
 def svd_operator_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
+
+
+def best_ratio(prob: MultiplierProblem, family) -> float:
+    """Lower bound of the multiplier norm: the best ratio
+    ``|f*u|_{H^(-t)_q} / |f|_{H^s_p}`` over the test fields f of ``family``, each
+    on u's lattice, by the ratio Boyd's iteration evaluates, on the default grid."""
+    matvec, _ = multiplier_operator(prob)
+    points = default_grid_points(prob.u.lattice)
+    return max(multipliers._ratio(prob, matvec, lift(float(prob.s), f), points)[0] for f in family)

@@ -139,11 +139,19 @@ class TestVerifySuites:
         assert np.isnan(_nan_sample(VerifyContext(radius=2)))
 
     @pytest.mark.parametrize(
-        "build",
-        [lambda: run_suite("all", VerifyContext(n=5)), lambda: VerifyContext(radius=-1)],
-        ids=["dimension-huge", "radius-negative"],
+        "build, message",
+        [
+            (lambda: run_suite("all", VerifyContext(n=5)), "verify"),
+            (lambda: VerifyContext(radius=-1), "verify"),
+            (lambda: run_suite("fourier", VerifyContext(radius=2.5)), "integer radius"),
+            (lambda: run_suite("fourier", VerifyContext(n=1.0)), "integer n"),
+            (lambda: run_suite("fourier", VerifyContext(seed=1.5)), "integer seed"),
+            (lambda: run_suite("fourier", VerifyContext(seed=True)), "integer seed"),
+        ],
+        ids=["dimension-huge", "radius-negative", "radius-float", "n-float", "seed-float",
+             "seed-bool"],
     )
-    def test_library_refuses_bad_context_before_any_check(self, monkeypatch, build):
+    def test_library_refuses_bad_context_before_any_check(self, monkeypatch, build, message):
         def never(ctx):
             raise AssertionError("a check ran")
 
@@ -152,12 +160,17 @@ class TestVerifySuites:
         ))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="verify"):
+            with pytest.raises(ValueError, match=message):
                 build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_context_stores_numpy_integers_as_ints(self):
+        ctx = VerifyContext(radius=np.int64(2), n=np.int32(1), seed=np.uint8(3))
+        assert all(type(value) is int for value in (ctx.radius, ctx.n, ctx.seed))
+        assert run_suite("fourier", ctx) == run_suite("fourier", VerifyContext(2, 1, 3))
 
     def test_context_stores_indices_as_floats(self):
         ctx = VerifyContext(s=Fraction(1, 2), t=1, p=Fraction(4, 3))
@@ -376,6 +389,25 @@ class TestCliExitCodes:
         assert code == 2 and captured.out == "" and not (tmp_path / "sweep.csv").exists()
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert message in captured.err
+
+    def test_infinite_smoothness_index_is_refused_before_any_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = tmp_path / "u.json"
+        write_coeff_file(path, gen_distribution("power-decay", make_lattice(1, 6), alpha=2.0))
+        calls = []
+        solve = multipliers.top_singular_value
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(multipliers, "top_singular_value", counted)
+        code = cli.main(["mult-norm", "--input", str(path), "--s", "inf", "--radii", "2,4,6"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and calls == []
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert "got inf, 1" in captured.err
 
     def test_grid_size_of_2r_plus_1_is_accepted(self, tmp_path, capsys):
         path = tmp_path / "u.json"
