@@ -58,7 +58,7 @@ def lift(s: float, u: SpectralField) -> SpectralField:
     Every basis field is an eigenvector with that weight as eigenvalue;
     lift(0, .) is the identity and lift(-s, .) inverts lift(s, .).
     """
-    return SpectralField(u.lattice, bessel_weights(s, u.lattice) * u.coeffs)
+    return SpectralField._owned(u.lattice, bessel_weights(s, u.lattice) * u.coeffs)
 
 
 def default_grid_points(lattice: Lattice) -> int:
@@ -105,14 +105,23 @@ def duality_pair(u: SpectralField, v: SpectralField, s: float = 0.0) -> complex:
     return complex(tree_sum(u.coeffs * np.conj(v.coeffs)))
 
 
-def _convolver(a: np.ndarray, shape: tuple):
-    """Cyclic convolution with ``a`` at length ``shape``: the map
-    ``b -> ifftn(FFT(a) * fftn(b, shape))``, with FFT(a) taken once, over the
-    trailing ``a.ndim`` axes of b.  A length of at least the two extents summed
-    minus one per axis wraps nothing."""
+def _convolver(a: np.ndarray, shape: tuple, window: slice = slice(None)):
+    """Cyclic convolution with ``a`` at length ``shape``: the map ``b ->
+    ifftn(FFT(a) * fftn(b, shape))``, with FFT(a) taken once, over the trailing
+    ``a.ndim`` axes of b, cut to ``window`` on each.  Each axis is cut right after
+    its inverse transform, in ``ifftn``'s order, so later axes transform only the
+    kept lines, bit for bit.  A length of at least the two extents summed minus
+    one per axis wraps nothing."""
     axes = tuple(range(-a.ndim, 0))
     spectrum = np.fft.fftn(a, shape, axes)
-    return lambda b: np.fft.ifftn(spectrum * np.fft.fftn(b, shape, axes), axes=axes)
+
+    def convolve(b: np.ndarray) -> np.ndarray:
+        out = spectrum * np.fft.fftn(b, shape, axes)
+        for axis in reversed(axes):
+            out = np.fft.ifft(out, axis=axis)[(..., window) + (slice(None),) * (-1 - axis)]
+        return out
+
+    return convolve
 
 
 def _full_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -58,8 +58,9 @@ def _int_list(text: str):
 
 def _subcommand(sub, name: str, summary: str, run) -> argparse.ArgumentParser:
     """Add a subcommand parser whose ``args.run`` is ``run``.  Its
-    ``config_converters`` maps each dest it accepts from a config file to that
-    flag's ``(type, choices)``; a store_true flag's type is ``bool``."""
+    ``config_converters`` maps each flag's dest, which a config file may set, to
+    that flag's ``(type, choices)``; a store_true flag's type is ``bool``.
+    Positionals are not listed: the command line always supplies them."""
     parser = sub.add_parser(name, help=summary)
     parser.set_defaults(run=run)
     parser.config_converters = {}
@@ -68,8 +69,9 @@ def _subcommand(sub, name: str, summary: str, run) -> argparse.ArgumentParser:
 
 def _arg(parser, *names, **kwargs):
     action = parser.add_argument(*names, **kwargs)
-    kind = bool if action.nargs == 0 else action.type
-    parser.config_converters[action.dest] = (kind, action.choices)
+    if action.option_strings:
+        kind = bool if action.nargs == 0 else action.type
+        parser.config_converters[action.dest] = (kind, action.choices)
     return action
 
 
@@ -313,10 +315,14 @@ def _cmd_sweep(args) -> int:
         radius: gen_distribution(args.u_kind, lattice, alpha=args.alpha, seed=args.seed)
         for radius, lattice in lattices.items()
     }
+    points = list(itertools.product(*grids))
+    try:  # every point is checked before the first solve
+        problems = [MultiplierProblem(fields[r], s, t, p, q) for s, t, p, q, r in points]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     rows = []
     refusals = 0
-    for s, t, p, q, radius in itertools.product(*grids):
-        prob = MultiplierProblem(fields[radius], s, t, p, q)
+    for (s, t, p, q, radius), prob in zip(points, problems):
         try:
             report = equivalence_report(prob, force=args.force, grid_points=args.grid_size)
         except HypothesisError as exc:

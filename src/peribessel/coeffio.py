@@ -94,7 +94,7 @@ def field_from_dict(data: dict) -> SpectralField:
                 f"coefficient at index {k} must be two finite JSON numbers, got {entry[n:]!r}"
             )
         coeffs[lattice.position(k)] = complex(entry[n], entry[n + 1])
-    return SpectralField(lattice, coeffs)
+    return SpectralField._owned(lattice, coeffs)
 
 
 def write_coeff_file(path, u: SpectralField):

@@ -31,7 +31,7 @@ def _index_phases(lattice: Lattice, seed: int) -> np.ndarray:
     """Uniform [0, 2*pi) phase per lattice index, a pure function of (seed, k)."""
     component = np.arange(-lattice.radius, lattice.radius + 1, dtype=np.int64).view(np.uint64)
     with np.errstate(over="ignore"):
-        state = _splitmix(np.full(1, np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+        state = _splitmix(np.full(1, np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)))
         for _ in range(lattice.n):  # axis by axis: the state of each index prefix
             state = _splitmix(np.bitwise_xor.outer(state, component).ravel())
     unit = (state >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

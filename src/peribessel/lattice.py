@@ -18,7 +18,7 @@ pairwise reduction, so results do not depend on thread count or chunking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -60,6 +60,12 @@ def tree_sum(values: np.ndarray, axis: int | None = None):
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _freeze_finite(array: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(array.view(np.float64))):
+        raise ValueError(f"{what} must be finite (no NaN/Inf)")
+    return _freeze(array)
 
 
 @dataclass(frozen=True)
@@ -115,6 +121,13 @@ class Lattice:
         squares = np.arange(-self.radius, self.radius + 1, dtype=np.float64) ** 2
         return _freeze(reduce(np.add.outer, [squares] * self.n).ravel())
 
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """``(-1)^(sum k)`` per index, as float64: ``exp(i<k, x_j>)`` at ``x_j =
+        -pi + 2*pi*j/N`` is this sign times the DFT phase ``exp(2*pi*i <k, j>/N)``."""
+        parity = 1.0 - 2.0 * (np.arange(-self.radius, self.radius + 1) % 2)
+        return _freeze(reduce(np.multiply.outer, [parity] * self.n).ravel())
+
     def position(self, k) -> int:
         """Ordinal of multi-index k in the lexicographic enumeration."""
         k = np.asarray(k, dtype=np.int64)
@@ -157,9 +170,16 @@ class SpectralField:
             raise ValueError(
                 f"expected {self.lattice.size} coefficients, got shape {coeffs.shape}"
             )
-        if not np.all(np.isfinite(coeffs.view(np.float64))):
-            raise ValueError("coefficients must be finite (no NaN/Inf)")
-        object.__setattr__(self, "coeffs", _freeze(coeffs))
+        object.__setattr__(self, "coeffs", _freeze_finite(coeffs, "coefficients"))
+
+    @classmethod
+    def _owned(cls, lattice: Lattice, coeffs: np.ndarray) -> "SpectralField":
+        """The field over ``coeffs``, a C-order complex128 vector the library
+        has just allocated: checked finite and frozen in place, not copied."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "lattice", lattice)
+        object.__setattr__(field, "coeffs", _freeze_finite(coeffs, "coefficients"))
+        return field
 
     def cube(self) -> np.ndarray:
         """Coefficients reshaped to the (2R+1,)*n cube (lexicographic order)."""
@@ -187,9 +207,14 @@ class GridFunction:
             raise ValueError(f"grid must be square per axis, got shape {samples.shape}")
         if samples.shape[0] < 1:
             raise ValueError("grid must be nonempty")
-        if not np.all(np.isfinite(samples.view(np.float64))):
-            raise ValueError("samples must be finite (no NaN/Inf)")
-        object.__setattr__(self, "samples", _freeze(samples))
+        object.__setattr__(self, "samples", _freeze_finite(samples, "samples"))
+
+    @classmethod
+    def _owned(cls, samples: np.ndarray) -> "GridFunction":
+        """As :meth:`SpectralField._owned`, for square C-order complex128 samples."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "samples", _freeze_finite(samples, "samples"))
+        return grid
 
     @property
     def n(self) -> int:
@@ -270,17 +295,11 @@ def _require_same_lattice(u: SpectralField, v: SpectralField):
         )
 
 
-@lru_cache(maxsize=64)
-def _grid_scatter(lattice: Lattice, points_per_axis: int) -> tuple:
-    """Flat DFT-cube positions (k mod N) and signs (-1)^(sum k) of the lattice
-    frequencies, frozen and cached per (lattice, N) for synthesize and analyze."""
-    N = points_per_axis
-    k = np.arange(-lattice.radius, lattice.radius + 1, dtype=np.int64)
-    flat = reduce(lambda outer, inner: np.add.outer(outer * N, inner), [k % N] * lattice.n)
-    # exp(i<k, x_j>) at x_j = -pi + 2*pi*j/N splits into (-1)^(sum k) times the
-    # plain DFT phase exp(2*pi*i <k, j>/N); these are the (-1)^(sum k) factors.
-    signs = reduce(np.multiply.outer, [1.0 - 2.0 * (k % 2)] * lattice.n)
-    return _freeze(flat.ravel()), _freeze(signs.ravel())
+def _dft_bins(lattice: Lattice, N: int) -> np.ndarray:
+    """DFT bin ``k mod N`` of each lattice frequency along one axis, for N >= 2R+1."""
+    if N < lattice.side:
+        raise ValueError(f"grid too small: need at least {lattice.side} points per axis, got {N}")
+    return np.arange(-lattice.radius, lattice.radius + 1) % N
 
 
 def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:
@@ -288,37 +307,39 @@ def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:
 
     samples(x_j) = sum_k coeff_k * (2*pi)^(-n/2) * exp(i<k, x_j>); requires
     points_per_axis >= 2R+1 so every lattice frequency has its own DFT bin.
+    Axes go in ``ifftn``'s order, last first, each spread into its bins just
+    before its transform, so only lines that carry lattice data are transformed;
+    numpy transforms each line on its own, so this is ``ifftn`` bit for bit.
     """
-    lattice = u.lattice
-    N = points_per_axis
-    if N < lattice.side:
-        raise ValueError(
-            f"grid too small: need at least {lattice.side} points per axis, got {N}"
-        )
-    spectrum = np.zeros((N,) * lattice.n, dtype=np.complex128)
-    flat, signs = _grid_scatter(lattice, N)
-    spectrum.ravel()[flat] = u.coeffs * signs
-    samples = (N ** lattice.n) * np.fft.ifftn(spectrum) * TWO_PI ** (-lattice.n / 2.0)
-    return GridFunction(samples)
+    lattice, N = u.lattice, points_per_axis
+    bins = _dft_bins(lattice, N)
+    samples = (u.coeffs * lattice.signs).reshape(lattice.shape)
+    for axis in reversed(range(lattice.n)):
+        spread = np.zeros(samples.shape[:axis] + (N,) + samples.shape[axis + 1 :], np.complex128)
+        spread[(slice(None),) * axis + (bins,)] = samples
+        samples = np.fft.ifft(spread, axis=axis)
+    samples *= N ** lattice.n
+    samples *= TWO_PI ** (-lattice.n / 2.0)
+    return GridFunction._owned(samples)
 
 
 def analyze(g: GridFunction, lattice: Lattice) -> SpectralField:
     """Recover lattice coefficients from grid samples (trapezoidal rule).
 
     coeff_k = (2*pi)^(n/2) / N^n * sum_j samples(x_j) * exp(-i<k, x_j>); exact
-    for inputs band-limited to the lattice when N >= 2R+1.
+    for inputs band-limited to the lattice when N >= 2R+1.  As in
+    :func:`synthesize`, in ``fftn``'s order, each axis cut to its bins after
+    its transform: ``fftn`` bit for bit.
     """
     if g.n != lattice.n:
         raise ValueError(f"grid dimension {g.n} != lattice dimension {lattice.n}")
     N = g.points_per_axis
-    if N < lattice.side:
-        raise ValueError(
-            f"grid too small: need at least {lattice.side} points per axis, got {N}"
-        )
-    spectrum = np.fft.fftn(g.samples)
-    flat, signs = _grid_scatter(lattice, N)
-    coeffs = TWO_PI ** (lattice.n / 2.0) / (N ** lattice.n) * signs * spectrum.ravel()[flat]
-    return SpectralField(lattice, coeffs)
+    bins = _dft_bins(lattice, N)
+    spectrum = g.samples
+    for axis in reversed(range(lattice.n)):
+        spectrum = np.fft.fft(spectrum, axis=axis).take(bins, axis)
+    scale = TWO_PI ** (lattice.n / 2.0) / (N ** lattice.n)
+    return SpectralField._owned(lattice, scale * lattice.signs * spectrum.ravel())
 
 
 def lp_norm(g: GridFunction, p: float) -> float:

@@ -147,16 +147,16 @@ def multiplier_operator(prob: MultiplierProblem) -> tuple:
     lattice = prob.u.lattice
     padded = (3 * lattice.radius + 1,) * lattice.n
     # Cube positions are index + R, so the product's index l sits at l + 2R.
-    window = (..., *(slice(lattice.radius, lattice.radius + lattice.side),) * lattice.n)
+    window = slice(lattice.radius, lattice.radius + lattice.side)
 
     def side(u: SpectralField, s: float, t: float):
-        convolve = _convolver(u.cube(), padded)
+        convolve = _convolver(u.cube(), padded, window)
         source = bessel_weights(-float(s), lattice)
         target = TWO_PI ** (-lattice.n / 2.0) * bessel_weights(-float(t), lattice)
 
         def apply(v: np.ndarray) -> np.ndarray:
             cubes = (source * v).reshape(v.shape[:-1] + lattice.shape)
-            return target * convolve(cubes)[window].reshape(v.shape)
+            return target * convolve(cubes).reshape(v.shape)
 
         return apply
 
@@ -231,7 +231,7 @@ def _ratio(prob: MultiplierProblem, matvec, x: SpectralField, points: int) -> tu
     denominator = lp_norm(synthesize(x, points), float(prob.p))
     if denominator == 0.0:
         raise ValueError("test field has zero source-space norm")
-    image = synthesize(SpectralField(x.lattice, matvec(x.coeffs)), points)
+    image = synthesize(SpectralField._owned(x.lattice, matvec(x.coeffs)), points)
     return lp_norm(image, float(prob.q)) / denominator, image
 
 
@@ -261,9 +261,9 @@ def multiplier_norm_lp(prob: MultiplierProblem, grid_points: int | None = None) 
     ratio, best, best_x = start, -1.0, None
     exact = q == p_conj == 2.0
     for _ in range(BOYD_MAX_STEPS if exact else BOYD_STEPS):
-        dual = analyze(GridFunction(_dual(image.samples, q)), lattice)
-        source = synthesize(SpectralField(lattice, rmatvec(dual.coeffs)), points)
-        x = analyze(GridFunction(_dual(source.samples, p_conj)), lattice)
+        dual = analyze(GridFunction._owned(_dual(image.samples, q)), lattice)
+        source = synthesize(SpectralField._owned(lattice, rmatvec(dual.coeffs)), points)
+        x = analyze(GridFunction._owned(_dual(source.samples, p_conj)), lattice)
         previous = ratio
         ratio, image = _ratio(prob, matvec, x, points)
         if ratio > best:

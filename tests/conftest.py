@@ -113,6 +113,25 @@ def grid_scatter_reference(lattice, points_per_axis: int) -> tuple:
     return flat, 1.0 - 2.0 * parity
 
 
+def synthesize_reference(u: SpectralField, points_per_axis: int) -> np.ndarray:
+    """Samples by the full-grid transform: every lattice coefficient scattered
+    into an ``(N,)*n`` zero cube at its DFT bin, then one ``ifftn`` of the cube."""
+    lattice, N = u.lattice, points_per_axis
+    spectrum = np.zeros((N,) * lattice.n, dtype=np.complex128)
+    flat, signs = grid_scatter_reference(lattice, N)
+    spectrum.ravel()[flat] = u.coeffs * signs
+    return (N ** lattice.n) * np.fft.ifftn(spectrum) * TWO_PI ** (-lattice.n / 2.0)
+
+
+def analyze_reference(samples: np.ndarray, lattice) -> np.ndarray:
+    """Coefficients by the full-grid transform: one ``fftn`` of the samples,
+    then the lattice's DFT bins gathered."""
+    N = samples.shape[0]
+    flat, signs = grid_scatter_reference(lattice, N)
+    spectrum = np.fft.fftn(samples)
+    return TWO_PI ** (lattice.n / 2.0) / (N ** lattice.n) * signs * spectrum.ravel()[flat]
+
+
 def index_phases_reference(lattice, seed: int) -> np.ndarray:
     """Seeded phases hashed over all n components of every row of the index table."""
     with np.errstate(over="ignore"):

@@ -24,6 +24,7 @@ from peribessel import (
     synthesize,
 )
 from peribessel.conditions import conjugate_exponent
+from peribessel.calculus import _convolver
 from peribessel.lattice import tree_sum
 
 from conftest import convolve_direct, rectangle_quadrature, rel_err
@@ -194,6 +195,22 @@ class TestDualityPair:
                         u, SpaceIndex(-s, float(conjugate_exponent(p)))
                     ) * hs_norm(v, SpaceIndex(s, p))
                     assert pairing <= bound * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("n, radius", [(1, 0), (1, 4), (2, 1), (2, 4), (3, 2), (3, 4)])
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_windowed_convolver_matches_full_inverse_transform_bit_for_bit(n, radius, stack):
+    side = 2 * radius + 1
+    rng = np.random.default_rng(side ** n)
+    a = rng.normal(size=(side,) * n) + 1j * rng.normal(size=(side,) * n)
+    b = rng.normal(size=stack + a.shape) + 1j * rng.normal(size=stack + a.shape)
+    axes = tuple(range(-n, 0))
+    for length in (3 * radius + 1, 2 * side - 1, 2 * side + 2):
+        shape = (length,) * n
+        full = np.fft.ifftn(np.fft.fftn(a, shape, axes) * np.fft.fftn(b, shape, axes), axes=axes)
+        for window in (slice(radius, radius + side), slice(None), slice(1, length - 1)):
+            reference = full[(...,) + (window,) * n]
+            assert _convolver(a, shape, window)(b).tobytes() == reference.tobytes()
 
 
 class TestPointwiseProduct:

@@ -22,7 +22,6 @@ from peribessel import (
 )
 from peribessel import coeffio
 from peribessel.generators import _index_phases
-from peribessel.lattice import _grid_scatter
 
 from conftest import field_to_dict_reference, index_phases_reference
 
@@ -85,6 +84,13 @@ class TestGenerators:
         phases = _index_phases(make_lattice(n, radius), seed)
         assert phases.tobytes() == index_phases_reference(make_lattice(n, radius), seed).tobytes()
 
+    @pytest.mark.parametrize("kind", ["power-decay", "random-smooth"])
+    def test_numpy_integer_seed_gives_the_same_field(self, kind):
+        lat = make_lattice(2, 3)
+        expected = gen_distribution(kind, lat, alpha=1.0, seed=3).coeffs.tobytes()
+        for seed in (np.int64(3), np.uint64(3), np.int32(3)):
+            assert gen_distribution(kind, lat, alpha=1.0, seed=seed).coeffs.tobytes() == expected
+
     def test_power_decay_requires_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             gen_distribution("power-decay", make_lattice(1, 2))
@@ -95,13 +101,13 @@ class TestGenerators:
 
 
 def test_library_paths_build_no_index_table(tmp_path):
-    _grid_scatter.cache_clear()  # an entry cached for an equal lattice would hide a build
     lat = make_lattice(2, 5)
     u = gen_distribution("power-decay", lat, alpha=1.0, seed=3)
     hs_norm(u, SpaceIndex(1.0, 3.0))
     analyze(synthesize(u, 2 * lat.side + 1), lat)
     write_coeff_file(tmp_path / "u.json", u)
-    assert "indices" not in vars(lat)
+    # the transforms read the lattice's own signs, not the index table
+    assert "signs" in vars(lat) and "indices" not in vars(lat)
 
 
 class TestCoeffFiles:

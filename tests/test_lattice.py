@@ -23,9 +23,16 @@ from peribessel import (
     synthesize,
     tree_sum,
 )
-from peribessel.lattice import _grid_scatter, grid_nodes
+from peribessel.lattice import grid_nodes
 
-from conftest import grid_scatter_reference, rel_err, synthesize_direct, tree_sum_reference
+from conftest import (
+    analyze_reference,
+    grid_scatter_reference,
+    rel_err,
+    synthesize_direct,
+    synthesize_reference,
+    tree_sum_reference,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -262,13 +269,54 @@ class TestTransforms:
             analyze(GridFunction(np.ones((5, 5), dtype=complex)), make_lattice(1, 2))
 
     @pytest.mark.parametrize("n, radius", [(1, 8), (2, 16), (3, 4), (3, 8), (2, 0), (1, 0)])
-    @pytest.mark.parametrize("factor", [1, 2, 4])
-    def test_scatter_matches_index_table_reference(self, n, radius, factor):
-        lat = make_lattice(n, radius)
-        flat, signs = _grid_scatter(lat, factor * lat.side)
-        ref_flat, ref_signs = grid_scatter_reference(make_lattice(n, radius), factor * lat.side)
-        assert flat.dtype == ref_flat.dtype and flat.tobytes() == ref_flat.tobytes()
+    def test_signs_match_index_table_reference(self, n, radius):
+        signs = make_lattice(n, radius).signs
+        ref_signs = grid_scatter_reference(make_lattice(n, radius), 2 * (2 * radius + 1))[1]
         assert signs.dtype == ref_signs.dtype and signs.tobytes() == ref_signs.tobytes()
+        assert not signs.flags.writeable
+
+    # (n, R, N) with N in {side, side + 1, 2 side, 4 side}; (4, 8, 68) is left
+    # out, as its 68^4 grid takes 340 MB per array
+    @pytest.mark.parametrize(
+        "n, radius, points",
+        [
+            (n, radius, points)
+            for n in (1, 2, 3, 4)
+            for radius in (0, 1, 4, 8)
+            for points in (2 * radius + 1, 2 * radius + 2, 4 * radius + 2, 8 * radius + 4)
+            if points ** n <= 2**21
+        ],
+    )
+    def test_transforms_match_full_grid_reference_bit_for_bit(self, n, radius, points):
+        lat = make_lattice(n, radius)
+        rng = np.random.default_rng(points ** n + radius)
+        coeffs = rng.normal(size=lat.size) + 1j * rng.normal(size=lat.size)
+        coeffs[rng.random(lat.size) < 0.3] = -0.0  # signed zeros, as sparse fields hold
+        u = SpectralField(lat, coeffs)
+        samples = synthesize(u, points).samples
+        assert samples.tobytes() == synthesize_reference(u, points).tobytes()
+        assert analyze(GridFunction(samples), lat).coeffs.tobytes() == (
+            analyze_reference(samples, lat).tobytes()
+        )
+        noise = rng.normal(size=samples.shape) + 1j * rng.normal(size=samples.shape)
+        assert analyze(GridFunction(noise), lat).coeffs.tobytes() == (
+            analyze_reference(noise, lat).tobytes()
+        )
+
+    def test_transform_results_are_frozen_without_losing_the_finite_check(self):
+        lat = make_lattice(2, 1)
+        g = synthesize(SpectralField(lat, np.arange(lat.size) + 1j), 6)
+        u = analyze(g, lat)
+        for array in (g.samples, u.coeffs):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        # finite inputs whose transforms overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                synthesize(SpectralField(lat, np.full(lat.size, 1e308)), 6)
+            with pytest.raises(ValueError, match="finite"):
+                analyze(GridFunction(np.full((6, 6), 1e308)), lat)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2), st.integers(0, 3))
     @settings(max_examples=30, deadline=None)

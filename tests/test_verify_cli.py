@@ -481,8 +481,8 @@ class TestCliConfig:
         assert cli.main(["--config", str(config), "gen", "--out", "y.json", "--radius", "2"]) == 0
         assert parse_coeff_file(tmp_path / "y.json").lattice.radius == 2
         # a required flag the file does not supply stays required, and so does
-        # verify's positional suite
-        config.write_text(json.dumps({"kind": "dirac", "suite": "fourier"}))
+        # verify's positional suite, which no config key can supply
+        config.write_text(json.dumps({"kind": "dirac"}))
         for argv, missing in ((["gen"], "--out"), (["verify"], "suite")):
             with pytest.raises(SystemExit) as caught:
                 cli.main(["--config", str(config)] + argv)
@@ -493,6 +493,14 @@ class TestCliConfig:
         config = tmp_path / "conf.json"
         config.write_text('{"galaxy": 7}')
         assert run_cli("--config", str(config), "verify", "embedding").returncode == 2
+
+    def test_positional_suite_is_not_a_config_key(self, tmp_path):
+        # the positional always wins, so a "suite" key could never take effect
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"suite": "fourier"}))
+        result = run_cli("--config", str(config), "verify", "embedding")
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == "error: unknown config keys: ['suite']\n"
 
     @pytest.mark.parametrize(
         "config",
@@ -688,6 +696,22 @@ class TestSweep:
     def test_force_reports_refused_points(self, tmp_path):
         expected = [self.report_row(s, radius) for s in (1, 0.4) for radius in (4, 8)]
         assert self.sweep(tmp_path, "--force") == expected
+
+    def test_bad_grid_point_is_refused_before_the_first_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a grid point was solved")
+
+        monkeypatch.setattr(cli, "equivalence_report", never)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", *self.GRID, "--out", str(out)]
+        argv[argv.index("--s-grid") + 1] = "2,inf"
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: smoothness indices must be finite")
+        assert len(captured.err.splitlines()) == 1
 
     def test_field_generated_once_per_distinct_radius(self, tmp_path, monkeypatch):
         radii = []
