@@ -105,7 +105,7 @@ def duality_pair(u: SpectralField, v: SpectralField, s: float = 0.0) -> complex:
     return complex(tree_sum(u.coeffs * np.conj(v.coeffs)))
 
 
-def _convolver(a: np.ndarray, shape: tuple, window: slice = slice(None)):
+def _convolver(a: np.ndarray, shape: tuple, window: slice):
     """Cyclic convolution with ``a`` at length ``shape``: the map ``b ->
     ifftn(FFT(a) * fftn(b, shape))``, with FFT(a) taken once, over the trailing
     ``a.ndim`` axes of b, cut to ``window`` on each.  Each axis is cut right after
@@ -124,21 +124,27 @@ def _convolver(a: np.ndarray, shape: tuple, window: slice = slice(None)):
     return convolve
 
 
-def _full_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two equal-shape coefficient cubes: the other
-    cube shifted and scaled, exactly, when one cube has a single nonzero (a
-    scaled basis field); otherwise :func:`_convolver` at length 2*side-1."""
+def _linear_convolve(a: np.ndarray, b: np.ndarray, window: slice) -> np.ndarray:
+    """Linear convolution of two equal-shape coefficient cubes, cut to ``window``
+    on each axis of the full ``(2*side-1,)*n`` result: the other cube shifted and
+    scaled, exactly, when one cube has a single nonzero (a scaled basis field);
+    otherwise :func:`_convolver` at length 2*side-1."""
     side = a.shape[0]
     full = (2 * side - 1,) * a.ndim
     nonzero_a, nonzero_b = np.flatnonzero(a), np.flatnonzero(b)
     if len(nonzero_a) != 1 and len(nonzero_b) != 1:
-        return _convolver(a, full)(b)
+        return _convolver(a, full, window)(b)
     if len(nonzero_a) == 1:
         position, product = nonzero_a[0], a.flat[nonzero_a[0]] * b
     else:
         position, product = nonzero_b[0], a * b.flat[nonzero_b[0]]
-    out = np.zeros(full, dtype=np.complex128)
-    out[tuple(slice(o, o + side) for o in np.unravel_index(position, a.shape))] += product
+    start, stop, _ = window.indices(full[0])
+    width = stop - start
+    out = np.zeros((width,) * a.ndim, dtype=np.complex128)
+    shifts = [o - start for o in np.unravel_index(position, a.shape)]
+    out[tuple(slice(max(d, 0), min(d + side, width)) for d in shifts)] += product[
+        tuple(slice(max(-d, 0), min(side, width - d)) for d in shifts)
+    ]
     return out
 
 
@@ -156,10 +162,9 @@ def pointwise_product(
     """
     _require_same_lattice(f, u)
     lattice = f.lattice
-    full = TWO_PI ** (-lattice.n / 2.0) * _full_convolve(f.cube(), u.cube())
     if exact:
-        return SpectralField(make_lattice(lattice.n, 2 * lattice.radius), full.ravel())
-    window = tuple(
-        slice(lattice.radius, lattice.radius + lattice.side) for _ in range(lattice.n)
-    )
-    return SpectralField(lattice, full[window].ravel())
+        lattice, window = make_lattice(lattice.n, 2 * lattice.radius), slice(None)
+    else:
+        window = slice(lattice.radius, lattice.radius + lattice.side)
+    product = _linear_convolve(f.cube(), u.cube(), window)
+    return SpectralField._owned(lattice, (TWO_PI ** (-lattice.n / 2.0) * product).ravel())

@@ -3,7 +3,9 @@
 Covers the Lebesgue-conjugate exponent, the continuous-embedding conditions
 between H^s_p and H^t_q, and the four Strichartz-type hypotheses under which
 the multiplier space between H^s_p and H^(-t)_q is described by an
-intersection of two spaces.
+intersection of two spaces.  Those four cases are a strict gate plus the two
+embedding conditions, applied to the tuple (s, t, p, q') and to its dual
+(t, s, q', p), the indices of the adjoint multiplier.
 
 Comparisons are exact: integers and :class:`fractions.Fraction` inputs stay in
 rational arithmetic, conjugate exponents are always computed as exact
@@ -95,18 +97,17 @@ def embedding_holds(s, t, p, q, n: int) -> ConditionVerdict:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
 
-    if p <= q and s - Fraction(n) / p >= t - Fraction(n) / q:
-        return ConditionVerdict(True, "emb-1", f"p = {p} <= q = {q} and s - n/p >= t - n/q")
+    s_gap, t_gap = s - Fraction(n) / p, t - Fraction(n) / q
+    exponents, smoothness = f"p = {_fmt(p)}, q = {_fmt(q)}", f"s = {_fmt(s)}, t = {_fmt(t)}"
+    gaps = f"s - n/p = {_fmt(s_gap)}, t - n/q = {_fmt(t_gap)}"
+    if p <= q and s_gap >= t_gap:
+        return ConditionVerdict(True, "emb-1", f"p <= q, s - n/p >= t - n/q: {exponents}, {gaps}")
     if p >= q and s >= t:
-        return ConditionVerdict(True, "emb-2", f"p = {p} >= q = {q} and s = {s} >= t = {t}")
-
+        return ConditionVerdict(True, "emb-2", f"p >= q, s >= t: {exponents}, {smoothness}")
     if p <= q:
-        detail = (
-            f"condition 1: p = {_fmt(p)} <= q = {_fmt(q)} but s - n/p = "
-            f"{_fmt(s - Fraction(n) / p)} < t - n/q = {_fmt(t - Fraction(n) / q)}"
-        )
+        detail = f"condition 1: p <= q but s - n/p < t - n/q: {exponents}, {gaps}"
     else:
-        detail = f"condition 2: p = {p} >= q = {q} but s = {s} < t = {t}"
+        detail = f"condition 2: p >= q but s < t: {exponents}, {smoothness}"
     return ConditionVerdict(False, "none", detail)
 
 
@@ -114,11 +115,13 @@ def strichartz_case(s, t, p, q, n: int) -> ConditionVerdict:
     """Evaluate the four Strichartz-type hypotheses for the multiplier
     description between H^s_p and H^(-t)_q.
 
-    With q' the conjugate of q: when s >= t the gate is s > n/p with
-    case 1 (p <= q' and s - n/p >= t - n/q') or case 2 (p >= q'); when t >= s
-    the gate is t > n/q' with the mirrored cases 3 and 4.  For s = t both
-    branches are examined in that order and the first satisfied case is
-    reported.  Strict and non-strict inequalities are exactly as stated.
+    With q' the conjugate of q, cases 1 and 2 are the gate s > n/p plus
+    :func:`embedding_holds` conditions 1 and 2 on (s, t, p, q'), examined when
+    s >= t.  Cases 3 and 4 are the same on the dual tuple (t, s, q', p), the
+    indices of the adjoint M_conj(u) : H^t_q' -> H^(-s)_p', examined when
+    t >= s.  For s = t both branches are examined in that order and the first
+    satisfied case is reported.  Strict and non-strict inequalities are
+    exactly as stated.
     """
     s, t, p, q = map(_exact, (s, t, p, q))
     _check_range("s", s, 0, strict_low=False)
@@ -129,46 +132,26 @@ def strichartz_case(s, t, p, q, n: int) -> ConditionVerdict:
         raise ValueError(f"dimension must be >= 1, got {n}")
 
     qc = conjugate_exponent(q)
-    n_over_p = Fraction(n) / p
-    n_over_qc = Fraction(n) / qc
     failures = []
-
-    if s >= t:
-        if s > n_over_p:
-            if p <= qc and s - n_over_p >= t - n_over_qc:
-                return ConditionVerdict(
-                    True, "strich-1", f"s > n/p = {_fmt(n_over_p)} with p <= q' and s - n/p >= t - n/q'"
-                )
-            if p >= qc:
-                return ConditionVerdict(
-                    True, "strich-2", f"s > n/p = {_fmt(n_over_p)} with p = {_fmt(p)} >= q' = {_fmt(qc)}"
-                )
+    for (a, b, x, y), (a_sym, b_sym, x_sym, y_sym), tags in (
+        ((s, t, p, qc), ("s", "t", "p", "q'"), _STRICHARTZ_TAGS[:2]),
+        ((t, s, qc, p), ("t", "s", "q'", "p"), _STRICHARTZ_TAGS[2:]),
+    ):
+        if a < b:
+            continue
+        branch, bound = f"{a_sym} >= {b_sym} branch", Fraction(n) / x
+        if not a > bound:
             failures.append(
-                f"s >= t branch: s > n/p holds but neither case 1 "
-                f"(s - n/p = {_fmt(s - n_over_p)} < t - n/q' = {_fmt(t - n_over_qc)}) nor case 2 "
-                f"(p = {_fmt(p)} < q' = {_fmt(qc)})"
+                f"{branch}: {a_sym} = {_fmt(a)} <= n/{x_sym} = {_fmt(bound)} "
+                "(strict inequality required)"
             )
-        else:
-            failures.append(f"s >= t branch: s = {_fmt(s)} <= n/p = {_fmt(n_over_p)} (strict inequality required)")
-
-    if t >= s:
-        if t > n_over_qc:
-            if qc <= p and t - n_over_qc >= s - n_over_p:
-                return ConditionVerdict(
-                    True, "strich-3", f"t > n/q' = {_fmt(n_over_qc)} with q' <= p and t - n/q' >= s - n/p"
-                )
-            if qc >= p:
-                return ConditionVerdict(
-                    True, "strich-4", f"t > n/q' = {_fmt(n_over_qc)} with q' = {_fmt(qc)} >= p = {_fmt(p)}"
-                )
-            failures.append(
-                f"t >= s branch: t > n/q' holds but neither case 3 "
-                f"(t - n/q' = {_fmt(t - n_over_qc)} < s - n/p = {_fmt(s - n_over_p)}) nor case 4 "
-                f"(q' = {_fmt(qc)} < p = {_fmt(p)})"
-            )
-        else:
-            failures.append(
-                f"t >= s branch: t = {_fmt(t)} <= n/q' = {_fmt(n_over_qc)} (strict inequality required)"
-            )
-
+            continue
+        gate = f"{a_sym} > n/{x_sym} = {_fmt(bound)}"
+        source, target = f"H^{a_sym}_{x_sym}", f"H^{b_sym}_{y_sym}"
+        verdict = embedding_holds(a, b, x, y, n)
+        reason = f"embedding_holds({a_sym}, {b_sym}, {x_sym}, {y_sym}) gives {verdict.detail}"
+        if verdict.holds:
+            tag = tags[_EMBEDDING_TAGS.index(verdict.case_tag)]
+            return ConditionVerdict(True, tag, f"{gate} and {source} embeds in {target}; {reason}")
+        failures.append(f"{branch}: {gate} holds but {source} does not embed in {target}; {reason}")
     return ConditionVerdict(False, "none", "; ".join(failures))

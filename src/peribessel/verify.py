@@ -98,7 +98,6 @@ class CheckResult:
     error: float
     tolerance: float
     passed: bool
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -396,9 +395,9 @@ def _check_certificate(ctx):
         yield (certificate - bound) / max(bound, 1e-300)
 
 
-@_check("sampled-below-exact", "multiplier", 1e-10,
-        "sampled lower bound never exceeds the exact matrix norm")
-def _check_sampled_below_exact(ctx):
+@_check("boyd-below-lanczos", "multiplier", 1e-10,
+        "Boyd's lower bound never exceeds the Lanczos norm at p = q = 2")
+def _check_boyd_below_lanczos(ctx):
     lattice = make_lattice(ctx.n, _multiplier_radius(ctx))
     for j in range(4):
         u = gen_distribution("power-decay", lattice, alpha=2.0, seed=ctx.seed + 11 * j)

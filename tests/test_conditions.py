@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,17 @@ class TestEmbedding:
         with pytest.raises(ValueError):
             embedding_holds(1, 1, 2, Fraction(1), 1)
 
+    @pytest.mark.parametrize(
+        "s, t, p",
+        [(2, 1, 3), (2, 1, 20), (0, 1, 3), (0, 1, 20)],
+        ids=["emb-1", "emb-2", "cond-1", "cond-2"],
+    )
+    def test_detail_renders_float_conjugates_compactly(self, s, t, p):
+        # q' of the float 1.1 is an exact fraction with a 15-digit denominator
+        detail = embedding_holds(s, t, p, conjugate_exponent(1.1), 1).detail
+        assert "q = 10.999999999999991" in detail
+        assert not re.search(r"\d{7,}/\d{7,}", detail)
+
     @given(rationals, rationals, exponents, exponents, st.integers(1, 3))
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_s_and_t(self, s, t, p, q, n):
@@ -99,6 +111,17 @@ class TestStrichartz:
         verdict = strichartz_case(1, 1, 2, 2, 1)
         assert verdict.holds
         assert verdict.case_tag == "strich-1"
+
+    @pytest.mark.parametrize(
+        "s, t, p, q, opening, embedding",
+        [
+            (Fraction(11, 10), 1, 2, Fraction(3, 2), "s >= t", "H^s_p does not embed in H^t_q'"),
+            (Fraction(9, 10), 1, 4, 4, "t >= s", "H^t_q' does not embed in H^s_p"),
+        ],
+    )
+    def test_refusal_names_branch_and_embedding(self, s, t, p, q, opening, embedding):
+        detail = strichartz_case(s, t, p, q, 1).detail
+        assert detail.startswith(f"{opening} branch") and embedding in detail
 
     def test_gate_violation(self):
         verdict = strichartz_case(0.4, 0.1, 2, 2, 1)
@@ -125,6 +148,40 @@ class TestStrichartz:
     def test_rejects_negative_smoothness(self):
         with pytest.raises(ValueError):
             strichartz_case(-0.5, 1, 2, 2, 1)
+
+    # every tag, gate and embedding refusals, and the float boundaries of both
+    # gates; a tie s = t examines the s >= t branch first
+    @pytest.mark.parametrize(
+        "s, t, p, q, n, tag",
+        [
+            (1, 1, 2, 2, 1, "strich-1"),
+            (Fraction(1, 1000), 0, 2, 2, 1, "none"),
+            (2, 0, 4, 2, 3, "strich-2"),
+            (3, 3, 4, 4, 3, "strich-2"),
+            (2, 2, 3, 4, 1, "strich-2"),
+            (Fraction(2, 5), 1, 2, 2, 1, "strich-3"),
+            (1, Fraction(3, 2), 4, Fraction(4, 3), 2, "strich-3"),
+            (1, 2, 2, 3, 1, "strich-3"),
+            (0, 2, 2, Fraction(3, 2), 1, "strich-4"),
+            (1, 1, 2, Fraction(3, 2), 1, "strich-4"),
+            (1, 2, 1.1, 3, 1, "strich-4"),
+            (2, 1, 3, 1.1, 1, "strich-1"),
+            (Fraction(11, 10), 1, 2, Fraction(3, 2), 1, "none"),
+            (Fraction(9, 10), 1, 4, 4, 1, "none"),
+            (Fraction(2, 5), Fraction(1, 10), 2, 2, 1, "none"),
+            (Fraction(3, 2), 1, Fraction(4, 3), 4, 2, "none"),
+            (0, 0, 2, 2, 1, "none"),
+            (Fraction(1, 2), 0, 2, 2, 1, "none"),
+            (0, Fraction(1, 2), 2, 2, 1, "none"),
+            (0.5, 0.0, 2.0, 2.0, 1, "none"),
+            (0.5000001, 0.0, 2.0, 2.0, 1, "strich-1"),
+            (0.0, 0.5, 2.0, 2.0, 1, "none"),
+            (0.0, 0.5000001, 2.0, 2.0, 1, "strich-3"),
+        ],
+    )
+    def test_truth_table(self, s, t, p, q, n, tag):
+        verdict = strichartz_case(s, t, p, q, n)
+        assert (verdict.holds, verdict.case_tag) == (tag != "none", tag)
 
     @given(rationals, rationals, exponents, exponents, st.integers(1, 3))
     @settings(max_examples=300, deadline=None)

@@ -221,7 +221,7 @@ class TestMultiplierNormL2:
 
 
 # Fixed test fields scored by the ratio Boyd's iteration evaluates (conftest.best_ratio)
-class TestMultiplierNormSampled:
+class TestBestRatio:
     def test_zero_field_any_family(self):
         lat = make_lattice(1, 4)
         zero = SpectralField(lat, np.zeros(lat.size))

@@ -55,7 +55,7 @@ REQUIRED_CHECKS = {
     "embedding-monotone-predicate",
     "swap-adjoint-identity",
     "certificate-lower-bound",
-    "sampled-below-exact",
+    "boyd-below-lanczos",
     "refinement-stability",
     "scaling-homogeneity",
 }
@@ -456,6 +456,8 @@ class TestCliExitCodes:
         result = run_cli("verify", "embedding", "--format", "json")
         records = json.loads(result.stdout)
         assert all(record["passed"] for record in records)
+        fields = {"check_id", "suite", "law", "error", "tolerance", "passed"}
+        assert all(record.keys() == fields for record in records)
 
 
 class TestCliConfig:
