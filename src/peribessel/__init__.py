@@ -10,7 +10,6 @@ intersection norm max(|u|_{H^(-t)_q}, |u|_{H^(-s)_p'}).
 from .calculus import (
     SpaceIndex,
     action,
-    bessel_weight,
     bessel_weights,
     duality_pair,
     hs_norm,
@@ -33,7 +32,6 @@ from .lattice import (
     conj_field,
     constant_field,
     delta_field,
-    is_real_valued,
     linear_combine,
     lp_norm,
     make_lattice,
@@ -71,7 +69,6 @@ __all__ = [
     "VerifyContext",
     "action",
     "analyze",
-    "bessel_weight",
     "bessel_weights",
     "conj_field",
     "conjugate_exponent",
@@ -83,7 +80,6 @@ __all__ = [
     "gen_distribution",
     "hs_norm",
     "intersection_norm",
-    "is_real_valued",
     "lift",
     "linear_combine",
     "lp_norm",

@@ -40,14 +40,9 @@ class SpaceIndex:
             raise ValueError(f"integrability index must satisfy 1 <= p < inf, got {self.p}")
 
 
-def bessel_weight(s: float, k) -> float:
-    """(1 + |k|^2)^(s/2) at a single multi-index, |k| the Euclidean norm."""
-    k = np.asarray(k, dtype=np.float64)
-    return float((1.0 + np.sum(k * k)) ** (s / 2.0))
-
-
 def bessel_weights(s: float, lattice: Lattice) -> np.ndarray:
-    """Bessel weights for every lattice index, in enumeration order."""
+    """Bessel weights (1 + |k|^2)^(s/2), |k| the Euclidean norm, for every
+    lattice index, in enumeration order."""
     return (1.0 + lattice.norms_sq) ** (s / 2.0)
 
 

@@ -15,10 +15,7 @@ import sys
 
 import numpy as np
 
-from .lattice import Lattice, SpectralField, make_lattice
-
-# Largest declared cardinality (2R+1)^n a file may ask for: 1 GiB of complex128.
-MAX_COEFFICIENTS = 2**26
+from .lattice import MAX_COEFFICIENTS, Lattice, SpectralField, make_lattice
 
 
 class CoeffFileError(ValueError):

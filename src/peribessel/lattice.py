@@ -28,6 +28,9 @@ TWO_PI = 2.0 * np.pi
 # int64 range used for flat position arithmetic.
 _MAX_CARDINALITY = np.iinfo(np.int64).max
 
+# Largest coefficient count or quadrature grid the library allocates: 1 GiB of complex128.
+MAX_COEFFICIENTS = 2**26
+
 
 def tree_sum(values: np.ndarray, axis: int | None = None):
     """Sum an array with a fixed adjacent-pair reduction tree.
@@ -156,8 +159,8 @@ class SpectralField:
 
     ``coeffs[i]`` is the distributional coefficient at ``lattice.indices[i]``.
     The field represents a real-valued distribution iff the coefficient at -k
-    is the conjugate of the one at k (see :func:`is_real_valued`); this is a
-    checkable predicate, not an enforced invariant.
+    is the conjugate of the one at k, that is, iff ``coeffs`` equals
+    ``conj(coeffs[::-1])``; this is a checkable predicate, not an enforced invariant.
     """
 
     lattice: Lattice
@@ -268,13 +271,6 @@ def real_part_field(u: SpectralField) -> SpectralField:
     return linear_combine(0.5, u, 0.5, conj_field(u))
 
 
-def is_real_valued(u: SpectralField, tol: float = 1e-12) -> bool:
-    """Whether the field satisfies the reality criterion coeff(-k) = conj(coeff(k))."""
-    residual = u.coeffs - np.conj(u.coeffs[::-1])
-    scale = max(float(np.max(np.abs(u.coeffs))), 1.0)
-    return float(np.max(np.abs(residual))) <= tol * scale
-
-
 def restrict_field(u: SpectralField, radius: int) -> SpectralField:
     """Restriction of the coefficient field to a smaller (or equal) radius."""
     if radius > u.lattice.radius:
@@ -310,9 +306,12 @@ def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:
     Axes go in ``ifftn``'s order, last first, each spread into its bins just
     before its transform, so only lines that carry lattice data are transformed;
     numpy transforms each line on its own, so this is ``ifftn`` bit for bit.
+    A grid of more than :data:`MAX_COEFFICIENTS` points raises ValueError first.
     """
     lattice, N = u.lattice, points_per_axis
     bins = _dft_bins(lattice, N)
+    if N ** lattice.n > MAX_COEFFICIENTS:
+        raise ValueError(f"quadrature grid {N}^{lattice.n} exceeds {MAX_COEFFICIENTS} points")
     samples = (u.coeffs * lattice.signs).reshape(lattice.shape)
     for axis in reversed(range(lattice.n)):
         spread = np.zeros(samples.shape[:axis] + (N,) + samples.shape[axis + 1 :], np.complex128)

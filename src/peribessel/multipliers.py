@@ -4,15 +4,16 @@ The multiplication operator ``f -> f*u`` is a weighted convolution in lifted
 coefficients, applied matrix-free through zero-padded FFTs.  For p = q = 2 its
 norm is the top singular value from Golub-Kahan-Lanczos bidiagonalization,
 stopped once the Ritz residual is at most 1e-12 of the Ritz value.  For general
-(p, q) a lower bound is reported: the best norm ratio along Boyd's power method
-(Boyd, LAA 9, 1974; Higham, Numer. Math. 62, 1992), started from the all-ones
-field, so the classical ``|u|_{H^(-t)_q} / |E|_{H^s_p}`` certificate is its
-first step.
+(p, q) a lower bound is reported: the best norm ratio along a fixed number of
+steps of Boyd's power method (Boyd, LAA 9, 1974; Higham, Numer. Math. 62, 1992),
+started from the all-ones field, so the classical ``|u|_{H^(-t)_q} / |E|_{H^s_p}``
+certificate is its first step.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -34,9 +35,7 @@ from .lattice import (
 
 GKL_TOLERANCE = 1e-12
 GKL_SEED = 0
-BOYD_TOLERANCE = 1e-9
-BOYD_MAX_STEPS = 100
-BOYD_STEPS = 8  # p != 2: a fixed count, so the cost depends on the lattice and not on u
+BOYD_STEPS = 8  # a fixed count at every (p, q): the cost depends on the lattice, not on u
 
 CSV_COLUMNS = (
     "n",
@@ -245,11 +244,10 @@ def _dual(values: np.ndarray, r: float) -> np.ndarray:
 def multiplier_norm_lp(prob: MultiplierProblem, grid_points: int | None = None) -> float:
     """Lower bound of the multiplier norm for any (p, q) by Boyd's power method.
 
-    From x = lift(s, E), E the all-ones field (the classical certificate), step
-    ``x <- analyze(dual_p'(synthesize(rmatvec(analyze(dual_q(A x))))))``: at p = q = 2,
-    where ratios are exact, until a step gains < BOYD_TOLERANCE (relative) or
-    BOYD_MAX_STEPS times, else BOYD_STEPS times.  Returns max(start ratio, best iterate's
-    smaller ratio on N and 2N nodes per axis), N = ``grid_points`` or 2(2R+1).
+    From x = lift(s, E), E the all-ones field (the classical certificate), take
+    BOYD_STEPS steps ``x <- analyze(dual_p'(synthesize(rmatvec(analyze(dual_q(A x))))))``;
+    at p = q = 2 that is power iteration on A^H A.  Returns max(start ratio, best
+    iterate's smaller ratio on N and 2N nodes per axis), N = ``grid_points`` or 2(2R+1).
     """
     lattice = prob.u.lattice
     if not np.any(prob.u.coeffs):
@@ -258,18 +256,14 @@ def multiplier_norm_lp(prob: MultiplierProblem, grid_points: int | None = None) 
     q, p_conj = float(prob.q), float(conjugate_exponent(prob.p))
     matvec, rmatvec = multiplier_operator(prob)
     start, image = _ratio(prob, matvec, lift(float(prob.s), constant_field(lattice)), points)
-    ratio, best, best_x = start, -1.0, None
-    exact = q == p_conj == 2.0
-    for _ in range(BOYD_MAX_STEPS if exact else BOYD_STEPS):
+    best, best_x = -1.0, None
+    for _ in range(BOYD_STEPS):
         dual = analyze(GridFunction._owned(_dual(image.samples, q)), lattice)
         source = synthesize(SpectralField._owned(lattice, rmatvec(dual.coeffs)), points)
         x = analyze(GridFunction._owned(_dual(source.samples, p_conj)), lattice)
-        previous = ratio
         ratio, image = _ratio(prob, matvec, x, points)
         if ratio > best:
             best, best_x = ratio, x
-        if exact and ratio - previous < BOYD_TOLERANCE * previous:
-            break
     return max(start, min(best, _ratio(prob, matvec, best_x, 2 * points)[0]))
 
 
@@ -303,10 +297,11 @@ def equivalence_report(
     """Multiplier norm vs intersection norm, with a radius-refinement trace.
 
     Refuses instances whose index hypotheses fail unless ``force`` is given.
-    ``radii`` lists truncation radii (each at most u's radius) at which the
-    multiplier norm is recomputed on the restricted field; headline figures
-    come from the largest radius.  The norm is :func:`multiplier_norm_l2` at
-    p = q = 2 and Boyd's lower bound :func:`multiplier_norm_lp` otherwise.
+    ``radii`` lists integer truncation radii (each at most u's radius; a float
+    or a bool raises ValueError) at which the multiplier norm is recomputed on
+    the restricted field; headline figures come from the largest radius.  The
+    norm is :func:`multiplier_norm_l2` at p = q = 2 and Boyd's lower bound
+    :func:`multiplier_norm_lp` otherwise.
     The classical lower-bound certificate ``|u|_{H^(-t)_q} / |E|_{H^s_p}`` is
     checked against the reported norm.  ``family_seed`` is ignored.
     """
@@ -318,44 +313,29 @@ def equivalence_report(
         raise ValueError("multiplier field is identically zero")
 
     full_radius = prob.u.lattice.radius
-    if radii is None:
-        radii = (full_radius,)
-    radii = sorted(set(int(r) for r in radii))
-    if not radii:
-        raise ValueError("at least one radius is required")
-    for radius in radii:
+    radii = (full_radius,) if radii is None else tuple(radii)
+    for radius in radii:  # integers as VerifyContext takes them: no float, no bool
+        if isinstance(radius, bool) or not isinstance(radius, (int, np.integer)):
+            raise ValueError(f"refinement radii must be integers; got {radius!r}")
         if radius < 0 or radius > full_radius:
             raise ValueError(f"refinement radius {radius} outside [0, {full_radius}]")
+    if not radii:
+        raise ValueError("at least one radius is required")
 
     exact = float(prob.p) == 2.0 and float(prob.q) == 2.0
-    refinement = []
-    headline_norm = 0.0
-    headline_field = prob.u
-    for radius in radii:
-        restricted = restrict_field(prob.u, radius)
-        sub_problem = MultiplierProblem(restricted, prob.s, prob.t, prob.p, prob.q)
-        if exact:
-            norm = multiplier_norm_l2(sub_problem)
-        else:
-            norm = multiplier_norm_lp(sub_problem, grid_points)
-        refinement.append((radius, norm))
-        headline_norm = norm
-        headline_field = restricted
+    solve = multiplier_norm_l2 if exact else partial(multiplier_norm_lp, grid_points=grid_points)
+    restricted = [replace(prob, u=restrict_field(prob.u, r)) for r in sorted(set(map(int, radii)))]
+    refinement = tuple((sub.u.lattice.radius, solve(sub)) for sub in restricted)
+    (top_radius, norm), top = refinement[-1], restricted[-1].u
 
-    top_radius = radii[-1]
-    target_norm, dual_norm = _intersection_terms(
-        headline_field, prob.s, prob.p, prob.t, prob.q, grid_points
-    )
+    target_norm, dual_norm = _intersection_terms(top, prob.s, prob.p, prob.t, prob.q, grid_points)
     inter = max(target_norm, dual_norm)
     if inter == 0.0:
         raise ValueError(f"restriction to radius {top_radius} is zero; ratio undefined")
     source = SpaceIndex(float(prob.s), float(prob.p))
-    ones_norm = hs_norm(constant_field(headline_field.lattice), source, grid_points)
-    certificate = target_norm / ones_norm
-    if certificate > headline_norm * (1.0 + 1e-12):
-        raise RuntimeError(
-            f"lower-bound certificate {certificate} exceeds multiplier norm {headline_norm}"
-        )
+    certificate = target_norm / hs_norm(constant_field(top.lattice), source, grid_points)
+    if certificate > norm * (1.0 + 1e-12):
+        raise RuntimeError(f"lower-bound certificate {certificate} exceeds multiplier norm {norm}")
 
     return MultiplierReport(
         n=prob.n,
@@ -364,10 +344,10 @@ def equivalence_report(
         t=float(prob.t),
         p=float(prob.p),
         q=float(prob.q),
-        multiplier_norm=headline_norm,
+        multiplier_norm=norm,
         exact=exact,
         intersection_norm=inter,
-        ratio=headline_norm / inter,
+        ratio=norm / inter,
         lower_bound_certificate=certificate,
-        refinement=tuple(refinement),
+        refinement=refinement,
     )

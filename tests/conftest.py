@@ -62,6 +62,13 @@ def convolve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def is_real_valued(u: SpectralField, tol: float = 1e-12) -> bool:
+    """Whether the field satisfies the reality criterion coeff(-k) = conj(coeff(k))."""
+    residual = u.coeffs - np.conj(u.coeffs[::-1])
+    scale = max(float(np.max(np.abs(u.coeffs))), 1.0)
+    return float(np.max(np.abs(residual))) <= tol * scale
+
+
 def tree_sum_reference(values, axis=None):
     """Adjacent-pair tree sum, one fresh array per level: element 2i plus
     2i+1, an odd trailing element concatenated on unchanged."""

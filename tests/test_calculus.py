@@ -9,7 +9,6 @@ from peribessel import (
     SpectralField,
     action,
     analyze,
-    bessel_weight,
     conj_field,
     constant_field,
     delta_field,
@@ -24,7 +23,7 @@ from peribessel import (
     synthesize,
 )
 from peribessel.conditions import conjugate_exponent
-from peribessel.calculus import _convolver
+from peribessel.calculus import _convolver, bessel_weights
 from peribessel.lattice import tree_sum
 
 from conftest import convolve_direct, rectangle_quadrature, rel_err
@@ -34,6 +33,12 @@ TWO_PI = 2.0 * np.pi
 
 def random_field(lattice, seed, decay=1.0):
     return gen_distribution("power-decay", lattice, alpha=decay, seed=seed)
+
+
+def bessel_weight(s, k):
+    """The weight at one multi-index k, read off the lattice of radius max|k_m|."""
+    lattice = make_lattice(len(k), max(abs(c) for c in k))
+    return bessel_weights(s, lattice)[lattice.position(k)]
 
 
 class TestBesselWeight:

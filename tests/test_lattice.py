@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from peribessel import (
     constant_field,
     delta_field,
     hs_norm,
-    is_real_valued,
     linear_combine,
     lp_norm,
     make_lattice,
@@ -28,6 +28,7 @@ from peribessel.lattice import grid_nodes
 from conftest import (
     analyze_reference,
     grid_scatter_reference,
+    is_real_valued,
     rel_err,
     synthesize_direct,
     synthesize_reference,
@@ -220,6 +221,22 @@ class TestTransforms:
     def test_synthesize_rejects_small_grid(self):
         with pytest.raises(ValueError, match="grid too small"):
             synthesize(constant_field(make_lattice(1, 4)), 8)
+
+    # A one-coefficient field at n = 30 asks hs_norm for 2^30 grid points (16 GiB);
+    # at n = 64, for 2^64.  Both are refused before the grid is allocated.
+    @pytest.mark.parametrize("n", [30, 64])
+    def test_synthesize_refuses_oversized_grid_before_allocating(self, n):
+        u = constant_field(make_lattice(n, 0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"quadrature grid 2\\^{n} exceeds"):
+                synthesize(u, 2)
+            with pytest.raises(ValueError, match=f"quadrature grid 2\\^{n} exceeds"):
+                hs_norm(u, SpaceIndex(0.0, 3.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_analyze_all_ones_gives_constant_field(self):
         lat = make_lattice(1, 3)

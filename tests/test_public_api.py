@@ -16,7 +16,6 @@ PUBLIC_API = [
     "VerifyContext",
     "action",
     "analyze",
-    "bessel_weight",
     "bessel_weights",
     "conj_field",
     "conjugate_exponent",
@@ -28,7 +27,6 @@ PUBLIC_API = [
     "gen_distribution",
     "hs_norm",
     "intersection_norm",
-    "is_real_valued",
     "lift",
     "linear_combine",
     "lp_norm",
@@ -50,7 +48,7 @@ PUBLIC_API = [
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_API) == 44
+    assert len(PUBLIC_API) == 42
     assert peribessel.__all__ == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(peribessel, name) is not None, name

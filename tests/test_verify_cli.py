@@ -424,11 +424,12 @@ class TestCliExitCodes:
         assert "--q" in capsys.readouterr().err
 
     def test_out_of_memory_is_one_error_line(self, tmp_path):
-        # 2^30 quadrature points (16 GiB) for a one-coefficient field; the child's
-        # address space is capped at 1 GiB so the allocation fails at once
+        # 2^26 quadrature points (1 GiB), the most synthesize allows, for a
+        # one-coefficient field; the child's address space is capped at 1 GiB so
+        # the allocation fails at once
         resource = pytest.importorskip("resource")
         path = tmp_path / "wide.json"
-        path.write_text('{"n": 30, "radius": 0, "entries": []}')
+        path.write_text('{"n": 26, "radius": 0, "entries": []}')
 
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
