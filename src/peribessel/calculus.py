@@ -129,10 +129,10 @@ def _linear_convolve(a: np.ndarray, b: np.ndarray, window: slice) -> np.ndarray:
     nonzero_a, nonzero_b = np.flatnonzero(a), np.flatnonzero(b)
     if len(nonzero_a) != 1 and len(nonzero_b) != 1:
         return _convolver(a, full, window)(b)
-    if len(nonzero_a) == 1:
-        position, product = nonzero_a[0], a.flat[nonzero_a[0]] * b
+    if len(nonzero_a) == 1:  # ravel, not flat: the flat iterator takes at most 32 axes
+        position, product = nonzero_a[0], a.ravel()[nonzero_a[0]] * b
     else:
-        position, product = nonzero_b[0], a * b.flat[nonzero_b[0]]
+        position, product = nonzero_b[0], a * b.ravel()[nonzero_b[0]]
     start, stop, _ = window.indices(full[0])
     width = stop - start
     out = np.zeros((width,) * a.ndim, dtype=np.complex128)

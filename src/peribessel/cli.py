@@ -18,8 +18,9 @@ import sys
 from fractions import Fraction
 
 from .calculus import SpaceIndex, duality_pair, hs_norm, lift, pointwise_product
-from .coeffio import CoeffFileError, bounded_lattice, parse_coeff_file, write_coeff_file
+from .coeffio import CoeffFileError, parse_coeff_file, write_coeff_file
 from .generators import KINDS, gen_distribution
+from .lattice import make_lattice
 from .multipliers import (
     CSV_COLUMNS,
     HypothesisError,
@@ -223,6 +224,14 @@ def _emit_record(record: dict, fmt: str, stream):
         )
 
 
+def _lattice(n, radius):
+    """``make_lattice(n, radius)``, its refusal a usage error."""
+    try:
+        return make_lattice(n, radius)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _check_grid_size(grid_size, radius: int):
     """Refuse a ``--grid-size`` below 2R+1 for the largest radius R it samples."""
     if grid_size is not None and grid_size < 2 * radius + 1:
@@ -232,7 +241,7 @@ def _check_grid_size(grid_size, radius: int):
 def _cmd_gen(args) -> int:
     if args.kind == "power-decay" and args.alpha is None:
         raise UsageError("--kind power-decay requires --alpha")
-    lattice = bounded_lattice(args.n, args.radius, UsageError)
+    lattice = _lattice(args.n, args.radius)
     field = gen_distribution(args.kind, lattice, alpha=args.alpha, seed=args.seed)
     write_coeff_file(args.out, field)
     return 0
@@ -278,7 +287,10 @@ def _cmd_mult_norm(args) -> int:
     if not radii or not all(0 <= r <= radius for r in radii):
         raise UsageError(f"--radii must list radii in [0, {radius}]; got {args.radii}")
     _check_grid_size(args.grid_size, max(radii))
-    prob = MultiplierProblem(field, args.s, args.t, args.p, args.q)
+    try:
+        prob = MultiplierProblem(field, args.s, args.t, args.p, args.q)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     report = equivalence_report(
         prob, radii=args.radii, force=args.force, grid_points=args.grid_size
     )
@@ -309,7 +321,7 @@ def _cmd_sweep(args) -> int:
     grids = (args.s_grid, args.t_grid, args.p_grid, args.q_grid, args.radius_grid)
     if any(len(grid) == 0 for grid in grids):
         raise UsageError("sweep grids must be nonempty")
-    lattices = {radius: bounded_lattice(args.n, radius, UsageError) for radius in args.radius_grid}
+    lattices = {radius: _lattice(args.n, radius) for radius in args.radius_grid}
     _check_grid_size(args.grid_size, max(args.radius_grid))
     fields = {
         radius: gen_distribution(args.u_kind, lattice, alpha=args.alpha, seed=args.seed)

@@ -4,8 +4,9 @@ Schema: ``{"n": int, "radius": int, "entries": [[k_1, ..., k_n, re, im], ...]}``
 Indices omitted from ``entries`` carry coefficient zero; a duplicated index is
 an error, as is an index outside the declared radius.  ``n``, ``radius`` and
 index components must be JSON integers, ``re`` and ``im`` finite JSON numbers;
-booleans are neither.  The declared lattice may hold at most
-:data:`MAX_COEFFICIENTS` coefficients, checked before anything is allocated.
+booleans are neither.  The header must describe a lattice that
+:func:`~peribessel.lattice.make_lattice` accepts (which bounds its size), or
+the file is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .lattice import MAX_COEFFICIENTS, Lattice, SpectralField, make_lattice
+from .lattice import SpectralField, make_lattice
 
 
 class CoeffFileError(ValueError):
@@ -31,20 +32,6 @@ def _is_finite_number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return abs(value) <= sys.float_info.max
-
-
-def bounded_lattice(n: int, radius: int, error: type) -> Lattice:
-    """``make_lattice(n, radius)``, refused with the caller's ``error`` if invalid
-    or over :data:`MAX_COEFFICIENTS` coefficients, before anything is allocated."""
-    try:
-        lattice = make_lattice(n, radius)
-    except ValueError as exc:
-        raise error(f"bad lattice: {exc}") from None
-    if lattice.size > MAX_COEFFICIENTS:
-        raise error(
-            f"lattice (2R+1)^n = {lattice.size} exceeds {MAX_COEFFICIENTS} coefficients"
-        )
-    return lattice
 
 
 def field_to_dict(u: SpectralField) -> dict:
@@ -65,12 +52,13 @@ def field_from_dict(data: dict) -> SpectralField:
     for key in ("n", "radius", "entries"):
         if key not in data:
             raise CoeffFileError(f"missing required key {key!r}")
-    n, radius = data["n"], data["radius"]
-    if not (_is_int(n) and _is_int(radius)):
-        raise CoeffFileError("'n' and 'radius' must be integers")
+    try:
+        lattice = make_lattice(data["n"], data["radius"])
+    except ValueError as exc:
+        raise CoeffFileError(f"bad lattice: {exc}") from None
+    n, radius = lattice.n, lattice.radius
     if not isinstance(data["entries"], list):
         raise CoeffFileError("'entries' must be a list")
-    lattice = bounded_lattice(n, radius, CoeffFileError)
     coeffs = np.zeros(lattice.size, dtype=np.complex128)
     seen = set()
     for entry in data["entries"]:

@@ -13,6 +13,9 @@ nowhere else.
 Values are immutable after construction and every operation is a pure
 function.  All scalar reductions go through :func:`tree_sum`, a fixed-order
 pairwise reduction, so results do not depend on thread count or chunking.
+:class:`Lattice` states what a lattice may be, for every lattice the library
+builds, an exact product's radius-2R lattice included: at most
+:data:`MAX_COEFFICIENTS` coefficients, refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -24,11 +27,7 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Largest lattice cardinality we accept: (2R+1)^n must stay well inside the
-# int64 range used for flat position arithmetic.
-_MAX_CARDINALITY = np.iinfo(np.int64).max
-
-# Largest coefficient count or quadrature grid the library allocates: 1 GiB of complex128.
+# Largest lattice or quadrature grid the library allocates: 1 GiB of complex128.
 MAX_COEFFICIENTS = 2**26
 
 
@@ -78,24 +77,30 @@ class Lattice:
     ``indices`` enumerates the box lexicographically (first coordinate most
     significant), which makes the enumeration identical across runs and is
     exactly the C-order raveling of the ``(2R+1,)*n`` coefficient cube.
+    ``n`` and ``radius`` are integers (numpy integers are stored as ``int``),
+    ``1 <= n <= 64`` (numpy's axis limit), ``radius >= 0`` and the box holds at
+    most :data:`MAX_COEFFICIENTS` indices; anything else raises ValueError.
     """
 
     n: int
     radius: int
 
     def __post_init__(self):
+        for name, what in (("n", "dimension"), ("radius", "radius")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{what} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if self.radius < 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
-        side = 2 * self.radius + 1
-        # 3^64 already overflows, so a larger n never reaches the big power
-        if side > 1 and (self.n >= 64 or side ** self.n > _MAX_CARDINALITY):
-            raise ValueError(
-                f"lattice cardinality {side}^{self.n} overflows the platform integer"
-            )
-        if self.n > 64:  # a coefficient cube has n axes; numpy allows 64
+        if self.n > 64:  # checked first, so a huge n never reaches the power below
             raise ValueError(f"dimension must be <= 64, numpy's axis limit, got {self.n}")
+        if self.size > MAX_COEFFICIENTS:
+            raise ValueError(
+                f"lattice (2R+1)^n = {self.size} exceeds {MAX_COEFFICIENTS} coefficients"
+            )
 
     @property
     def side(self) -> int:

@@ -178,17 +178,15 @@ def _store(rows: np.ndarray, k: int, vector: np.ndarray) -> np.ndarray:
     return rows
 
 
-def top_singular_value(
-    matvec, rmatvec, size: int, tol: float = GKL_TOLERANCE, max_steps: int | None = None
-) -> float:
+def top_singular_value(matvec, rmatvec, size: int) -> float:
     """Largest singular value by Golub-Kahan-Lanczos bidiagonalization.
 
     Seeded random start (Kuczynski & Wozniakowski, SIMAX 13, 1992), full
     reorthogonalization.  After k steps A V_k = U_k B_k; for the top triplet
     (sigma, x, y) of B_k, A^H U_k x - sigma V_k y = beta_k x_k v_{k+1}, so the
-    Ritz value sigma (a lower bound) is returned once |beta_k x_k| <= tol *
-    sigma.  That holds within ``size`` steps in exact arithmetic; reaching
-    ``max_steps`` first raises ConvergenceError.  All reductions are
+    Ritz value sigma (a lower bound) is returned once |beta_k x_k| <=
+    GKL_TOLERANCE * sigma.  That holds within ``size`` steps in exact arithmetic;
+    failing it at step ``size`` raises ConvergenceError.  All reductions are
     fixed-order tree sums, so the result does not depend on the thread count.
     """
     rng = np.random.default_rng(GKL_SEED)
@@ -197,8 +195,7 @@ def top_singular_value(
     right[0] = start / _deterministic_norm(start)
     alphas, betas = [], []
     beta = sigma = residual = 0.0
-    max_steps = size if max_steps is None else max_steps
-    for k in range(max_steps):
+    for k in range(size):
         w = matvec(right[k]) - (beta * left[k - 1] if k else 0.0)
         w = _orthogonalize(w, left[:k])
         alphas.append(_deterministic_norm(w))
@@ -209,11 +206,11 @@ def top_singular_value(
             beta = _deterministic_norm(w)
         x, sigmas, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
         sigma, residual = float(sigmas[0]), beta * abs(float(x[-1, 0]))
-        if residual <= tol * sigma:
+        if residual <= GKL_TOLERANCE * sigma:
             return sigma
         betas.append(beta)
         right = _store(right, k + 1, w / beta)
-    raise ConvergenceError(max_steps, residual / sigma if sigma > 0.0 else np.inf)
+    raise ConvergenceError(size, residual / sigma if sigma > 0.0 else np.inf)
 
 
 def multiplier_norm_l2(prob: MultiplierProblem) -> float:
@@ -297,9 +294,9 @@ def equivalence_report(
     """Multiplier norm vs intersection norm, with a radius-refinement trace.
 
     Refuses instances whose index hypotheses fail unless ``force`` is given.
-    ``radii`` lists integer truncation radii (each at most u's radius; a float
-    or a bool raises ValueError) at which the multiplier norm is recomputed on
-    the restricted field; headline figures come from the largest radius.  The
+    ``radii`` lists truncation radii, each a lattice radius at most u's, at
+    which the multiplier norm is recomputed on the restricted field; all are
+    checked before any solve, and headline figures come from the largest.  The
     norm is :func:`multiplier_norm_l2` at p = q = 2 and Boyd's lower bound
     :func:`multiplier_norm_lp` otherwise.
     The classical lower-bound certificate ``|u|_{H^(-t)_q} / |E|_{H^s_p}`` is
@@ -312,19 +309,14 @@ def equivalence_report(
     if not np.any(prob.u.coeffs):
         raise ValueError("multiplier field is identically zero")
 
-    full_radius = prob.u.lattice.radius
-    radii = (full_radius,) if radii is None else tuple(radii)
-    for radius in radii:  # integers as VerifyContext takes them: no float, no bool
-        if isinstance(radius, bool) or not isinstance(radius, (int, np.integer)):
-            raise ValueError(f"refinement radii must be integers; got {radius!r}")
-        if radius < 0 or radius > full_radius:
-            raise ValueError(f"refinement radius {radius} outside [0, {full_radius}]")
-    if not radii:
+    radii = (prob.u.lattice.radius,) if radii is None else radii
+    fields = {u.lattice.radius: u for u in (restrict_field(prob.u, r) for r in radii)}
+    if not fields:
         raise ValueError("at least one radius is required")
 
     exact = float(prob.p) == 2.0 and float(prob.q) == 2.0
     solve = multiplier_norm_l2 if exact else partial(multiplier_norm_lp, grid_points=grid_points)
-    restricted = [replace(prob, u=restrict_field(prob.u, r)) for r in sorted(set(map(int, radii)))]
+    restricted = [replace(prob, u=fields[r]) for r in sorted(fields)]
     refinement = tuple((sub.u.lattice.radius, solve(sub)) for sub in restricted)
     (top_radius, norm), top = refinement[-1], restricted[-1].u
 

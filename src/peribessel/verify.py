@@ -26,7 +26,6 @@ from .calculus import (
     lift,
     pointwise_product,
 )
-from .coeffio import bounded_lattice
 from .conditions import conjugate_exponent, embedding_holds, strichartz_case
 from .generators import gen_distribution
 from .lattice import (
@@ -58,7 +57,7 @@ SUITES = ("fourier", "bessel", "duality", "embedding", "multiplier")
 class VerifyContext:
     """Inputs of a verification run, with radius, n and seed stored as ints and s, t
     and p as floats.  A radius, n or seed that is not an integer, values out of
-    range, or a check lattice too large for ``bounded_lattice`` raise ValueError."""
+    range, or a check lattice that ``make_lattice`` refuses raise ValueError."""
 
     radius: int = 8
     n: int = 1
@@ -83,7 +82,7 @@ class VerifyContext:
         # products of radius-2R fields, and refinement-stability at 2 max(R, 8).
         largest = 4 * max(self.radius, 8)
         try:
-            bounded_lattice(self.n, largest, ValueError)
+            make_lattice(self.n, largest)
         except ValueError as exc:
             raise ValueError(f"verify builds lattices up to radius {largest}: {exc}") from None
         for name in ("s", "t", "p"):

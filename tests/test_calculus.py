@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from peribessel import (
     pointwise_product,
     synthesize,
 )
+from peribessel import lattice as lattice_module
 from peribessel.conditions import conjugate_exponent
 from peribessel.calculus import _convolver, bessel_weights
 from peribessel.lattice import tree_sum
@@ -225,6 +228,31 @@ class TestPointwiseProduct:
         product = pointwise_product(random_field(lat, seed=1), random_field(lat, seed=2), exact=True)
         hs_norm(product, SpaceIndex(1.5, 2.0))
         assert "indices" not in vars(product.lattice)
+
+    def test_exact_product_lattice_is_bounded_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(lattice_module, "MAX_COEFFICIENTS", 100)
+        f = random_field(make_lattice(2, 3), seed=1)  # 49 coefficients; radius 6 has 169
+        assert pointwise_product(f, f).lattice.size == 49
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="169 exceeds 100 coefficients"):
+                pointwise_product(f, f, exact=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("n", [33, 40, 64])
+    def test_more_axes_than_the_flat_iterator_takes(self, n, exact):
+        # radius 0 has one coefficient, held in a cube of n > 32 axes
+        lat = make_lattice(n, 0)
+        for f0, u0 in ((2.0 - 1.0j, 0.5 + 3.0j), (0.0, 0.5 + 3.0j), (2.0, 0.0), (0.0, 0.0)):
+            f, u = SpectralField(lat, [f0]), SpectralField(lat, [u0])
+            out = pointwise_product(f, u, exact=exact)
+            expected = TWO_PI ** (-n / 2) * f0 * u0
+            assert out.lattice == lat
+            assert out.coefficient((0,) * n) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_multiplying_by_ones_is_identity(self):
         lat = make_lattice(1, 5)

@@ -61,7 +61,7 @@ class TestMakeLattice:
             make_lattice(1, -1)
 
     def test_rejects_cardinality_overflow(self):
-        with pytest.raises(ValueError, match="overflow"):
+        with pytest.raises(ValueError, match="exceeds"):
             make_lattice(64, 2)
 
     def test_rejects_dimension_beyond_numpy_axis_limit(self):
@@ -70,9 +70,21 @@ class TestMakeLattice:
         with pytest.raises(ValueError, match="dimension must be <= 64"):
             make_lattice(65, 0)
 
+    @pytest.mark.parametrize("value", [2.5, 1.5, 2.0, True])
+    def test_rejects_non_integer_dimension_or_radius(self, value):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            make_lattice(value, 2)
+        with pytest.raises(ValueError, match="radius must be an integer"):
+            make_lattice(2, value)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        lat = make_lattice(np.int64(2), np.int32(3))
+        assert type(lat.n) is int and type(lat.radius) is int
+        assert lat == make_lattice(2, 3) and hash(lat) == hash(make_lattice(2, 3))
+
     def test_huge_dimension_rejected_without_computing_the_power(self):
         # 3^(10^9) would take minutes to compute as an exact integer
-        with pytest.raises(ValueError, match="overflow"):
+        with pytest.raises(ValueError, match="dimension must be <= 64"):
             make_lattice(10**9, 1)
 
     def test_symmetric_and_contains_zero(self):

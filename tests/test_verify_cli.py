@@ -14,6 +14,7 @@ import pytest
 
 from peribessel import (
     MultiplierProblem,
+    SpectralField,
     cli,
     equivalence_report,
     gen_distribution,
@@ -235,6 +236,19 @@ class TestCliBasics:
                 "--out", str(out_path))
         assert parse_coeff_file(out_path).lattice.radius == 4
 
+    @pytest.mark.parametrize("flags", [[], ["--exact-product"]])
+    def test_product_of_forty_axes(self, tmp_path, capsys, flags):
+        u_path, out_path = tmp_path / "u.json", tmp_path / "w.json"
+        write_coeff_file(u_path, SpectralField(make_lattice(40, 0), [2.0 - 1.0j]))
+        code = cli.main(["product", "--input", str(u_path), "--input2", str(u_path),
+                         "--out", str(out_path)] + flags)
+        assert code == 0 and capsys.readouterr().err == ""
+        product = parse_coeff_file(out_path)
+        assert product.lattice == make_lattice(40, 0)
+        assert product.coefficient((0,) * 40) == pytest.approx(
+            (2.0 * np.pi) ** -20 * (2.0 - 1.0j) ** 2, rel=1e-15, abs=0.0
+        )
+
     def test_mult_norm_json_fields(self, tmp_path):
         u_path = tmp_path / "u.json"
         run_cli("gen", "--kind", "power-decay", "--radius", "6", "--alpha", "3",
@@ -328,7 +342,7 @@ class TestCliExitCodes:
             (["--radius", "100000000"], "exceeds"),
             (["--n", "5"], "exceeds"),
             (["--n", "0"], "dimension must be >= 1"),
-            (["--n", "70"], "overflows"),
+            (["--n", "70"], "dimension must be <= 64"),
             (["--radius", "-1"], "radius=-1"),
             (["--s", "-1"], "s=-1"),
             (["--t", "nan"], "t=nan"),
@@ -405,7 +419,7 @@ class TestCliExitCodes:
         monkeypatch.setattr(multipliers, "top_singular_value", counted)
         code = cli.main(["mult-norm", "--input", str(path), "--s", "inf", "--radii", "2,4,6"])
         captured = capsys.readouterr()
-        assert code == 1 and captured.out == "" and calls == []
+        assert code == 2 and captured.out == "" and calls == []
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert "got inf, 1" in captured.err
 
