@@ -17,18 +17,14 @@ import json
 import sys
 from fractions import Fraction
 
+from . import SUITES
 from .calculus import SpaceIndex, duality_pair, hs_norm, lift, pointwise_product
 from .coeffio import CoeffFileError, parse_coeff_file, write_coeff_file
 from .generators import KINDS, gen_distribution
 from .lattice import make_lattice
-from .multipliers import (
-    CSV_COLUMNS,
-    HypothesisError,
-    MultiplierProblem,
-    equivalence_report,
-    index_cells,
-)
-from .verify import SUITES, VerifyContext, format_report, run_suite
+
+# ``multipliers`` and ``verify`` are imported by the subcommands that run them,
+# so a call loads only the modules it uses.
 
 
 class UsageError(ValueError):
@@ -281,6 +277,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_mult_norm(args) -> int:
+    from .multipliers import CSV_COLUMNS, MultiplierProblem, equivalence_report
+
     field = parse_coeff_file(args.input)
     radius = field.lattice.radius
     radii = [radius] if args.radii is None else args.radii
@@ -303,6 +301,8 @@ def _cmd_mult_norm(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import VerifyContext, format_report, run_suite
+
     try:
         ctx = VerifyContext(args.radius, args.n, args.seed, args.s, args.t, args.p)
     except ValueError as exc:
@@ -318,6 +318,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .multipliers import (
+        CSV_COLUMNS, HypothesisError, MultiplierProblem, equivalence_report, index_cells,
+    )
+
     grids = (args.s_grid, args.t_grid, args.p_grid, args.q_grid, args.radius_grid)
     if any(len(grid) == 0 for grid in grids):
         raise UsageError("sweep grids must be nonempty")

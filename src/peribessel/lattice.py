@@ -97,9 +97,12 @@ class Lattice:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
         if self.n > 64:  # checked first, so a huge n never reaches the power below
             raise ValueError(f"dimension must be <= 64, numpy's axis limit, got {self.n}")
-        if self.size > MAX_COEFFICIENTS:
+        # The message names n and R, not the size, which str() refuses past 4300
+        # digits; a radius that alone passes the limit is given as a bound.
+        if self.radius >= MAX_COEFFICIENTS or self.size > MAX_COEFFICIENTS:
+            r = f"={self.radius}" if self.radius < MAX_COEFFICIENTS else f" >= {MAX_COEFFICIENTS}"
             raise ValueError(
-                f"lattice (2R+1)^n = {self.size} exceeds {MAX_COEFFICIENTS} coefficients"
+                f"lattice (2R+1)^n with n={self.n}, R{r} exceeds {MAX_COEFFICIENTS} coefficients"
             )
 
     @property

@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import SUITES
 from .calculus import (
     SpaceIndex,
     duality_pair,
@@ -49,8 +50,6 @@ from .multipliers import (
     multiplier_norm_lp,
     multiplier_operator,
 )
-
-SUITES = ("fourier", "bessel", "duality", "embedding", "multiplier")
 
 
 @dataclass(frozen=True)

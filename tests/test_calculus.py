@@ -235,7 +235,7 @@ class TestPointwiseProduct:
         assert pointwise_product(f, f).lattice.size == 49
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="169 exceeds 100 coefficients"):
+            with pytest.raises(ValueError, match="n=2, R=6 exceeds 100 coefficients"):
                 pointwise_product(f, f, exact=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -226,7 +226,7 @@ class TestCoeffFiles:
         monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", 25)
         u = coeffio.field_from_dict({"n": 2, "radius": 2, "entries": [[0, 0, 1.0, 0.0]]})
         assert u.lattice.size == 25 and u.coefficient((0, 0)) == 1.0
-        with pytest.raises(CoeffFileError, match="49 exceeds 25"):
+        with pytest.raises(CoeffFileError, match="n=2, R=3 exceeds 25 coefficients"):
             coeffio.field_from_dict({"n": 2, "radius": 3, "entries": []})
 
     def test_non_object_rejected(self):

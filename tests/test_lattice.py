@@ -87,6 +87,21 @@ class TestMakeLattice:
         with pytest.raises(ValueError, match="dimension must be <= 64"):
             make_lattice(10**9, 1)
 
+    @pytest.mark.parametrize(
+        "n, radius, message",
+        [
+            # (2R+1)^64 has more digits than str() converts
+            (64, 10**68, "n=64, R >= 67108864 exceeds 67108864 coefficients"),
+            (1, 10**5000, "n=1, R >= 67108864 exceeds 67108864 coefficients"),
+            (3, 300, "n=3, R=300 exceeds 67108864 coefficients"),
+        ],
+        ids=["size-too-long-to-print", "radius-too-long-to-print", "just-over"],
+    )
+    def test_oversized_lattice_message_names_n_and_radius(self, n, radius, message):
+        with pytest.raises(ValueError) as info:
+            make_lattice(n, radius)
+        assert str(info.value) == f"lattice (2R+1)^n with {message}"
+
     def test_symmetric_and_contains_zero(self):
         lat = make_lattice(2, 3)
         index_set = {tuple(k) for k in lat.indices}

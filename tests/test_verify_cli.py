@@ -306,6 +306,16 @@ class TestCliExitCodes:
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
 
+    def test_lattice_too_large_to_print_is_named_by_n_and_radius(self, tmp_path):
+        path = tmp_path / "header.json"
+        path.write_text(json.dumps({"n": 64, "radius": 10**68, "entries": []}))
+        result = run_cli("norm", "--input", str(path))
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == (
+            "error: bad lattice: lattice (2R+1)^n with n=64, R >= 67108864 exceeds "
+            "67108864 coefficients\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -357,7 +367,7 @@ class TestCliExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("a check ran")
 
-        monkeypatch.setattr(cli, "run_suite", never)
+        monkeypatch.setattr(verify, "run_suite", never)
         tracemalloc.start()
         try:
             code = cli.main(["verify", "fourier"] + flags)
@@ -394,8 +404,9 @@ class TestCliExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("work began")
 
-        for name in ("hs_norm", "equivalence_report", "gen_distribution"):
+        for name in ("hs_norm", "gen_distribution"):
             monkeypatch.setattr(cli, name, never)
+        monkeypatch.setattr(multipliers, "equivalence_report", never)
         monkeypatch.chdir(tmp_path)
         inputs = [] if argv[0] == "sweep" else ["--input", str(path)]
         code = cli.main(argv + inputs)
@@ -598,6 +609,68 @@ class TestCliConfig:
             assert subparser.config_converters is not twin.config_converters
 
 
+# Runs the CLI as ``python -m peribessel.cli`` does and appends to stderr the
+# peribessel modules the call loaded.
+MODULE_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("peribessel.cli", run_name="__main__", alter_sys=True)
+finally:
+    loaded = " ".join(name for name in sys.modules if name.startswith("peribessel."))
+    sys.stderr.write("\\nloaded: " + loaded + "\\n")
+"""
+
+
+class TestCliLoadsOnlyWhatItRuns:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cli-modules")
+        write_coeff_file(path / "u.json", gen_distribution("power-decay", make_lattice(1, 4),
+                                                           alpha=2.0, seed=1))
+        return path
+
+    @staticmethod
+    def loaded(workdir, *args) -> set:
+        result = subprocess.run(
+            [sys.executable, "-c", MODULE_PROBE, *args], capture_output=True, text=True,
+            cwd=workdir, timeout=120, env=CHILD_ENV,
+        )
+        assert result.returncode == 0, result.stderr
+        return set(result.stderr.rsplit("loaded:", 1)[1].split())
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("gen", "--kind", "dirac", "--radius", "4", "--out", "d.json"),
+            ("norm", "--input", "u.json", "--p", "3/2"),
+            ("apply-j", "--input", "u.json", "--s", "1", "--out", "v.json"),
+            ("pair", "--input", "u.json", "--input2", "u.json", "--s", "1"),
+            ("product", "--input", "u.json", "--input2", "u.json", "--exact-product",
+             "--out", "w.json"),
+            ("--help",),
+            ("verify", "--help"),
+        ],
+        ids=["gen", "norm", "apply-j", "pair", "product", "help", "verify-help"],
+    )
+    def test_field_commands_load_no_multiplier_or_verify_code(self, workdir, args):
+        loaded = self.loaded(workdir, *args)
+        assert "peribessel.lattice" in loaded
+        assert not loaded & {"peribessel.multipliers", "peribessel.verify"}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("mult-norm", "--input", "u.json", "--radii", "2,4"),
+            ("sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "2,3", "--q-grid", "2",
+             "--radius-grid", "4", "--out", "s.csv"),
+        ],
+        ids=["mult-norm", "sweep"],
+    )
+    def test_multiplier_commands_load_no_verify_code(self, workdir, args):
+        loaded = self.loaded(workdir, *args)
+        assert "peribessel.multipliers" in loaded and "peribessel.verify" not in loaded
+
+
 class TestCliDeterminism:
     def test_identical_invocations_are_byte_identical(self, tmp_path):
         args = ("gen", "--kind", "power-decay", "--radius", "6", "--alpha", "2",
@@ -720,7 +793,7 @@ class TestSweep:
         def never(*args, **kwargs):
             raise AssertionError("a grid point was solved")
 
-        monkeypatch.setattr(cli, "equivalence_report", never)
+        monkeypatch.setattr(multipliers, "equivalence_report", never)
         out = tmp_path / "sweep.csv"
         argv = ["sweep", *self.GRID, "--out", str(out)]
         argv[argv.index("--s-grid") + 1] = "2,inf"
