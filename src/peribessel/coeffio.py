@@ -56,7 +56,7 @@ def field_from_dict(data: dict) -> SpectralField:
         lattice = make_lattice(data["n"], data["radius"])
     except ValueError as exc:
         raise CoeffFileError(f"bad lattice: {exc}") from None
-    n, radius = lattice.n, lattice.radius
+    n, radius, side = lattice.n, lattice.radius, lattice.side
     if not isinstance(data["entries"], list):
         raise CoeffFileError("'entries' must be a list")
     coeffs = np.zeros(lattice.size, dtype=np.complex128)
@@ -69,7 +69,8 @@ def field_from_dict(data: dict) -> SpectralField:
         k = tuple(entry[:n])
         if not all(_is_int(c) for c in k):
             raise CoeffFileError(f"index components must be integers, got {k!r}")
-        if not lattice.contains(k):
+        # plain Python ints: JSON integers may lie outside int64
+        if not all(-radius <= c <= radius for c in k):
             raise CoeffFileError(f"index {k} outside declared radius {radius}")
         if k in seen:
             raise CoeffFileError(f"duplicate index {k}")
@@ -78,14 +79,17 @@ def field_from_dict(data: dict) -> SpectralField:
             raise CoeffFileError(
                 f"coefficient at index {k} must be two finite JSON numbers, got {entry[n:]!r}"
             )
-        coeffs[lattice.position(k)] = complex(entry[n], entry[n + 1])
+        position = 0
+        for c in k:  # the lexicographic ordinal, as Lattice.position
+            position = position * side + c + radius
+        coeffs[position] = complex(entry[n], entry[n + 1])
     return SpectralField._owned(lattice, coeffs)
 
 
 def write_coeff_file(path, u: SpectralField):
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(field_to_dict(u), handle)
-        handle.write("\n")
+        # dumps, not dump: dump always takes the pure-Python encoder; the bytes agree
+        handle.write(json.dumps(field_to_dict(u)) + "\n")
 
 
 def parse_coeff_file(path) -> SpectralField:

@@ -144,7 +144,7 @@ class Lattice:
         k = np.asarray(k, dtype=np.int64)
         if k.shape != (self.n,):
             raise ValueError(f"expected a multi-index of length {self.n}, got {k}")
-        if np.any(np.abs(k) > self.radius):
+        if not self.contains(k):
             raise ValueError(f"index {tuple(k)} outside lattice of radius {self.radius}")
         pos = 0
         for component in k:
@@ -152,8 +152,9 @@ class Lattice:
         return pos
 
     def contains(self, k) -> bool:
+        # compared, not np.abs'd: the absolute value of the int64 minimum is negative
         k = np.asarray(k, dtype=np.int64)
-        return k.shape == (self.n,) and bool(np.all(np.abs(k) <= self.radius))
+        return k.shape == (self.n,) and bool(np.all((-self.radius <= k) & (k <= self.radius)))
 
 
 def make_lattice(n: int, radius: int) -> Lattice:

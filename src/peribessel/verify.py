@@ -77,13 +77,16 @@ class VerifyContext:
                 f"verify needs radius, seed >= 0, finite s, t >= 0 and 1 <= p < inf; got "
                 f"radius={self.radius}, seed={self.seed}, s={self.s}, t={self.t}, p={self.p}"
             )
-        # The largest lattice any check builds: product-norm-bounded's exact
-        # products of radius-2R fields, and refinement-stability at 2 max(R, 8).
-        largest = 4 * max(self.radius, 8)
+        # The largest grid any check allocates: refinement-stability's cyclic
+        # convolution of a radius-2 max(R, 8) field, 6 max(R, 8) + 1 points per
+        # axis, the side of the lattice of radius 3 max(R, 8).
+        largest = 3 * max(self.radius, 8)
         try:
             make_lattice(self.n, largest)
         except ValueError as exc:
-            raise ValueError(f"verify builds lattices up to radius {largest}: {exc}") from None
+            raise ValueError(
+                f"verify builds grids up to {2 * largest + 1} points per axis: {exc}"
+            ) from None
         for name in ("s", "t", "p"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -275,20 +278,18 @@ def _check_hoelder_bound(ctx):
                 yield (pairing - bound) / max(bound, 1e-300)
 
 
-@_check("product-norm-bounded", "duality", 20.0,
-        "|f*g|_{H^t_q} / (|f|_{H^s_p} |g|_{H^t_q}) stays bounded under refinement")
-def _check_product_norm_bounded(ctx):
-    # p = q with s > n/p: the largest product norm ratio over 250 seeded
-    # random-smooth pairs at the refined radius 2R must stay below the tolerance.
-    s, t, p = max(ctx.s, ctx.n / ctx.p + 0.5), min(ctx.t, ctx.s) * 0.5, ctx.p
-    lattice = make_lattice(ctx.n, 2 * ctx.radius)
-    for j in range(250):
-        f = gen_distribution("random-smooth", lattice, seed=ctx.seed + 2 * j)
-        g = gen_distribution("random-smooth", lattice, seed=ctx.seed + 2 * j + 1)
+@_check("product-convolution-theorem", "duality", 1e-12,
+        "synthesize(f*g, N) = synthesize(f, N) * synthesize(g, N) for N >= 4R+1")
+def _check_product_convolution_theorem(ctx):
+    # random-smooth pairs take the product's FFT path, a basis second factor
+    # its exact shift; N = 4R+1 is the side of the exact product's lattice
+    fields = _sample_fields(ctx, 4, "random-smooth")
+    basis = delta_field(fields[0].lattice, (min(1, ctx.radius),) * ctx.n)
+    for f, g in (fields[:2], fields[2:], (fields[0], basis)):
         product = pointwise_product(f, g, exact=True)
-        yield hs_norm(product, SpaceIndex(t, p)) / (
-            hs_norm(f, SpaceIndex(s, p)) * hs_norm(g, SpaceIndex(t, p))
-        )
+        N = product.lattice.side
+        yield _rel(synthesize(product, N).samples,
+                   synthesize(f, N).samples * synthesize(g, N).samples)
 
 
 # --------------------------------------------------------------------------

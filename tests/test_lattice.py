@@ -135,6 +135,13 @@ class TestMakeLattice:
         with pytest.raises(ValueError, match="multi-index of length 2"):
             make_lattice(2, 2).position((1,))
 
+    def test_int64_minimum_is_outside(self):
+        # abs of the int64 minimum is itself, negative: |k| <= R would admit it
+        lat = make_lattice(1, 2)
+        assert lat.contains((-2**63,)) is False
+        with pytest.raises(ValueError, match="outside lattice of radius 2"):
+            lat.position((-2**63,))
+
 
 class TestFieldConstructors:
     def test_delta_field(self):

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -25,7 +26,7 @@ from peribessel import (
     verify,
     write_coeff_file,
 )
-from peribessel import multipliers
+from peribessel import calculus, coeffio, lattice, multipliers
 from peribessel.calculus import SpaceIndex, bessel_weights
 from peribessel.multipliers import CSV_COLUMNS, index_cells
 from peribessel.verify import REGISTRY, SUITES, VerifyContext, format_report
@@ -49,7 +50,7 @@ REQUIRED_CHECKS = {
     "h2-two-paths",
     "pairing-s-independent",
     "hoelder-duality-bound",
-    "product-norm-bounded",
+    "product-convolution-theorem",
     "embedding-monotone-p2",
     "conjugate-involution",
     "strichartz-swap-symmetry",
@@ -66,6 +67,33 @@ def run_cli(*args, cwd=None):
     return subprocess.run(
         CLI + list(args), capture_output=True, text=True, cwd=cwd, timeout=300, env=CHILD_ENV
     )
+
+
+# product bugs the convolution-theorem check must catch
+def _dropped_normalization(monkeypatch):
+    monkeypatch.setattr(calculus, "TWO_PI", 1.0)
+
+
+def _window_shifted_by_one(monkeypatch):
+    original = calculus._convolver
+
+    def shifted(a, shape, window):
+        convolve = original(a, shape, window)
+        return lambda b: np.roll(convolve(b), 1, axis=tuple(range(-a.ndim, 0)))
+
+    monkeypatch.setattr(calculus, "_convolver", shifted)
+
+
+def _basis_factor_left_unshifted(monkeypatch):
+    original = calculus._linear_convolve
+
+    def unshifted(a, b, window):
+        if np.count_nonzero(b) == 1:  # the basis field moved to index 0
+            b, value = np.zeros_like(b), b.ravel()[np.flatnonzero(b)[0]]
+            b[(b.shape[0] // 2,) * b.ndim] = value
+        return original(a, b, window)
+
+    monkeypatch.setattr(calculus, "_linear_convolve", unshifted)
 
 
 class TestVerifySuites:
@@ -121,6 +149,49 @@ class TestVerifySuites:
 
         monkeypatch.setattr(verify, "multiplier_operator", skipping_target_weight)
         assert spec.runner(ctx) > 1e3 * spec.tolerance
+
+    @pytest.mark.parametrize("n, radius", [(1, 8), (2, 8), (3, 8), (1, 0), (3, 0)])
+    def test_convolution_theorem_check_passes(self, n, radius):
+        spec = next(s for s in REGISTRY if s.check_id == "product-convolution-theorem")
+        assert spec.runner(VerifyContext(n=n, radius=radius)) <= spec.tolerance
+
+    @pytest.mark.parametrize(
+        "bug", [_dropped_normalization, _window_shifted_by_one, _basis_factor_left_unshifted],
+        ids=["normalization-dropped", "window-shifted", "exact-shift-wrong"],
+    )
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_convolution_theorem_check_catches_a_product_bug(self, monkeypatch, bug, n):
+        # each bug breaks one of pointwise_product's parts: the (2*pi)^(-n/2)
+        # factor, the FFT path's window, the exact shift of a basis factor
+        spec = next(s for s in REGISTRY if s.check_id == "product-convolution-theorem")
+        ctx = VerifyContext(n=n, radius=4)
+        bug(monkeypatch)
+        assert spec.runner(ctx) > 1e3 * spec.tolerance
+
+    @pytest.mark.parametrize("ctx_radius", [2, 12])
+    def test_no_check_allocates_a_grid_beyond_the_context_bound(self, monkeypatch, ctx_radius):
+        # VerifyContext refuses the lattice of side 6 max(R, 8) + 1; a check
+        # that built a larger lattice or convolution grid would escape that
+        # refusal.  Checks sized by R alone outgrow the bound only past R = 8.
+        sides = []
+        original_lattice, original_convolver = verify.make_lattice, calculus._convolver
+
+        def recording_lattice(n, radius):
+            sides.append(2 * radius + 1)
+            return original_lattice(n, radius)
+
+        def recording_convolver(a, shape, window):
+            sides.append(max(shape))
+            return original_convolver(a, shape, window)
+
+        ctx = VerifyContext(n=1, radius=ctx_radius)
+        for module in (lattice, calculus, verify):
+            monkeypatch.setattr(module, "make_lattice", recording_lattice)
+        for module in (calculus, multipliers):
+            monkeypatch.setattr(module, "_convolver", recording_convolver)
+        results = run_suite("all", ctx)
+        assert all(result.passed for result in results), format_report(results)
+        assert sides and max(sides) <= 6 * max(ctx.radius, 8) + 1
 
     def test_nan_sample_fails_its_check(self, monkeypatch):
         # max(0.0, nan) is 0.0: a check that kept its own running maximum would
@@ -285,6 +356,14 @@ class TestCliExitCodes:
         bad.write_text("{not json")
         assert run_cli("norm", "--input", str(bad)).returncode == 2
 
+    @pytest.mark.parametrize("index", [10**29, -2**63], ids=["beyond-int64", "int64-minimum"])
+    def test_index_outside_int64_is_usage_error(self, tmp_path, index):
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps({"n": 1, "radius": 2, "entries": [[index, 1.0, 0.0]]}))
+        result = run_cli("norm", "--input", str(path))
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == f"error: index ({index},) outside declared radius 2\n"
+
     def test_infinite_exponent_is_rejected(self, tmp_path):
         u_path = tmp_path / "u.json"
         run_cli("gen", "--kind", "power-decay", "--radius", "4", "--alpha", "1",
@@ -348,7 +427,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            # refinement-stability and the exact products reach radius 4 max(R, 8)
+            # refinement-stability's convolution grid reaches 6 max(R, 8) + 1 points per axis
             (["--radius", "100000000"], "exceeds"),
             (["--n", "5"], "exceeds"),
             (["--n", "0"], "dimension must be >= 1"),
@@ -679,6 +758,21 @@ class TestCliDeterminism:
         run_cli(*args, str(first))
         run_cli(*args, str(second))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_files_carry_the_bytes_of_the_pure_python_encoder(self, tmp_path, capsys):
+        # write_coeff_file encodes with json.dumps, which takes json's C encoder;
+        # json.dump, which wrote these files before, always takes the pure-Python one
+        u, w, product = (tmp_path / name for name in ("u.json", "w.json", "uw.json"))
+        for kind, path in (("power-decay", u), ("random-smooth", w)):
+            assert cli.main(["gen", "--kind", kind, "--n", "2", "--radius", "8", "--alpha",
+                             "1.5", "--seed", "3", "--out", str(path)]) == 0
+        assert cli.main(["product", "--input", str(u), "--input2", str(w),
+                         "--exact-product", "--out", str(product)]) == 0
+        capsys.readouterr()
+        for path in (u, w, product):
+            expected = io.StringIO()
+            json.dump(coeffio.field_to_dict(parse_coeff_file(path)), expected)
+            assert path.read_text(encoding="utf-8") == expected.getvalue() + "\n"
 
     def test_sweep_is_deterministic_and_flags_refusals(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
