@@ -56,7 +56,7 @@ def field_from_dict(data: dict) -> SpectralField:
         lattice = make_lattice(data["n"], data["radius"])
     except ValueError as exc:
         raise CoeffFileError(f"bad lattice: {exc}") from None
-    n, radius, side = lattice.n, lattice.radius, lattice.side
+    n, radius = lattice.n, lattice.radius
     if not isinstance(data["entries"], list):
         raise CoeffFileError("'entries' must be a list")
     coeffs = np.zeros(lattice.size, dtype=np.complex128)
@@ -69,9 +69,10 @@ def field_from_dict(data: dict) -> SpectralField:
         k = tuple(entry[:n])
         if not all(_is_int(c) for c in k):
             raise CoeffFileError(f"index components must be integers, got {k!r}")
-        # plain Python ints: JSON integers may lie outside int64
-        if not all(-radius <= c <= radius for c in k):
-            raise CoeffFileError(f"index {k} outside declared radius {radius}")
+        try:  # k is n ints here, so position refuses only an index outside
+            position = lattice.position(k)
+        except ValueError:
+            raise CoeffFileError(f"index {k} outside declared radius {radius}") from None
         if k in seen:
             raise CoeffFileError(f"duplicate index {k}")
         seen.add(k)
@@ -79,9 +80,6 @@ def field_from_dict(data: dict) -> SpectralField:
             raise CoeffFileError(
                 f"coefficient at index {k} must be two finite JSON numbers, got {entry[n:]!r}"
             )
-        position = 0
-        for c in k:  # the lexicographic ordinal, as Lattice.position
-            position = position * side + c + radius
         coeffs[position] = complex(entry[n], entry[n + 1])
     return SpectralField._owned(lattice, coeffs)
 

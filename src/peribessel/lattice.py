@@ -20,6 +20,7 @@ builds, an exact product's radius-2R lattice included: at most
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -140,21 +141,30 @@ class Lattice:
         return _freeze(reduce(np.multiply.outer, [parity] * self.n).ravel())
 
     def position(self, k) -> int:
-        """Ordinal of multi-index k in the lexicographic enumeration."""
-        k = np.asarray(k, dtype=np.int64)
-        if k.shape != (self.n,):
-            raise ValueError(f"expected a multi-index of length {self.n}, got {k}")
-        if not self.contains(k):
-            raise ValueError(f"index {tuple(k)} outside lattice of radius {self.radius}")
+        """Ordinal of multi-index k in the lexicographic enumeration.
+
+        The components are taken as Python ints, so one outside int64 is simply
+        outside the lattice; a k that is not n integers raises ValueError too.
+        """
+        try:
+            components = tuple(operator.index(c) for c in k)
+        except TypeError:
+            components = None
+        if components is None or len(components) != self.n:
+            raise ValueError(f"expected a multi-index of length {self.n}, got {k!r}")
+        if not all(-self.radius <= c <= self.radius for c in components):
+            raise ValueError(f"index {components} outside lattice of radius {self.radius}")
         pos = 0
-        for component in k:
-            pos = pos * self.side + int(component) + self.radius
+        for c in components:
+            pos = pos * self.side + c + self.radius
         return pos
 
     def contains(self, k) -> bool:
-        # compared, not np.abs'd: the absolute value of the int64 minimum is negative
-        k = np.asarray(k, dtype=np.int64)
-        return k.shape == (self.n,) and bool(np.all((-self.radius <= k) & (k <= self.radius)))
+        try:
+            self.position(k)
+        except ValueError:
+            return False
+        return True
 
 
 def make_lattice(n: int, radius: int) -> Lattice:

@@ -40,6 +40,7 @@ from .lattice import (
     lp_norm,
     make_lattice,
     real_part_field,
+    restrict_field,
     synthesize,
     tree_sum,
 )
@@ -77,15 +78,12 @@ class VerifyContext:
                 f"verify needs radius, seed >= 0, finite s, t >= 0 and 1 <= p < inf; got "
                 f"radius={self.radius}, seed={self.seed}, s={self.s}, t={self.t}, p={self.p}"
             )
-        # The largest grid any check allocates: refinement-stability's cyclic
-        # convolution of a radius-2 max(R, 8) field, 6 max(R, 8) + 1 points per
-        # axis, the side of the lattice of radius 3 max(R, 8).
-        largest = 3 * max(self.radius, 8)
-        try:
-            make_lattice(self.n, largest)
+        largest = _largest_grid(self)
+        try:  # a lattice of side largest, or largest + 1 if it is even
+            make_lattice(self.n, largest // 2)
         except ValueError as exc:
             raise ValueError(
-                f"verify builds grids up to {2 * largest + 1} points per axis: {exc}"
+                f"verify builds grids up to {largest} points per axis: {exc}"
             ) from None
         for name in ("s", "t", "p"):
             object.__setattr__(self, name, float(getattr(self, name)))
@@ -282,7 +280,8 @@ def _check_hoelder_bound(ctx):
         "synthesize(f*g, N) = synthesize(f, N) * synthesize(g, N) for N >= 4R+1")
 def _check_product_convolution_theorem(ctx):
     # random-smooth pairs take the product's FFT path, a basis second factor
-    # its exact shift; N = 4R+1 is the side of the exact product's lattice
+    # its exact shift; N = 4R+1 is the side of the exact product's lattice.
+    # The default truncated product is the exact one's radius-R window.
     fields = _sample_fields(ctx, 4, "random-smooth")
     basis = delta_field(fields[0].lattice, (min(1, ctx.radius),) * ctx.n)
     for f, g in (fields[:2], fields[2:], (fields[0], basis)):
@@ -290,6 +289,7 @@ def _check_product_convolution_theorem(ctx):
         N = product.lattice.side
         yield _rel(synthesize(product, N).samples,
                    synthesize(f, N).samples * synthesize(g, N).samples)
+        yield _rel(pointwise_product(f, g).coeffs, restrict_field(product, ctx.radius).coeffs)
 
 
 # --------------------------------------------------------------------------
@@ -359,6 +359,14 @@ def _check_embedding_monotone_predicate(ctx):
 
 def _multiplier_radius(ctx) -> int:
     return min(ctx.radius, 8 if ctx.n == 1 else 4)
+
+
+def _largest_grid(ctx) -> int:
+    """Points per axis of the largest lattice, synthesis or convolution grid the
+    checks build for ctx: refinement-stability's cyclic convolution of a radius
+    2 max(R, 8) field, 6 max(R, 8) + 1, or boyd-below-lanczos's last Boyd ratio,
+    4 (2r + 1) at the multiplier radius r (larger at n = 1 and R = 8..11)."""
+    return max(6 * max(ctx.radius, 8) + 1, 4 * (2 * _multiplier_radius(ctx) + 1))
 
 
 @_check("swap-adjoint-identity", "multiplier", 1e-14,

@@ -142,6 +142,24 @@ class TestMakeLattice:
         with pytest.raises(ValueError, match="outside lattice of radius 2"):
             lat.position((-2**63,))
 
+    @pytest.mark.parametrize("k", [(10**29,), (-10**29,)])
+    def test_index_beyond_int64_is_outside(self, k):
+        lat = make_lattice(1, 2)
+        assert lat.contains(k) is False
+        with pytest.raises(ValueError, match=rf"index \({k[0]},\) outside lattice of radius 2"):
+            lat.position(k)
+
+    def test_refusal_prints_plain_ints(self):
+        with pytest.raises(ValueError, match=r"index \(3,\) outside"):
+            make_lattice(1, 2).position(np.array([3]))
+
+    @pytest.mark.parametrize("k", [(1.5,), 3, ((1,),)], ids=["float", "scalar", "nested"])
+    def test_non_integer_index_is_not_contained(self, k):
+        lat = make_lattice(1, 2)
+        assert lat.contains(k) is False
+        with pytest.raises(ValueError, match="multi-index of length 1"):
+            lat.position(k)
+
 
 class TestFieldConstructors:
     def test_delta_field(self):

@@ -84,6 +84,17 @@ def _window_shifted_by_one(monkeypatch):
     monkeypatch.setattr(calculus, "_convolver", shifted)
 
 
+def _truncation_window_shifted_by_one(monkeypatch):
+    original = calculus._linear_convolve
+
+    def shifted(a, b, window):
+        if window != slice(None):  # the default product's radius-R window
+            window = slice(window.start + 1, window.stop + 1)
+        return original(a, b, window)
+
+    monkeypatch.setattr(calculus, "_linear_convolve", shifted)
+
+
 def _basis_factor_left_unshifted(monkeypatch):
     original = calculus._linear_convolve
 
@@ -156,42 +167,54 @@ class TestVerifySuites:
         assert spec.runner(VerifyContext(n=n, radius=radius)) <= spec.tolerance
 
     @pytest.mark.parametrize(
-        "bug", [_dropped_normalization, _window_shifted_by_one, _basis_factor_left_unshifted],
-        ids=["normalization-dropped", "window-shifted", "exact-shift-wrong"],
+        "bug",
+        [_dropped_normalization, _window_shifted_by_one, _truncation_window_shifted_by_one,
+         _basis_factor_left_unshifted],
+        ids=["normalization-dropped", "window-shifted", "truncation-window-shifted",
+             "exact-shift-wrong"],
     )
     @pytest.mark.parametrize("n", [1, 2])
     def test_convolution_theorem_check_catches_a_product_bug(self, monkeypatch, bug, n):
         # each bug breaks one of pointwise_product's parts: the (2*pi)^(-n/2)
-        # factor, the FFT path's window, the exact shift of a basis factor
+        # factor, the FFT path's cyclic result, the default product's radius-R
+        # window, the exact shift of a basis factor
         spec = next(s for s in REGISTRY if s.check_id == "product-convolution-theorem")
         ctx = VerifyContext(n=n, radius=4)
         bug(monkeypatch)
         assert spec.runner(ctx) > 1e3 * spec.tolerance
 
-    @pytest.mark.parametrize("ctx_radius", [2, 12])
-    def test_no_check_allocates_a_grid_beyond_the_context_bound(self, monkeypatch, ctx_radius):
-        # VerifyContext refuses the lattice of side 6 max(R, 8) + 1; a check
-        # that built a larger lattice or convolution grid would escape that
-        # refusal.  Checks sized by R alone outgrow the bound only past R = 8.
-        sides = []
+    @pytest.mark.parametrize("n, ctx_radius", [(1, 2), (1, 8), (1, 12), (2, 2)])
+    def test_no_check_allocates_a_grid_beyond_the_context_bound(self, monkeypatch, n, ctx_radius):
+        # VerifyContext refuses a context whose largest grid, _largest_grid(ctx)
+        # points per axis, make_lattice would refuse; a check that built a larger
+        # lattice, synthesis grid or convolution grid would escape that refusal
+        points = []
         original_lattice, original_convolver = verify.make_lattice, calculus._convolver
+        original_synthesize = verify.synthesize
 
         def recording_lattice(n, radius):
-            sides.append(2 * radius + 1)
+            points.append((2 * radius + 1) ** n)
             return original_lattice(n, radius)
 
         def recording_convolver(a, shape, window):
-            sides.append(max(shape))
+            points.append(int(np.prod(shape)))
             return original_convolver(a, shape, window)
 
-        ctx = VerifyContext(n=1, radius=ctx_radius)
+        def recording_synthesize(u, points_per_axis):
+            points.append(points_per_axis ** u.lattice.n)
+            return original_synthesize(u, points_per_axis)
+
+        ctx = VerifyContext(n=n, radius=ctx_radius)
         for module in (lattice, calculus, verify):
             monkeypatch.setattr(module, "make_lattice", recording_lattice)
         for module in (calculus, multipliers):
             monkeypatch.setattr(module, "_convolver", recording_convolver)
+        for module in (lattice, calculus, multipliers, verify):
+            monkeypatch.setattr(module, "synthesize", recording_synthesize)
         results = run_suite("all", ctx)
         assert all(result.passed for result in results), format_report(results)
-        assert sides and max(sides) <= 6 * max(ctx.radius, 8) + 1
+        assert points and max(points) <= verify._largest_grid(ctx) ** n
+        assert verify._largest_grid(ctx) >= 6 * max(ctx.radius, 8) + 1
 
     def test_nan_sample_fails_its_check(self, monkeypatch):
         # max(0.0, nan) is 0.0: a check that kept its own running maximum would
