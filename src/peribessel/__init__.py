@@ -13,9 +13,11 @@ call loads only the modules its subcommand runs.
 
 import importlib
 
-# Names of the verification suites; ``verify`` and the CLI's parser share them
-# from here, so building the parser imports no checks.
+# Names of the verification suites and of the generated field kinds; ``verify``,
+# ``generators`` and the CLI's parser share them from here, so building the
+# parser imports neither checks nor numpy.
 SUITES = ("fourier", "bessel", "duality", "embedding", "multiplier")
+KINDS = ("power-decay", "random-smooth", "dirac")
 
 _EXPORTS = {
     "calculus": (

@@ -11,20 +11,14 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import sys
-from fractions import Fraction
 
-from . import SUITES
-from .calculus import SpaceIndex, duality_pair, hs_norm, lift, pointwise_product
-from .coeffio import CoeffFileError, parse_coeff_file, write_coeff_file
-from .generators import KINDS, gen_distribution
-from .lattice import make_lattice
+from . import KINDS, SUITES
 
-# ``multipliers`` and ``verify`` are imported by the subcommands that run them,
-# so a call loads only the modules it uses.
+# Each subcommand imports the modules it runs, so a call loads only those, and
+# one that computes nothing (``--help``, a usage error) loads no numpy.
 
 
 class UsageError(ValueError):
@@ -35,6 +29,7 @@ def _numeric(text: str):
     """Parse a CLI number: '4/3' -> Fraction, '2' -> int, '1.5' -> float."""
     text = str(text).strip()
     if "/" in text:
+        from fractions import Fraction
         try:
             return Fraction(text)
         except ZeroDivisionError:
@@ -213,6 +208,7 @@ def _emit_record(record: dict, fmt: str, stream):
     if fmt == "json":
         stream.write(json.dumps(record) + "\n")
     else:
+        import csv
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(record.keys())
         writer.writerow(
@@ -222,6 +218,7 @@ def _emit_record(record: dict, fmt: str, stream):
 
 def _lattice(n, radius):
     """``make_lattice(n, radius)``, its refusal a usage error."""
+    from .lattice import make_lattice
     try:
         return make_lattice(n, radius)
     except ValueError as exc:
@@ -235,6 +232,8 @@ def _check_grid_size(grid_size, radius: int):
 
 
 def _cmd_gen(args) -> int:
+    from .coeffio import write_coeff_file
+    from .generators import gen_distribution
     if args.kind == "power-decay" and args.alpha is None:
         raise UsageError("--kind power-decay requires --alpha")
     lattice = _lattice(args.n, args.radius)
@@ -244,6 +243,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_norm(args) -> int:
+    from .calculus import SpaceIndex, hs_norm
+    from .coeffio import parse_coeff_file
     field = parse_coeff_file(args.input)
     _check_grid_size(args.grid_size, field.lattice.radius)
     value = hs_norm(field, SpaceIndex(float(args.s), float(args.p)), args.grid_size)
@@ -254,12 +255,16 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_apply_j(args) -> int:
+    from .calculus import lift
+    from .coeffio import parse_coeff_file, write_coeff_file
     field = parse_coeff_file(args.input)
     write_coeff_file(args.out, lift(float(args.s), field))
     return 0
 
 
 def _cmd_pair(args) -> int:
+    from .calculus import duality_pair
+    from .coeffio import parse_coeff_file
     u = parse_coeff_file(args.input)
     v = parse_coeff_file(args.input2)
     value = duality_pair(u, v, float(args.s))
@@ -270,6 +275,8 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_product(args) -> int:
+    from .calculus import pointwise_product
+    from .coeffio import parse_coeff_file, write_coeff_file
     f = parse_coeff_file(args.input)
     u = parse_coeff_file(args.input2)
     write_coeff_file(args.out, pointwise_product(f, u, exact=args.exact_product))
@@ -277,8 +284,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_mult_norm(args) -> int:
+    from .coeffio import parse_coeff_file
     from .multipliers import CSV_COLUMNS, MultiplierProblem, equivalence_report
-
     field = parse_coeff_file(args.input)
     radius = field.lattice.radius
     radii = [radius] if args.radii is None else args.radii
@@ -302,7 +309,6 @@ def _cmd_mult_norm(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .verify import VerifyContext, format_report, run_suite
-
     try:
         ctx = VerifyContext(args.radius, args.n, args.seed, args.s, args.t, args.p)
     except ValueError as exc:
@@ -318,10 +324,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    import csv
+    from .generators import gen_distribution
     from .multipliers import (
         CSV_COLUMNS, HypothesisError, MultiplierProblem, equivalence_report, index_cells,
     )
-
     grids = (args.s_grid, args.t_grid, args.p_grid, args.q_grid, args.radius_grid)
     if any(len(grid) == 0 for grid in grids):
         raise UsageError("sweep grids must be nonempty")
@@ -365,12 +372,14 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(parser, argv)
         return args.run(args)
-    except (UsageError, CoeffFileError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        # a malformed coefficient file is a usage error; only a loaded coeffio raises one
+        coeffio = sys.modules.get(f"{__package__}.coeffio")
+        return 2 if coeffio and isinstance(exc, coeffio.CoeffFileError) else 1
     except MemoryError as exc:  # numpy's message names the array it could not allocate
         sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation failed'}\n")
         return 1

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import KINDS
 from .lattice import Lattice, SpectralField, TWO_PI
-
-KINDS = ("power-decay", "random-smooth", "dirac")
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)

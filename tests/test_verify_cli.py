@@ -26,7 +26,7 @@ from peribessel import (
     verify,
     write_coeff_file,
 )
-from peribessel import calculus, coeffio, lattice, multipliers
+from peribessel import calculus, coeffio, generators, lattice, multipliers
 from peribessel.calculus import SpaceIndex, bessel_weights
 from peribessel.multipliers import CSV_COLUMNS, index_cells
 from peribessel.verify import REGISTRY, SUITES, VerifyContext, format_report
@@ -377,7 +377,10 @@ class TestCliExitCodes:
     def test_malformed_file_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert run_cli("norm", "--input", str(bad)).returncode == 2
+        result = run_cli("norm", "--input", str(bad))
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith(f"error: malformed JSON in {bad}:")
+        assert len(result.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("index", [10**29, -2**63], ids=["beyond-int64", "int64-minimum"])
     def test_index_outside_int64_is_usage_error(self, tmp_path, index):
@@ -434,7 +437,7 @@ class TestCliExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("a field was generated")
 
-        monkeypatch.setattr(cli, "gen_distribution", never)
+        monkeypatch.setattr(generators, "gen_distribution", never)
         out = tmp_path / "out"
         tracemalloc.start()
         try:
@@ -506,8 +509,8 @@ class TestCliExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("work began")
 
-        for name in ("hs_norm", "gen_distribution"):
-            monkeypatch.setattr(cli, name, never)
+        monkeypatch.setattr(calculus, "hs_norm", never)
+        monkeypatch.setattr(generators, "gen_distribution", never)
         monkeypatch.setattr(multipliers, "equivalence_report", never)
         monkeypatch.chdir(tmp_path)
         inputs = [] if argv[0] == "sweep" else ["--input", str(path)]
@@ -710,15 +713,22 @@ class TestCliConfig:
             assert subparser.config_converters == twin.config_converters
             assert subparser.config_converters is not twin.config_converters
 
+    @pytest.mark.parametrize("command, dest", [("gen", "kind"), ("sweep", "u_kind")])
+    def test_field_kind_choices_are_the_generator_kinds(self, command, dest):
+        subparser = cli.build_parser().subcommand_registry[command]
+        assert subparser.config_converters[dest] == (None, generators.KINDS)
+
 
 # Runs the CLI as ``python -m peribessel.cli`` does and appends to stderr the
-# peribessel modules the call loaded.
+# peribessel modules the call loaded, and numpy if it was loaded.
 MODULE_PROBE = """
 import runpy, sys
 try:
     runpy.run_module("peribessel.cli", run_name="__main__", alter_sys=True)
 finally:
-    loaded = " ".join(name for name in sys.modules if name.startswith("peribessel."))
+    loaded = " ".join(
+        name for name in sys.modules if name.startswith("peribessel.") or name == "numpy"
+    )
     sys.stderr.write("\\nloaded: " + loaded + "\\n")
 """
 
@@ -732,12 +742,12 @@ class TestCliLoadsOnlyWhatItRuns:
         return path
 
     @staticmethod
-    def loaded(workdir, *args) -> set:
+    def loaded(workdir, *args, code=0) -> set:
         result = subprocess.run(
             [sys.executable, "-c", MODULE_PROBE, *args], capture_output=True, text=True,
             cwd=workdir, timeout=120, env=CHILD_ENV,
         )
-        assert result.returncode == 0, result.stderr
+        assert result.returncode == code, result.stderr
         return set(result.stderr.rsplit("loaded:", 1)[1].split())
 
     @pytest.mark.parametrize(
@@ -749,15 +759,33 @@ class TestCliLoadsOnlyWhatItRuns:
             ("pair", "--input", "u.json", "--input2", "u.json", "--s", "1"),
             ("product", "--input", "u.json", "--input2", "u.json", "--exact-product",
              "--out", "w.json"),
-            ("--help",),
-            ("verify", "--help"),
         ],
-        ids=["gen", "norm", "apply-j", "pair", "product", "help", "verify-help"],
+        ids=["gen", "norm", "apply-j", "pair", "product"],
     )
     def test_field_commands_load_no_multiplier_or_verify_code(self, workdir, args):
         loaded = self.loaded(workdir, *args)
-        assert "peribessel.lattice" in loaded
+        assert {"numpy", "peribessel.lattice"} <= loaded
         assert not loaded & {"peribessel.multipliers", "peribessel.verify"}
+
+    def test_gen_loads_no_calculus(self, workdir):
+        loaded = self.loaded(workdir, "gen", "--kind", "dirac", "--radius", "4", "--out", "d.json")
+        assert "peribessel.generators" in loaded and "peribessel.calculus" not in loaded
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("--help",), 0),
+            (("verify", "--help"), 0),
+            (("gen", "--help"), 0),
+            (("gen", "--out", "d.json"), 2),
+            (("--config", "unknown-key.json", "verify", "embedding"), 2),
+        ],
+        ids=["help", "verify-help", "gen-help", "gen-without-kind", "config-unknown-key"],
+    )
+    def test_calls_that_compute_nothing_load_no_numpy(self, workdir, args, code):
+        (workdir / "unknown-key.json").write_text('{"galaxy": 7}')
+        # the probe runs peribessel.cli as __main__, so no submodule of the package is loaded
+        assert self.loaded(workdir, *args, code=code) == set()
 
     @pytest.mark.parametrize(
         "args",
@@ -927,6 +955,6 @@ class TestSweep:
             radii.append(lattice.radius)
             return gen_distribution(kind, lattice, **kwargs)
 
-        monkeypatch.setattr(cli, "gen_distribution", counting)
+        monkeypatch.setattr(generators, "gen_distribution", counting)
         self.sweep(tmp_path)
         assert sorted(radii) == [4, 8]
