@@ -49,36 +49,35 @@ def _int_list(text: str):
 
 
 def _subcommand(sub, name: str, summary: str, run) -> argparse.ArgumentParser:
-    """Add a subcommand parser whose ``args.run`` is ``run``.  Its
-    ``config_converters`` maps each flag's dest, which a config file may set, to
-    that flag's ``(type, choices)``; a store_true flag's type is ``bool``.
-    Positionals are not listed: the command line always supplies them."""
+    """Add a subcommand parser whose ``args.run`` is ``run``."""
     parser = sub.add_parser(name, help=summary)
     parser.set_defaults(run=run)
-    parser.config_converters = {}
     return parser
 
 
-def _arg(parser, *names, **kwargs):
-    action = parser.add_argument(*names, **kwargs)
-    if action.option_strings:
-        kind = bool if action.nargs == 0 else action.type
-        parser.config_converters[action.dest] = (kind, action.choices)
-    return action
+def _config_actions(parser) -> dict:
+    """The actions of ``parser`` that a config file may set, by dest: every option
+    but -h.  Positionals are not among them: the command line always supplies them."""
+    return {
+        action.dest: action for action in parser._actions
+        if action.option_strings and action.dest != "help"
+    }
 
 
-def _config_value(value, kind, choices):
+def _config_value(value, action):
     """Convert a config value as its flag converts the same text on the command
     line; a store_true flag takes only a JSON boolean."""
-    if kind is bool:
+    if action.nargs == 0:
         if not isinstance(value, bool):
             raise ValueError("expected true or false")
         return value
     if value is None or isinstance(value, (bool, list, dict)):
         raise ValueError("expected a JSON string or number")
-    value = str(value) if kind is None else kind(str(value))
-    if choices is not None and value not in choices:
-        raise ValueError(f"invalid choice (choose from {', '.join(map(repr, choices))})")
+    value = str(value) if action.type is None else action.type(str(value))
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(
+            f"invalid choice (choose from {', '.join(map(repr, action.choices))})"
+        )
     return value
 
 
@@ -96,111 +95,107 @@ def build_parser() -> argparse.ArgumentParser:
     parser.subcommand_registry = sub.choices
 
     gen = _subcommand(sub, "gen", "generate a coefficient field and write it to a file", _cmd_gen)
-    _arg(gen, "--kind", choices=KINDS, required=True)
-    _arg(gen, "--n", type=int, default=1, help="torus dimension")
-    _arg(gen, "--radius", type=int, default=8, help="lattice radius R")
-    _arg(gen, "--alpha", type=float, default=None, help="decay exponent for power-decay")
-    _arg(gen, "--seed", type=int, default=0)
-    _arg(gen, "--out", required=True, help="output coefficient file (JSON)")
+    gen.add_argument("--kind", choices=KINDS, required=True)
+    gen.add_argument("--n", type=int, default=1, help="torus dimension")
+    gen.add_argument("--radius", type=int, default=8, help="lattice radius R")
+    gen.add_argument("--alpha", type=float, default=None, help="decay exponent for power-decay")
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--out", required=True, help="output coefficient file (JSON)")
 
     norm = _subcommand(sub, "norm", "H^s_p norm of a coefficient field", _cmd_norm)
-    _arg(norm, "--input", required=True, help="coefficient file")
-    _arg(norm, "--s", type=_numeric, default=0)
-    _arg(norm, "--p", type=_numeric, default=2)
-    _arg(norm, "--grid-size", type=int, default=None, help="quadrature points per axis")
-    _arg(norm, "--format", choices=("json", "csv"), default="json")
+    norm.add_argument("--input", required=True, help="coefficient file")
+    norm.add_argument("--s", type=_numeric, default=0)
+    norm.add_argument("--p", type=_numeric, default=2)
+    norm.add_argument("--grid-size", type=int, default=None, help="quadrature points per axis")
+    norm.add_argument("--format", choices=("json", "csv"), default="json")
 
     applyj = _subcommand(sub, "apply-j", "apply the lifting operator of order s", _cmd_apply_j)
-    _arg(applyj, "--input", required=True)
-    _arg(applyj, "--s", type=_numeric, default=0)
-    _arg(applyj, "--out", required=True)
+    applyj.add_argument("--input", required=True)
+    applyj.add_argument("--s", type=_numeric, default=0)
+    applyj.add_argument("--out", required=True)
 
     pair = _subcommand(sub, "pair", "duality pairing of two coefficient fields", _cmd_pair)
-    _arg(pair, "--input", required=True, help="first field (negative-order side)")
-    _arg(pair, "--input2", required=True, help="second field (positive-order side)")
-    _arg(pair, "--s", type=_numeric, default=0)
-    _arg(pair, "--format", choices=("json", "csv"), default="json")
+    pair.add_argument("--input", required=True, help="first field (negative-order side)")
+    pair.add_argument("--input2", required=True, help="second field (positive-order side)")
+    pair.add_argument("--s", type=_numeric, default=0)
+    pair.add_argument("--format", choices=("json", "csv"), default="json")
 
     product = _subcommand(sub, "product", "pointwise product of two fields", _cmd_product)
-    _arg(product, "--input", required=True, help="smooth factor")
-    _arg(product, "--input2", required=True, help="distribution factor")
-    _arg(
-        product,
+    product.add_argument("--input", required=True, help="smooth factor")
+    product.add_argument("--input2", required=True, help="distribution factor")
+    product.add_argument(
         "--exact-product",
         action="store_true",
         help="keep the full convolution on a radius-2R lattice instead of truncating",
     )
-    _arg(product, "--out", required=True)
+    product.add_argument("--out", required=True)
 
     mult = _subcommand(sub, "mult-norm", "multiplier norm vs intersection norm", _cmd_mult_norm)
-    _arg(mult, "--input", required=True)
-    _arg(mult, "--s", type=_numeric, default=1)
-    _arg(mult, "--t", type=_numeric, default=1)
-    _arg(mult, "--p", type=_numeric, default=2)
-    _arg(mult, "--q", type=_numeric, default=2)
-    _arg(mult, "--radii", type=_int_list, default=None, help="refinement radii, e.g. 4,8")
-    _arg(mult, "--grid-size", type=int, default=None)
-    _arg(mult, "--force", action="store_true", help="skip the index-hypothesis gate")
-    _arg(mult, "--format", choices=("json", "csv"), default="json")
+    mult.add_argument("--input", required=True)
+    mult.add_argument("--s", type=_numeric, default=1)
+    mult.add_argument("--t", type=_numeric, default=1)
+    mult.add_argument("--p", type=_numeric, default=2)
+    mult.add_argument("--q", type=_numeric, default=2)
+    mult.add_argument("--radii", type=_int_list, default=None, help="refinement radii, e.g. 4,8")
+    mult.add_argument("--grid-size", type=int, default=None)
+    mult.add_argument("--force", action="store_true", help="skip the index-hypothesis gate")
+    mult.add_argument("--format", choices=("json", "csv"), default="json")
 
     verify = _subcommand(sub, "verify", "run a verification suite", _cmd_verify)
-    _arg(verify, "suite", choices=SUITES + ("all",))
-    _arg(verify, "--radius", type=int, default=8)
-    _arg(verify, "--n", type=int, default=1)
-    _arg(verify, "--seed", type=int, default=0)
-    _arg(verify, "--s", type=_numeric, default=1)
-    _arg(verify, "--t", type=_numeric, default=1)
-    _arg(verify, "--p", type=_numeric, default=2)
-    _arg(verify, "--format", choices=("text", "json"), default="text")
+    verify.add_argument("suite", choices=SUITES + ("all",))
+    verify.add_argument("--radius", type=int, default=8)
+    verify.add_argument("--n", type=int, default=1)
+    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--s", type=_numeric, default=1)
+    verify.add_argument("--t", type=_numeric, default=1)
+    verify.add_argument("--format", choices=("text", "json"), default="text")
 
     sweep = _subcommand(sub, "sweep", "multiplier-norm sweep over an index grid", _cmd_sweep)
-    _arg(sweep, "--s-grid", type=_numeric_list, required=True, help="e.g. 1,1.5,2")
-    _arg(sweep, "--t-grid", type=_numeric_list, required=True)
-    _arg(sweep, "--p-grid", type=_numeric_list, required=True)
-    _arg(sweep, "--q-grid", type=_numeric_list, required=True)
-    _arg(sweep, "--radius-grid", type=_int_list, required=True)
-    _arg(sweep, "--u-kind", choices=KINDS, default="power-decay")
-    _arg(sweep, "--alpha", type=float, default=3.0)
-    _arg(sweep, "--n", type=int, default=1)
-    _arg(sweep, "--seed", type=int, default=0)
-    _arg(sweep, "--grid-size", type=int, default=None)
-    _arg(sweep, "--force", action="store_true")
-    _arg(sweep, "--out", required=True, help="output CSV path")
+    sweep.add_argument("--s-grid", type=_numeric_list, required=True, help="e.g. 1,1.5,2")
+    sweep.add_argument("--t-grid", type=_numeric_list, required=True)
+    sweep.add_argument("--p-grid", type=_numeric_list, required=True)
+    sweep.add_argument("--q-grid", type=_numeric_list, required=True)
+    sweep.add_argument("--radius-grid", type=_int_list, required=True)
+    sweep.add_argument("--u-kind", choices=KINDS, default="power-decay")
+    sweep.add_argument("--alpha", type=float, default=3.0)
+    sweep.add_argument("--n", type=int, default=1)
+    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--grid-size", type=int, default=None)
+    sweep.add_argument("--force", action="store_true")
+    sweep.add_argument("--out", required=True, help="output CSV path")
 
     return parser
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """Parse argv.  With --config, install the file's values as defaults of the
-    subcommand being run, each as its flag takes it, and parse again: flags win,
-    and a config value stands in for a required flag."""
-    config_flag = argparse.ArgumentParser(add_help=False)
-    config_flag.add_argument("--config", nargs="?")
-    path = config_flag.parse_known_args(argv)[0].config
-    if not path:
-        return parser.parse_args(argv)
-    with open(path, "r", encoding="utf-8") as handle:
-        config = json.load(handle)
-    if not isinstance(config, dict):
-        raise UsageError("config file must hold a JSON object")
-    registry = parser.subcommand_registry
-    unknown = set(config).difference(*(sub.config_converters for sub in registry.values()))
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for sub in registry.values():
-        for action in sub._actions:
-            if action.option_strings and action.dest in config:
-                action.required = False
-    args = parser.parse_args(argv)
-    subparser = registry[args.command]
-    defaults = {}
-    for key, value in config.items():
-        if key in subparser.config_converters:
+    """Parse argv.  With --config, first install the file's values as defaults of
+    the subcommand being run, each as its flag takes it: flags win, and a config
+    value stands in for a required flag."""
+    front = argparse.ArgumentParser(add_help=False)
+    front.add_argument("--config", nargs="?")
+    front.add_argument("command", nargs="?")
+    known = front.parse_known_args(argv)[0]
+    if known.config:
+        with open(known.config, "r", encoding="utf-8") as handle:
             try:
-                defaults[key] = _config_value(value, *subparser.config_converters[key])
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"config value {key}={value!r}: {exc}") from None
-    subparser.set_defaults(**defaults)
+                config = json.load(handle)
+            except ValueError as exc:  # not JSON, or not UTF-8 text
+                raise UsageError(str(exc)) from None
+        if not isinstance(config, dict):
+            raise UsageError("config file must hold a JSON object")
+        registry = parser.subcommand_registry
+        unknown = set(config).difference(*map(_config_actions, registry.values()))
+        if unknown:
+            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        subparser = registry.get(known.command)
+        actions = _config_actions(subparser) if subparser else {}
+        for key, value in config.items():
+            if key in actions:
+                try:
+                    subparser.set_defaults(**{key: _config_value(value, actions[key])})
+                except (TypeError, ValueError) as exc:
+                    raise UsageError(f"config value {key}={value!r}: {exc}") from None
+                actions[key].required = False
     return parser.parse_args(argv)
 
 
@@ -310,7 +305,7 @@ def _cmd_mult_norm(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import VerifyContext, format_report, run_suite
     try:
-        ctx = VerifyContext(args.radius, args.n, args.seed, args.s, args.t, args.p)
+        ctx = VerifyContext(args.radius, args.n, args.seed, args.s, args.t)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     results = run_suite(args.suite, ctx)
@@ -372,7 +367,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(parser, argv)
         return args.run(args)
-    except (UsageError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ValueError, RuntimeError) as exc:

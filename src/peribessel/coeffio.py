@@ -91,9 +91,9 @@ def write_coeff_file(path, u: SpectralField):
 
 
 def parse_coeff_file(path) -> SpectralField:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise CoeffFileError(f"malformed JSON in {path}: {exc}") from exc
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise CoeffFileError(f"malformed JSON in {path}: {exc}") from exc
     return field_from_dict(data)

@@ -55,8 +55,8 @@ from .multipliers import (
 
 @dataclass(frozen=True)
 class VerifyContext:
-    """Inputs of a verification run, with radius, n and seed stored as ints and s, t
-    and p as floats.  A radius, n or seed that is not an integer, values out of
+    """Inputs of a verification run, with radius, n and seed stored as ints and s
+    and t as floats.  A radius, n or seed that is not an integer, values out of
     range, or a check lattice that ``make_lattice`` refuses raise ValueError."""
 
     radius: int = 8
@@ -64,7 +64,6 @@ class VerifyContext:
     seed: int = 0
     s: float = 1.0
     t: float = 1.0
-    p: float = 2.0
 
     def __post_init__(self):
         for name in ("radius", "n", "seed"):
@@ -73,10 +72,10 @@ class VerifyContext:
                 raise ValueError(f"verify needs an integer {name}; got {name}={value!r}")
             object.__setattr__(self, name, int(value))
         if not (self.radius >= 0 and self.seed >= 0 and 0 <= self.s < math.inf
-                and 0 <= self.t < math.inf and 1 <= self.p < math.inf):
+                and 0 <= self.t < math.inf):
             raise ValueError(
-                f"verify needs radius, seed >= 0, finite s, t >= 0 and 1 <= p < inf; got "
-                f"radius={self.radius}, seed={self.seed}, s={self.s}, t={self.t}, p={self.p}"
+                f"verify needs radius, seed >= 0 and finite s, t >= 0; got "
+                f"radius={self.radius}, seed={self.seed}, s={self.s}, t={self.t}"
             )
         largest = _largest_grid(self)
         try:  # a lattice of side largest, or largest + 1 if it is even
@@ -85,7 +84,7 @@ class VerifyContext:
             raise ValueError(
                 f"verify builds grids up to {largest} points per axis: {exc}"
             ) from None
-        for name in ("s", "t", "p"):
+        for name in ("s", "t"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
 

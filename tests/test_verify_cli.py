@@ -268,9 +268,9 @@ class TestVerifySuites:
         assert run_suite("fourier", ctx) == run_suite("fourier", VerifyContext(2, 1, 3))
 
     def test_context_stores_indices_as_floats(self):
-        ctx = VerifyContext(s=Fraction(1, 2), t=1, p=Fraction(4, 3))
-        assert (ctx.s, ctx.t, ctx.p) == (0.5, 1.0, 4 / 3)
-        assert all(type(value) is float for value in (ctx.s, ctx.t, ctx.p))
+        ctx = VerifyContext(s=Fraction(1, 2), t=1)
+        assert (ctx.s, ctx.t) == (0.5, 1.0)
+        assert all(type(value) is float for value in (ctx.s, ctx.t))
 
     def test_all_suites_pass(self):
         results = run_suite("all", VerifyContext(radius=6, n=1, seed=0))
@@ -382,6 +382,14 @@ class TestCliExitCodes:
         assert result.stderr.startswith(f"error: malformed JSON in {bad}:")
         assert len(result.stderr.splitlines()) == 1
 
+    def test_file_that_is_not_utf8_text_is_usage_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        result = run_cli("norm", "--input", str(bad))
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith(f"error: malformed JSON in {bad}: 'utf-8' codec")
+        assert len(result.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize("index", [10**29, -2**63], ids=["beyond-int64", "int64-minimum"])
     def test_index_outside_int64_is_usage_error(self, tmp_path, index):
         path = tmp_path / "index.json"
@@ -461,11 +469,10 @@ class TestCliExitCodes:
             (["--radius", "-1"], "radius=-1"),
             (["--s", "-1"], "s=-1"),
             (["--t", "nan"], "t=nan"),
-            (["--p", "1/2"], "p=1/2"),
             (["--seed", "-1"], "seed=-1"),
         ],
         ids=["radius-huge", "dimension-huge", "n-zero", "n-overflow", "radius-negative",
-             "s-negative", "t-nan", "p-below-one", "seed-negative"],
+             "s-negative", "t-nan", "seed-negative"],
     )
     def test_bad_verify_input_is_refused_before_any_check(self, capsys, monkeypatch, flags,
                                                           message):
@@ -553,6 +560,13 @@ class TestCliExitCodes:
         assert caught.value.code == 2
         assert "--q" in capsys.readouterr().err
 
+    def test_verify_has_no_p_flag(self, capsys):
+        # no check reads an integrability index, so verify takes none
+        with pytest.raises(SystemExit) as caught:
+            cli.main(["verify", "embedding", "--p", "3"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --p 3" in capsys.readouterr().err
+
     def test_out_of_memory_is_one_error_line(self, tmp_path):
         # 2^26 quadrature points (1 GiB), the most synthesize allows, for a
         # one-coefficient field; the child's address space is capped at 1 GiB so
@@ -627,6 +641,21 @@ class TestCliConfig:
         config.write_text('{"galaxy": 7}')
         assert run_cli("--config", str(config), "verify", "embedding").returncode == 2
 
+    def test_config_that_is_not_a_json_object_is_usage_error(self, tmp_path):
+        config = tmp_path / "conf.json"
+        config.write_text("[1]")
+        result = run_cli("--config", str(config), "gen")
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == "error: config file must hold a JSON object\n"
+
+    def test_config_that_is_not_utf8_text_is_usage_error(self, tmp_path):
+        config = tmp_path / "conf.json"
+        config.write_bytes(b"\xff\xfe")
+        result = run_cli("--config", str(config), "gen")
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert len(result.stderr.splitlines()) == 1
+
     def test_positional_suite_is_not_a_config_key(self, tmp_path):
         # the positional always wins, so a "suite" key could never take effect
         config = tmp_path / "conf.json"
@@ -638,7 +667,7 @@ class TestCliConfig:
     @pytest.mark.parametrize(
         "config",
         [
-            {"p": "1/0"},
+            {"s": "1/0"},
             {"radius": "abc"},
             {"radius": [8]},
             {"n": None},
@@ -676,10 +705,11 @@ class TestCliConfig:
         assert result.stderr.startswith("error: config value")
         assert len(result.stderr.splitlines()) == 1
 
-    def test_q_config_key_is_ignored_by_verify(self, tmp_path):
-        # q belongs to mult-norm; verify reads no q
+    @pytest.mark.parametrize("key", ["q", "p"])
+    def test_q_config_key_is_ignored_by_verify(self, tmp_path, key):
+        # q and p belong to norm and mult-norm; verify reads neither
         config = tmp_path / "conf.json"
-        config.write_text(json.dumps({"q": "3"}))
+        config.write_text(json.dumps({key: "3"}))
         result = run_cli("--config", str(config), "verify", "embedding")
         assert result.returncode == 0
         assert result.stdout == run_cli("verify", "embedding").stdout
@@ -707,16 +737,18 @@ class TestCliConfig:
         before = module_containers()
         first, second = cli.build_parser(), cli.build_parser()
         assert module_containers() == before
-        # converters live on each parser, so the two parsers share none
-        for name, subparser in first.subcommand_registry.items():
-            twin = second.subcommand_registry[name]
-            assert subparser.config_converters == twin.config_converters
-            assert subparser.config_converters is not twin.config_converters
+        # a config clears ``required`` on an action, so no action may be shared
+
+        def action_ids(parser):
+            parsers = [parser, *parser.subcommand_registry.values()]
+            return {id(action) for each in parsers for action in each._actions}
+
+        assert not action_ids(first) & action_ids(second)
 
     @pytest.mark.parametrize("command, dest", [("gen", "kind"), ("sweep", "u_kind")])
     def test_field_kind_choices_are_the_generator_kinds(self, command, dest):
         subparser = cli.build_parser().subcommand_registry[command]
-        assert subparser.config_converters[dest] == (None, generators.KINDS)
+        assert cli._config_actions(subparser)[dest].choices == generators.KINDS
 
 
 # Runs the CLI as ``python -m peribessel.cli`` does and appends to stderr the
@@ -779,11 +811,14 @@ class TestCliLoadsOnlyWhatItRuns:
             (("gen", "--help"), 0),
             (("gen", "--out", "d.json"), 2),
             (("--config", "unknown-key.json", "verify", "embedding"), 2),
+            (("--config", "not-utf8.json", "gen"), 2),
         ],
-        ids=["help", "verify-help", "gen-help", "gen-without-kind", "config-unknown-key"],
+        ids=["help", "verify-help", "gen-help", "gen-without-kind", "config-unknown-key",
+             "config-not-utf8"],
     )
     def test_calls_that_compute_nothing_load_no_numpy(self, workdir, args, code):
         (workdir / "unknown-key.json").write_text('{"galaxy": 7}')
+        (workdir / "not-utf8.json").write_bytes(b"\xff\xfe")
         # the probe runs peribessel.cli as __main__, so no submodule of the package is loaded
         assert self.loaded(workdir, *args, code=code) == set()
 
