@@ -75,9 +75,8 @@ def _config_value(value, action):
         raise ValueError("expected a JSON string or number")
     value = str(value) if action.type is None else action.type(str(value))
     if action.choices is not None and value not in action.choices:
-        raise ValueError(
-            f"invalid choice (choose from {', '.join(map(repr, action.choices))})"
-        )
+        choices = ", ".join(map(repr, action.choices))
+        raise ValueError(f"invalid choice (choose from {choices})")
     return value
 
 
@@ -169,12 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Parse argv.  With --config, first install the file's values as defaults of
-    the subcommand being run, each as its flag takes it: flags win, and a config
-    value stands in for a required flag."""
+    the subcommand being run, each as its flag takes it: flags win, a config value
+    stands in for a required flag, and a refused value is reported once argv parses."""
     front = argparse.ArgumentParser(add_help=False)
     front.add_argument("--config", nargs="?")
     front.add_argument("command", nargs="?")
     known = front.parse_known_args(argv)[0]
+    refused = None
     if known.config:
         with open(known.config, "r", encoding="utf-8") as handle:
             try:
@@ -191,12 +191,15 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         actions = _config_actions(subparser) if subparser else {}
         for key, value in config.items():
             if key in actions:
+                actions[key].required = False
                 try:
                     subparser.set_defaults(**{key: _config_value(value, actions[key])})
                 except (TypeError, ValueError) as exc:
-                    raise UsageError(f"config value {key}={value!r}: {exc}") from None
-                actions[key].required = False
-    return parser.parse_args(argv)
+                    refused = refused or UsageError(f"config value {key}={value!r}: {exc}")
+    args = parser.parse_args(argv)
+    if refused:
+        raise refused
+    return args
 
 
 def _emit_record(record: dict, fmt: str, stream):

@@ -374,20 +374,13 @@ class TestCliExitCodes:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run_cli("norm", "--input", str(tmp_path / "nope.json")).returncode == 2
 
-    def test_malformed_file_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("contents", [b"{not json", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+    def test_malformed_file_is_usage_error(self, tmp_path, contents):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_bytes(contents)
         result = run_cli("norm", "--input", str(bad))
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr.startswith(f"error: malformed JSON in {bad}:")
-        assert len(result.stderr.splitlines()) == 1
-
-    def test_file_that_is_not_utf8_text_is_usage_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_bytes(b"\xff\xfe")
-        result = run_cli("norm", "--input", str(bad))
-        assert result.returncode == 2 and result.stdout == ""
-        assert result.stderr.startswith(f"error: malformed JSON in {bad}: 'utf-8' codec")
         assert len(result.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("index", [10**29, -2**63], ids=["beyond-int64", "int64-minimum"])
@@ -641,19 +634,20 @@ class TestCliConfig:
         config.write_text('{"galaxy": 7}')
         assert run_cli("--config", str(config), "verify", "embedding").returncode == 2
 
-    def test_config_that_is_not_a_json_object_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "contents, message",
+        [
+            (b"[1]", "error: config file must hold a JSON object\n"),
+            (b"\xff\xfe", "error: 'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["not-an-object", "not-utf8"],
+    )
+    def test_config_that_is_not_a_json_object_is_usage_error(self, tmp_path, contents, message):
         config = tmp_path / "conf.json"
-        config.write_text("[1]")
+        config.write_bytes(contents)
         result = run_cli("--config", str(config), "gen")
         assert result.returncode == 2 and result.stdout == ""
-        assert result.stderr == "error: config file must hold a JSON object\n"
-
-    def test_config_that_is_not_utf8_text_is_usage_error(self, tmp_path):
-        config = tmp_path / "conf.json"
-        config.write_bytes(b"\xff\xfe")
-        result = run_cli("--config", str(config), "gen")
-        assert result.returncode == 2 and result.stdout == ""
-        assert result.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert result.stderr.startswith(message)
         assert len(result.stderr.splitlines()) == 1
 
     def test_positional_suite_is_not_a_config_key(self, tmp_path):
@@ -686,6 +680,15 @@ class TestCliConfig:
         assert result.returncode == 2
         assert result.stderr.startswith("error: config value")
         assert len(result.stderr.splitlines()) == 1
+
+    def test_refused_config_value_is_reported_after_argv_parses(self, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"radius": "abc"}))
+        helped = run_cli("--config", str(path), "verify", "--help")
+        assert helped.returncode == 0 and helped.stdout.startswith("usage: peribessel verify")
+        unparsed = run_cli("--config", str(path), "verify", "embedding", "--bogus")
+        assert unparsed.returncode == 2
+        assert "unrecognized arguments: --bogus" in unparsed.stderr
 
     @pytest.mark.parametrize(
         "command, config",
