@@ -66,13 +66,15 @@ def _config_actions(parser) -> dict:
 
 def _config_value(value, action):
     """Convert a config value as its flag converts the same text on the command
-    line; a store_true flag takes only a JSON boolean."""
+    line, which cannot hold a NUL; a store_true flag takes only a JSON boolean."""
     if action.nargs == 0:
         if not isinstance(value, bool):
             raise ValueError("expected true or false")
         return value
     if value is None or isinstance(value, (bool, list, dict)):
         raise ValueError("expected a JSON string or number")
+    if "\0" in str(value):
+        raise ValueError("embedded null character")
     value = str(value) if action.type is None else action.type(str(value))
     if action.choices is not None and value not in action.choices:
         choices = ", ".join(map(repr, action.choices))

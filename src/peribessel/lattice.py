@@ -369,5 +369,7 @@ def lp_norm(g: GridFunction, p: float) -> float:
     if not 1.0 <= p < np.inf:
         raise ValueError(f"integrability index must satisfy 1 <= p < inf, got {p}")
     weight = (TWO_PI / g.points_per_axis) ** g.n
-    total = float(np.real(tree_sum(np.abs(g.samples) ** p)))
+    magnitude = np.abs(g.samples)
+    magnitude **= p  # in place: one grid-sized temporary fewer, the same bits
+    total = float(np.real(tree_sum(magnitude)))
     return (weight * total) ** (1.0 / p)

@@ -7,7 +7,8 @@ stopped once the Ritz residual is at most 1e-12 of the Ritz value.  For general
 (p, q) a lower bound is reported: the best norm ratio along a fixed number of
 steps of Boyd's power method (Boyd, LAA 9, 1974; Higham, Numer. Math. 62, 1992),
 started from the all-ones field, so the classical ``|u|_{H^(-t)_q} / |E|_{H^s_p}``
-certificate is its first step.
+certificate is its first step.  The best iterate's norms are re-checked on 2N
+nodes per axis unless N nodes integrate them exactly; none is at p, q in {2, 4}.
 """
 
 from __future__ import annotations
@@ -221,14 +222,21 @@ def multiplier_norm_l2(prob: MultiplierProblem) -> float:
     return top_singular_value(*multiplier_operator(prob), prob.u.lattice.size)
 
 
-def _ratio(prob: MultiplierProblem, matvec, x: SpectralField, points: int) -> tuple:
-    """Ratio |f*u|_{H^(-t)_q} / |f|_{H^s_p} on ``points`` nodes per axis for the
-    test field f with ``x = lift(s, f)``, and the samples of lift(-t, f*u)."""
-    denominator = lp_norm(synthesize(x, points), float(prob.p))
+def _ratio(prob: MultiplierProblem, matvec, x: SpectralField, points: int, *,
+           image: SpectralField | None = None, norms=(None, None)) -> tuple:
+    """Ratio |f*u|_{H^(-t)_q} / |f|_{H^s_p} on ``points`` nodes per axis for the test
+    field f with ``x = lift(s, f)``, the samples (or None) and coefficients ``image`` of
+    lift(-t, f*u), and the ``norms`` (numerator, denominator); given ones are reused."""
+    (numerator, denominator), samples = norms, None
+    if denominator is None:
+        denominator = lp_norm(synthesize(x, points), float(prob.p))
     if denominator == 0.0:
         raise ValueError("test field has zero source-space norm")
-    image = synthesize(SpectralField._owned(x.lattice, matvec(x.coeffs)), points)
-    return lp_norm(image, float(prob.q)) / denominator, image
+    image = SpectralField._owned(x.lattice, matvec(x.coeffs)) if image is None else image
+    if numerator is None:
+        samples = synthesize(image, points)
+        numerator = lp_norm(samples, float(prob.q))
+    return numerator / denominator, samples, image, (numerator, denominator)
 
 
 def _dual(values: np.ndarray, r: float) -> np.ndarray:
@@ -245,6 +253,7 @@ def multiplier_norm_lp(prob: MultiplierProblem, grid_points: int | None = None) 
     BOYD_STEPS steps ``x <- analyze(dual_p'(synthesize(rmatvec(analyze(dual_q(A x))))))``;
     at p = q = 2 that is power iteration on A^H A.  Returns max(start ratio, best
     iterate's smaller ratio on N and 2N nodes per axis), N = ``grid_points`` or 2(2R+1).
+    The 2N ratio redoes only norms whose exponent is not an even integer r with rR < N.
     """
     lattice = prob.u.lattice
     if not np.any(prob.u.coeffs):
@@ -252,16 +261,21 @@ def multiplier_norm_lp(prob: MultiplierProblem, grid_points: int | None = None) 
     points = default_grid_points(lattice) if grid_points is None else grid_points
     q, p_conj = float(prob.q), float(conjugate_exponent(prob.p))
     matvec, rmatvec = multiplier_operator(prob)
-    start, image = _ratio(prob, matvec, lift(float(prob.s), constant_field(lattice)), points)
-    best, best_x = -1.0, None
+    step = _ratio(prob, matvec, lift(float(prob.s), constant_field(lattice)), points)
+    start, best = step[0], (-1.0,)
     for _ in range(BOYD_STEPS):
-        dual = analyze(GridFunction._owned(_dual(image.samples, q)), lattice)
+        dual = analyze(GridFunction._owned(_dual(step[1].samples, q)), lattice)
         source = synthesize(SpectralField._owned(lattice, rmatvec(dual.coeffs)), points)
         x = analyze(GridFunction._owned(_dual(source.samples, p_conj)), lattice)
-        ratio, image = _ratio(prob, matvec, x, points)
-        if ratio > best:
-            best, best_x = ratio, x
-    return max(start, min(best, _ratio(prob, matvec, best_x, 2 * points)[0]))
+        step = _ratio(prob, matvec, x, points)
+        if step[0] > best[0]:
+            best, best_x = step, x
+    ratio, _, image, norms = best
+    exact = (r % 2 == 0 and r * lattice.radius < points for r in (q, float(prob.p)))
+    norms = [norm if known else None for norm, known in zip(norms, exact)]
+    if None in norms:  # the 2N re-check
+        ratio = min(ratio, _ratio(prob, matvec, best_x, 2 * points, image=image, norms=norms)[0])
+    return max(start, ratio)
 
 
 def intersection_norm(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -191,6 +191,15 @@ def _check_quadrature_decay(ctx):
             yield fine / coarse
 
 
+@_check("even-power-exact", "fourier", 1e-13,
+        "lp_norm(synthesize(u, N), r) is exact for even r with rR < N: N = 4R+2 and 2N agree")
+def _check_even_power_exact(ctx):
+    for u in _sample_fields(replace(ctx, radius=min(ctx.radius, 4)), 4, alpha=0.5):  # 2N <= 36
+        N = 4 * u.lattice.radius + 2
+        for r in (2.0, 4.0):
+            yield _rel(lp_norm(synthesize(u, N), r), lp_norm(synthesize(u, 2 * N), r))
+
+
 @_check("determinism", "fourier", 0.0, "repeated evaluation is bitwise identical")
 def _check_determinism(ctx):
     def run():
@@ -362,10 +371,8 @@ def _multiplier_radius(ctx) -> int:
 
 def _largest_grid(ctx) -> int:
     """Points per axis of the largest lattice, synthesis or convolution grid the
-    checks build for ctx: refinement-stability's cyclic convolution of a radius
-    2 max(R, 8) field, 6 max(R, 8) + 1, or boyd-below-lanczos's last Boyd ratio,
-    4 (2r + 1) at the multiplier radius r (larger at n = 1 and R = 8..11)."""
-    return max(6 * max(ctx.radius, 8) + 1, 4 * (2 * _multiplier_radius(ctx) + 1))
+    checks build for ctx: refinement-stability's convolution of a radius 2 max(R, 8) field."""
+    return 6 * max(ctx.radius, 8) + 1
 
 
 @_check("swap-adjoint-identity", "multiplier", 1e-14,

@@ -418,6 +418,21 @@ class TestLpNorm:
             with pytest.raises(ValueError, match="1 <= p < inf"):
                 lp_norm(GridFunction(np.ones(4, dtype=complex)), p)
 
+    # lp_norm raises |samples| to the power p in place; numpy's scalar fast
+    # paths (p = 2 squares) apply there too, so the value keeps every bit of
+    # the out-of-place expression
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 3.0, 4.0, 21.0])
+    @pytest.mark.parametrize("n, radius", [(1, 8), (2, 4), (3, 3)])
+    def test_bitwise_equal_to_out_of_place_power(self, n, radius, p):
+        rng = np.random.default_rng(100 * n + radius)
+        lat = make_lattice(n, radius)
+        u = SpectralField(lat, rng.normal(size=lat.size) + 1j * rng.normal(size=lat.size))
+        for points in (lat.side, 2 * (lat.side + 1)):
+            g = synthesize(u, points)
+            total = float(np.real(tree_sum(np.abs(g.samples) ** p)))
+            expected = ((TWO_PI / points) ** n * total) ** (1.0 / p)
+            assert lp_norm(g, p) == expected
+
     def test_parseval(self):
         rng = np.random.default_rng(11)
         lat = make_lattice(2, 3)

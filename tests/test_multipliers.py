@@ -325,22 +325,79 @@ class TestMultiplierNormLp:
         assert multiplier_norm_lp(prob) > gain * best_ratio(prob, family)
 
     # The step count is fixed at every (p, q), so the cost of a report does not
-    # depend on the field: the start ratio, BOYD_STEPS steps, the 2N check
-    @pytest.mark.parametrize("p, q", [(3.0, 1.5), (1.5, 3.0), (2.0, 2.0)])
-    def test_step_count_independent_of_field(self, monkeypatch, p, q):
-        calls = []
+    # depend on the field: the start ratio, BOYD_STEPS steps, and a 2N re-check
+    # that synthesizes only the norms N = 18 nodes do not integrate exactly (an
+    # even integer r with 4r < 18): both, one (the image at (4, 3)) or none
+    @pytest.mark.parametrize(
+        "p, q, rechecked",
+        [(3.0, 1.5, 2), (1.5, 3.0, 2), (2.0, 2.0, 0), (4.0, 4.0, 0), (4.0, 3.0, 1), (2.0, 4.0, 0)],
+        ids=["3.0-1.5", "1.5-3.0", "2.0-2.0", "4.0-4.0", "4.0-3.0", "2.0-4.0"],
+    )
+    def test_step_count_independent_of_field(self, monkeypatch, p, q, rechecked):
+        calls, synthesized = [], []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[-1])
-            return ratio(*args)
+            return ratio(*args, **kwargs)
 
-        ratio = multipliers._ratio
+        def counted_synthesize(u, points_per_axis):
+            synthesized.append(points_per_axis)
+            return synthesize(u, points_per_axis)
+
+        ratio, synthesize = multipliers._ratio, multipliers.synthesize
         monkeypatch.setattr(multipliers, "_ratio", counted)
+        monkeypatch.setattr(multipliers, "synthesize", counted_synthesize)
         lat = make_lattice(2, 4)
         for kind, alpha, seed in [("dirac", None, 0), ("power-decay", 2.0, 3), ("power-decay", 2.0, 8)]:
             calls.clear()
+            synthesized.clear()
             multiplier_norm_lp(problem(gen_distribution(kind, lat, alpha=alpha, seed=seed), p=p, q=q))
-            assert calls == [18] * (BOYD_STEPS + 1) + [36]
+            assert calls == [18] * (BOYD_STEPS + 1) + [36] * bool(rechecked)
+            assert synthesized.count(36) == rechecked
+
+    # At p = q = 4 the N-node norms are exact, so the skipped 2N re-check could
+    # only have returned the best N-node ratio up to rounding
+    @pytest.mark.parametrize(
+        "kind, alpha, n, radius",
+        [("random-smooth", None, 3, 4), ("power-decay", 1.0, 2, 8), ("dirac", None, 1, 16)],
+    )
+    def test_even_exponents_need_no_recheck(self, monkeypatch, kind, alpha, n, radius):
+        evaluated = []
+
+        def recorded(prob, matvec, x, points, **kwargs):
+            result = ratio(prob, matvec, x, points, **kwargs)
+            evaluated.append((result[0], x, points))
+            return result
+
+        ratio = multipliers._ratio
+        monkeypatch.setattr(multipliers, "_ratio", recorded)
+        u = gen_distribution(kind, make_lattice(n, radius), alpha=alpha, seed=3)
+        prob = problem(u, s=1.5, t=1.5, p=4.0, q=4.0)
+        value = multiplier_norm_lp(prob)
+        points = {entry[2] for entry in evaluated}
+        assert points == {2 * (2 * radius + 1)}
+        best, best_x, _ = max(evaluated, key=lambda entry: entry[0])
+        assert value == best
+        recheck = ratio(prob, multiplier_operator(prob)[0], best_x, 4 * (2 * radius + 1))[0]
+        assert abs(recheck - value) <= 1e-15 * value
+
+    def test_recheck_runs_when_the_grid_is_too_coarse(self, monkeypatch):
+        # on N = 2R+1 or N = 4R nodes |g|^4 has degree 4R >= N, so the 2N
+        # re-check of both norms still runs; |g|^2 (degree 2R < 2R+1) needs none
+        synthesized = []
+
+        def counted_synthesize(u, points_per_axis):
+            synthesized.append(points_per_axis)
+            return synthesize(u, points_per_axis)
+
+        synthesize = multipliers.synthesize
+        monkeypatch.setattr(multipliers, "synthesize", counted_synthesize)
+        lat = make_lattice(2, 3)
+        u = gen_distribution("power-decay", lat, alpha=1.0, seed=4)
+        for points, pq, rechecked in ((lat.side, 4.0, 2), (4 * lat.radius, 4.0, 2), (lat.side, 2.0, 0)):
+            synthesized.clear()
+            multiplier_norm_lp(problem(u, p=pq, q=pq), grid_points=points)
+            assert synthesized.count(2 * points) == rechecked
 
     @pytest.mark.parametrize("p", [Fraction(21, 20), 1.05], ids=["fraction", "float"])
     def test_dirac_near_p_one_stays_finite(self, p):

@@ -44,6 +44,7 @@ REQUIRED_CHECKS = {
     "parseval",
     "conjugation-reality",
     "quadrature-spectral-decay",
+    "even-power-exact",
     "determinism",
     "lift-semigroup",
     "lift-isometry",
@@ -182,6 +183,23 @@ class TestVerifySuites:
         ctx = VerifyContext(n=n, radius=4)
         bug(monkeypatch)
         assert spec.runner(ctx) > 1e3 * spec.tolerance
+
+    @pytest.mark.parametrize("n, radius", [(1, 8), (2, 4), (3, 4), (3, 0)])
+    def test_even_power_check_passes(self, n, radius):
+        spec = next(s for s in REGISTRY if s.check_id == "even-power-exact")
+        assert spec.runner(VerifyContext(n=n, radius=radius)) <= spec.tolerance
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_even_power_check_catches_a_weight_without_its_power(self, monkeypatch, n):
+        # a rectangle-rule weight 2*pi/N in place of (2*pi/N)^n scales the N-
+        # and 2N-node norms apart by 2^((n-1)/r)
+        def lp_norm(g, p):
+            total = float(np.real(lattice.tree_sum(np.abs(g.samples) ** p)))
+            return (2.0 * np.pi / g.points_per_axis * total) ** (1.0 / p)
+
+        spec = next(s for s in REGISTRY if s.check_id == "even-power-exact")
+        monkeypatch.setattr(verify, "lp_norm", lp_norm)
+        assert spec.runner(VerifyContext(n=n, radius=4)) > 1e3 * spec.tolerance
 
     @pytest.mark.parametrize("n, ctx_radius", [(1, 2), (1, 8), (1, 12), (2, 2)])
     def test_no_check_allocates_a_grid_beyond_the_context_bound(self, monkeypatch, n, ctx_radius):
@@ -680,6 +698,27 @@ class TestCliConfig:
         assert result.returncode == 2
         assert result.stderr.startswith("error: config value")
         assert len(result.stderr.splitlines()) == 1
+
+    # argv cannot carry a NUL character, so only a config value can; open()
+    # would refuse such a path with a ValueError that is no usage error
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            (["norm"], {"input": "a\u0000b"}),
+            (["gen", "--kind", "dirac"], {"out": "a\u0000b"}),
+            (["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "2", "--q-grid", "2",
+              "--radius-grid", "2"], {"out": "a\u0000b"}),
+        ],
+        ids=["norm-input", "gen-out", "sweep-out"],
+    )
+    def test_nul_in_config_value_is_usage_error(self, tmp_path, command, config):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(config))
+        result = run_cli("--config", str(path), *command, cwd=tmp_path)
+        assert result.returncode == 2 and result.stdout == ""
+        key = next(iter(config))
+        assert result.stderr == f"error: config value {key}='a\\x00b': embedded null character\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_refused_config_value_is_reported_after_argv_parses(self, tmp_path):
         path = tmp_path / "conf.json"
