@@ -3,9 +3,10 @@
 Subcommands: gen, norm, apply-j, pair, product, mult-norm, verify, sweep.
 Numeric arguments accept fractions ("4/3") so conjugate-exponent boundaries
 stay exact; a JSON config file may supply any flag (explicit flags win).
-Exit codes: 0 success, 1 check failure, 2 usage error.  All randomized
-behavior is a pure function of --seed, and identical invocations produce
-byte-identical output.
+Exit codes: 0 success; 2 a refused input, in every subcommand; 1 a failed check,
+a refused hypothesis or a computation that failed.  All randomized behavior is
+a pure function of --seed, and identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 from . import KINDS, SUITES
@@ -216,11 +218,11 @@ def _emit_record(record: dict, fmt: str, stream):
         )
 
 
-def _lattice(n, radius):
-    """``make_lattice(n, radius)``, its refusal a usage error."""
-    from .lattice import make_lattice
+def _usage(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError a usage error: a handler calls it
+    only where every ValueError comes from the command's inputs."""
     try:
-        return make_lattice(n, radius)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -234,10 +236,11 @@ def _check_grid_size(grid_size, radius: int):
 def _cmd_gen(args) -> int:
     from .coeffio import write_coeff_file
     from .generators import gen_distribution
+    from .lattice import make_lattice
     if args.kind == "power-decay" and args.alpha is None:
         raise UsageError("--kind power-decay requires --alpha")
-    lattice = _lattice(args.n, args.radius)
-    field = gen_distribution(args.kind, lattice, alpha=args.alpha, seed=args.seed)
+    lattice = _usage(make_lattice, args.n, args.radius)
+    field = _usage(gen_distribution, args.kind, lattice, alpha=args.alpha, seed=args.seed)
     write_coeff_file(args.out, field)
     return 0
 
@@ -245,57 +248,54 @@ def _cmd_gen(args) -> int:
 def _cmd_norm(args) -> int:
     from .calculus import SpaceIndex, hs_norm
     from .coeffio import parse_coeff_file
-    field = parse_coeff_file(args.input)
+    field = _usage(parse_coeff_file, args.input)
     _check_grid_size(args.grid_size, field.lattice.radius)
-    value = hs_norm(field, SpaceIndex(float(args.s), float(args.p)), args.grid_size)
-    _emit_record(
-        {"s": float(args.s), "p": float(args.p), "norm": value}, args.format, sys.stdout
-    )
+    index = _usage(SpaceIndex, float(args.s), float(args.p))
+    value = _usage(hs_norm, field, index, args.grid_size)
+    _emit_record({"s": index.s, "p": index.p, "norm": value}, args.format, sys.stdout)
     return 0
 
 
 def _cmd_apply_j(args) -> int:
     from .calculus import lift
     from .coeffio import parse_coeff_file, write_coeff_file
-    field = parse_coeff_file(args.input)
-    write_coeff_file(args.out, lift(float(args.s), field))
+    field = _usage(parse_coeff_file, args.input)
+    write_coeff_file(args.out, _usage(lift, float(args.s), field))
     return 0
 
 
 def _cmd_pair(args) -> int:
     from .calculus import duality_pair
     from .coeffio import parse_coeff_file
-    u = parse_coeff_file(args.input)
-    v = parse_coeff_file(args.input2)
-    value = duality_pair(u, v, float(args.s))
-    _emit_record(
-        {"s": float(args.s), "re": value.real, "im": value.imag}, args.format, sys.stdout
-    )
+    u = _usage(parse_coeff_file, args.input)
+    v = _usage(parse_coeff_file, args.input2)
+    s = float(args.s)
+    if not math.isfinite(s):  # the pairing ignores s, so nothing else checks it
+        raise UsageError(f"smoothness index must be finite, got {s}")
+    value = _usage(duality_pair, u, v, s)
+    _emit_record({"s": s, "re": value.real, "im": value.imag}, args.format, sys.stdout)
     return 0
 
 
 def _cmd_product(args) -> int:
     from .calculus import pointwise_product
     from .coeffio import parse_coeff_file, write_coeff_file
-    f = parse_coeff_file(args.input)
-    u = parse_coeff_file(args.input2)
-    write_coeff_file(args.out, pointwise_product(f, u, exact=args.exact_product))
+    f = _usage(parse_coeff_file, args.input)
+    u = _usage(parse_coeff_file, args.input2)
+    write_coeff_file(args.out, _usage(pointwise_product, f, u, exact=args.exact_product))
     return 0
 
 
 def _cmd_mult_norm(args) -> int:
     from .coeffio import parse_coeff_file
     from .multipliers import CSV_COLUMNS, MultiplierProblem, equivalence_report
-    field = parse_coeff_file(args.input)
+    field = _usage(parse_coeff_file, args.input)
     radius = field.lattice.radius
     radii = [radius] if args.radii is None else args.radii
     if not radii or not all(0 <= r <= radius for r in radii):
         raise UsageError(f"--radii must list radii in [0, {radius}]; got {args.radii}")
     _check_grid_size(args.grid_size, max(radii))
-    try:
-        prob = MultiplierProblem(field, args.s, args.t, args.p, args.q)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    prob = _usage(MultiplierProblem, field, args.s, args.t, args.p, args.q)
     report = equivalence_report(
         prob, radii=args.radii, force=args.force, grid_points=args.grid_size
     )
@@ -309,10 +309,7 @@ def _cmd_mult_norm(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .verify import VerifyContext, format_report, run_suite
-    try:
-        ctx = VerifyContext(args.radius, args.n, args.seed, args.s, args.t)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    ctx = _usage(VerifyContext, args.radius, args.n, args.seed, args.s, args.t)
     results = run_suite(args.suite, ctx)
     if args.format == "json":
         sys.stdout.write(
@@ -326,23 +323,22 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     import csv
     from .generators import gen_distribution
+    from .lattice import make_lattice
     from .multipliers import (
         CSV_COLUMNS, HypothesisError, MultiplierProblem, equivalence_report, index_cells,
     )
     grids = (args.s_grid, args.t_grid, args.p_grid, args.q_grid, args.radius_grid)
     if any(len(grid) == 0 for grid in grids):
         raise UsageError("sweep grids must be nonempty")
-    lattices = {radius: _lattice(args.n, radius) for radius in args.radius_grid}
+    lattices = {radius: _usage(make_lattice, args.n, radius) for radius in args.radius_grid}
     _check_grid_size(args.grid_size, max(args.radius_grid))
     fields = {
-        radius: gen_distribution(args.u_kind, lattice, alpha=args.alpha, seed=args.seed)
+        radius: _usage(gen_distribution, args.u_kind, lattice, alpha=args.alpha, seed=args.seed)
         for radius, lattice in lattices.items()
     }
     points = list(itertools.product(*grids))
-    try:  # every point is checked before the first solve
-        problems = [MultiplierProblem(fields[r], s, t, p, q) for s, t, p, q, r in points]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    # every point is checked before the first solve
+    problems = [_usage(MultiplierProblem, fields[r], s, t, p, q) for s, t, p, q, r in points]
     rows = []
     refusals = 0
     for (s, t, p, q, radius), prob in zip(points, problems):
@@ -377,9 +373,7 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        # a malformed coefficient file is a usage error; only a loaded coeffio raises one
-        coeffio = sys.modules.get(f"{__package__}.coeffio")
-        return 2 if coeffio and isinstance(exc, coeffio.CoeffFileError) else 1
+        return 1
     except MemoryError as exc:  # numpy's message names the array it could not allocate
         sys.stderr.write(f"error: out of memory: {str(exc) or 'allocation failed'}\n")
         return 1

@@ -414,8 +414,62 @@ class TestCliExitCodes:
         run_cli("gen", "--kind", "power-decay", "--radius", "4", "--alpha", "1",
                 "--out", str(u_path))
         result = run_cli("norm", "--input", str(u_path), "--p", "inf")
-        assert result.returncode != 0 and result.stdout == ""
+        assert result.returncode == 2 and result.stdout == ""
         assert "1 <= p < inf" in result.stderr and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["norm", "--input", "u.json", "--p", "1/2"],
+             "integrability index must satisfy 1 <= p < inf, got 0.5"),
+            (["norm", "--input", "u.json", "--p", "inf"],
+             "integrability index must satisfy 1 <= p < inf, got inf"),
+            (["norm", "--input", "u.json", "--s", "nan"],
+             "smoothness index must be finite, got nan"),
+            (["norm", "--input", "u2.json", "--p", "3", "--grid-size", "9000"],
+             "quadrature grid 9000^2 exceeds 67108864 points"),
+            (["apply-j", "--input", "u.json", "--s", "nan", "--out", "out.json"],
+             "coefficients must be finite (no NaN/Inf)"),
+            (["pair", "--input", "u.json", "--input2", "u5.json"],
+             "lattice mismatch: (n=1, R=4) vs (n=1, R=5)"),
+            (["pair", "--input", "u.json", "--input2", "u.json", "--s", "nan"],
+             "smoothness index must be finite, got nan"),
+            (["pair", "--input", "u.json", "--input2", "u.json", "--s", "inf"],
+             "smoothness index must be finite, got inf"),
+            (["product", "--input", "u.json", "--input2", "u5.json", "--out", "out.json"],
+             "lattice mismatch: (n=1, R=4) vs (n=1, R=5)"),
+            (["product", "--input", "u2.json", "--input2", "u2.json", "--exact-product",
+              "--out", "out.json"],
+             "lattice (2R+1)^n with n=2, R=6 exceeds 100 coefficients"),
+            (["gen", "--kind", "power-decay", "--alpha", "-1", "--out", "out.json"],
+             "power-decay requires a decay exponent alpha >= 0, got -1.0"),
+            (["gen", "--kind", "power-decay", "--alpha", "nan", "--out", "out.json"],
+             "coefficients must be finite (no NaN/Inf)"),
+            (["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "2", "--q-grid", "2",
+              "--radius-grid", "4", "--u-kind", "power-decay", "--alpha", "-1",
+              "--out", "out.csv"],
+             "power-decay requires a decay exponent alpha >= 0, got -1.0"),
+        ],
+        ids=["norm-p-below-one", "norm-p-inf", "norm-s-nan", "norm-grid-too-large",
+             "apply-j-s-nan", "pair-lattice-mismatch", "pair-s-nan", "pair-s-inf",
+             "product-lattice-mismatch", "exact-product-lattice-too-large", "gen-alpha-negative",
+             "gen-alpha-nan", "sweep-alpha-negative"],
+    )
+    def test_refused_input_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
+        for name, kind, n, radius in (("u.json", "power-decay", 1, 4),
+                                      ("u5.json", "random-smooth", 1, 5),
+                                      ("u2.json", "random-smooth", 2, 3)):
+            field = gen_distribution(kind, make_lattice(n, radius), alpha=1.0)
+            write_coeff_file(tmp_path / name, field)
+        written = set(tmp_path.iterdir())
+        monkeypatch.chdir(tmp_path)
+        if "--exact-product" in argv:  # 49 coefficients pass; radius 6 has 169
+            monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", 100)
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert set(tmp_path.iterdir()) == written
 
     @pytest.mark.parametrize(
         "document",
