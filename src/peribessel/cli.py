@@ -28,18 +28,22 @@ class UsageError(ValueError):
 
 
 def _numeric(text: str):
-    """Parse a CLI number: '4/3' -> Fraction, '2' -> int, '1.5' -> float."""
+    """Parse a CLI number within the float range: '4/3' -> Fraction, '2' -> int, '1.5' -> float."""
     text = str(text).strip()
     if "/" in text:
         from fractions import Fraction
         try:
-            return Fraction(text)
+            value = Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+    else:
+        try:
+            value = int(text)
+        except ValueError:
+            return float(text)
+    if abs(value) > sys.float_info.max:  # float(value) would raise OverflowError
+        raise ValueError(f"{text!r} exceeds the largest float")
+    return value
 
 
 def _numeric_list(text: str):
@@ -288,6 +292,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_mult_norm(args) -> int:
     from .coeffio import parse_coeff_file
+    from .lattice import restrict_field
     from .multipliers import CSV_COLUMNS, MultiplierProblem, equivalence_report
     field = _usage(parse_coeff_file, args.input)
     radius = field.lattice.radius
@@ -295,10 +300,9 @@ def _cmd_mult_norm(args) -> int:
     if not radii or not all(0 <= r <= radius for r in radii):
         raise UsageError(f"--radii must list radii in [0, {radius}]; got {args.radii}")
     _check_grid_size(args.grid_size, max(radii))
-    prob = _usage(MultiplierProblem, field, args.s, args.t, args.p, args.q)
-    report = equivalence_report(
-        prob, radii=args.radii, force=args.force, grid_points=args.grid_size
-    )
+    top = restrict_field(field, max(radii))  # a radius --radii never reaches sets no grid
+    prob = _usage(MultiplierProblem, top, args.s, args.t, args.p, args.q, args.grid_size)
+    report = equivalence_report(prob, radii=args.radii, force=args.force)
     if args.format == "json":
         record = report.as_dict()
     else:
@@ -338,12 +342,13 @@ def _cmd_sweep(args) -> int:
     }
     points = list(itertools.product(*grids))
     # every point is checked before the first solve
-    problems = [_usage(MultiplierProblem, fields[r], s, t, p, q) for s, t, p, q, r in points]
+    problems = [_usage(MultiplierProblem, fields[r], s, t, p, q, args.grid_size)
+                for s, t, p, q, r in points]
     rows = []
     refusals = 0
     for (s, t, p, q, radius), prob in zip(points, problems):
         try:
-            report = equivalence_report(prob, force=args.force, grid_points=args.grid_size)
+            report = equivalence_report(prob, force=args.force)
         except HypothesisError as exc:
             refusals += 1
             sys.stderr.write(

@@ -328,9 +328,9 @@ def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:
     A grid of more than :data:`MAX_COEFFICIENTS` points raises ValueError first.
     """
     lattice, N = u.lattice, points_per_axis
-    bins = _dft_bins(lattice, N)
-    if N ** lattice.n > MAX_COEFFICIENTS:
+    if N ** lattice.n > MAX_COEFFICIENTS:  # first: numpy cannot take N % beyond int64
         raise ValueError(f"quadrature grid {N}^{lattice.n} exceeds {MAX_COEFFICIENTS} points")
+    bins = _dft_bins(lattice, N)
     samples = (u.coeffs * lattice.signs).reshape(lattice.shape)
     for axis in reversed(range(lattice.n)):
         spread = np.zeros(samples.shape[:axis] + (N,) + samples.shape[axis + 1 :], np.complex128)

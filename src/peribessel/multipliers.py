@@ -9,16 +9,17 @@ steps of Boyd's power method (Boyd, LAA 9, 1974; Higham, Numer. Math. 62, 1992),
 started from the all-ones field, so the classical ``|u|_{H^(-t)_q} / |E|_{H^s_p}``
 certificate is its first step.  The best iterate's norms are re-checked on 2N
 nodes per axis unless N nodes integrate them exactly; none is at p, q in {2, 4}.
+``MultiplierProblem(..., grid_points=None)`` sets N, by default 2(2R+1).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
+from . import lattice as _lattice
 from .calculus import SpaceIndex, _convolver, bessel_weights, default_grid_points, hs_norm, lift
 from .conditions import conjugate_exponent, strichartz_case
 from .lattice import (
@@ -79,7 +80,10 @@ class MultiplierProblem:
     """One multiplier-norm instance: u acting from H^s_p into H^(-t)_q.
 
     The target smoothness is -t with t >= 0 stored explicitly; u's lattice is
-    fixed for the whole problem.
+    fixed for the whole problem.  ``grid_points`` is the quadrature grid N per
+    axis of every p != 2 norm, None for 2(2R+1).  Unless p = q = 2, a problem
+    whose largest grid (2N where Boyd's re-check runs, else N) exceeds
+    ``lattice.MAX_COEFFICIENTS`` points is refused.
     """
 
     u: SpectralField
@@ -87,6 +91,7 @@ class MultiplierProblem:
     t: float
     p: float
     q: float
+    grid_points: int | None = None
 
     def __post_init__(self):
         if not (0 <= self.s < np.inf and 0 <= self.t < np.inf):
@@ -94,10 +99,25 @@ class MultiplierProblem:
         for name, value in (("p", self.p), ("q", self.q)):
             if not 1 < value < np.inf:
                 raise ValueError(f"{name} must lie in (1, inf), got {value}")
+        if self.p == 2 and self.q == 2:
+            return
+        N, n, limit = self.points, self.n, _lattice.MAX_COEFFICIENTS
+        if N**n > limit:
+            raise ValueError(f"quadrature grid {N}^{n} exceeds {limit} points")
+        if not (self.exact_on_grid(self.p) and self.exact_on_grid(self.q)) and (2 * N) ** n > limit:
+            raise ValueError(f"Boyd's 2N re-check grid {2 * N}^{n} exceeds {limit} points")
 
     @property
     def n(self) -> int:
         return self.u.lattice.n
+
+    @property
+    def points(self) -> int:
+        return default_grid_points(self.u.lattice) if self.grid_points is None else self.grid_points
+
+    def exact_on_grid(self, r) -> bool:
+        """Whether N nodes integrate L^r norms on u's lattice exactly: r even, rR < N."""
+        return float(r) % 2 == 0 and float(r) * self.u.lattice.radius < self.points
 
 
 @dataclass(frozen=True)
@@ -246,19 +266,18 @@ def _dual(values: np.ndarray, r: float) -> np.ndarray:
     return np.power(magnitude, r - 2.0, out=np.zeros_like(magnitude), where=magnitude > 0.0) * w
 
 
-def multiplier_norm_lp(prob: MultiplierProblem, grid_points: int | None = None) -> float:
+def multiplier_norm_lp(prob: MultiplierProblem) -> float:
     """Lower bound of the multiplier norm for any (p, q) by Boyd's power method.
 
     From x = lift(s, E), E the all-ones field (the classical certificate), take
     BOYD_STEPS steps ``x <- analyze(dual_p'(synthesize(rmatvec(analyze(dual_q(A x))))))``;
     at p = q = 2 that is power iteration on A^H A.  Returns max(start ratio, best
-    iterate's smaller ratio on N and 2N nodes per axis), N = ``grid_points`` or 2(2R+1).
-    The 2N ratio redoes only norms whose exponent is not an even integer r with rR < N.
+    iterate's smaller ratio on N = ``prob.points`` and 2N nodes per axis).  The 2N
+    ratio redoes only the norms that ``prob.exact_on_grid`` does not clear.
     """
-    lattice = prob.u.lattice
+    lattice, points = prob.u.lattice, prob.points
     if not np.any(prob.u.coeffs):
         return 0.0
-    points = default_grid_points(lattice) if grid_points is None else grid_points
     q, p_conj = float(prob.q), float(conjugate_exponent(prob.p))
     matvec, rmatvec = multiplier_operator(prob)
     step = _ratio(prob, matvec, lift(float(prob.s), constant_field(lattice)), points)
@@ -271,8 +290,7 @@ def multiplier_norm_lp(prob: MultiplierProblem, grid_points: int | None = None) 
         if step[0] > best[0]:
             best, best_x = step, x
     ratio, _, image, norms = best
-    exact = (r % 2 == 0 and r * lattice.radius < points for r in (q, float(prob.p)))
-    norms = [norm if known else None for norm, known in zip(norms, exact)]
+    norms = [norm if prob.exact_on_grid(r) else None for norm, r in zip(norms, (q, prob.p))]
     if None in norms:  # the 2N re-check
         ratio = min(ratio, _ratio(prob, matvec, best_x, 2 * points, image=image, norms=norms)[0])
     return max(start, ratio)
@@ -302,7 +320,6 @@ def equivalence_report(
     prob: MultiplierProblem,
     radii: Sequence[int] | None = None,
     force: bool = False,
-    grid_points: int | None = None,
     family_seed: int = 0,
 ) -> MultiplierReport:
     """Multiplier norm vs intersection norm, with a radius-refinement trace.
@@ -329,17 +346,17 @@ def equivalence_report(
         raise ValueError("at least one radius is required")
 
     exact = float(prob.p) == 2.0 and float(prob.q) == 2.0
-    solve = multiplier_norm_l2 if exact else partial(multiplier_norm_lp, grid_points=grid_points)
+    solve = multiplier_norm_l2 if exact else multiplier_norm_lp
     restricted = [replace(prob, u=fields[r]) for r in sorted(fields)]
     refinement = tuple((sub.u.lattice.radius, solve(sub)) for sub in restricted)
-    (top_radius, norm), top = refinement[-1], restricted[-1].u
+    (top_radius, norm), top = refinement[-1], restricted[-1]
 
-    target_norm, dual_norm = _intersection_terms(top, prob.s, prob.p, prob.t, prob.q, grid_points)
+    target_norm, dual_norm = _intersection_terms(top.u, top.s, top.p, top.t, top.q, top.points)
     inter = max(target_norm, dual_norm)
     if inter == 0.0:
         raise ValueError(f"restriction to radius {top_radius} is zero; ratio undefined")
     source = SpaceIndex(float(prob.s), float(prob.p))
-    certificate = target_norm / hs_norm(constant_field(top.lattice), source, grid_points)
+    certificate = target_norm / hs_norm(constant_field(top.u.lattice), source, top.points)
     if certificate > norm * (1.0 + 1e-12):
         raise RuntimeError(f"lower-bound certificate {certificate} exceeds multiplier norm {norm}")
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +24,11 @@ from peribessel import (
     multiplier_operator,
     pointwise_product,
     real_part_field,
+    restrict_field,
     top_singular_value,
 )
 from peribessel.calculus import bessel_weights
-from peribessel import multipliers
+from peribessel import lattice, multipliers
 from peribessel.multipliers import BOYD_STEPS, _dual
 
 from conftest import best_ratio, multiplier_matrix, rel_err, svd_operator_norm
@@ -65,6 +67,56 @@ def low_family(lat):
 def test_problem_rejects_bad_indices(indices, message):
     with pytest.raises(ValueError, match=message):
         problem(constant_field(make_lattice(1, 2)), *indices)
+
+
+class TestProblemGrid:
+    """The quadrature grid N a problem holds, and the grids it refuses."""
+
+    u = gen_distribution("random-smooth", make_lattice(2, 3), alpha=1.0)
+
+    @pytest.mark.parametrize(
+        "p, q, points, limit, message",
+        [
+            (3.0, 3.0, 9000, None, r"quadrature grid 9000\^2 exceeds 67108864 points"),
+            (4.0, 4.0, 9000, None, r"quadrature grid 9000\^2 exceeds 67108864 points"),
+            (3.0, 3.0, 90, 10000, r"Boyd's 2N re-check grid 180\^2 exceeds 10000 points"),
+            (4.0, 3.0, 90, 10000, r"Boyd's 2N re-check grid 180\^2"),
+            (2, Fraction(3, 2), 90, 10000, r"Boyd's 2N re-check grid 180\^2"),
+        ],
+        ids=["grid", "grid-even-exponent", "recheck-grid", "recheck-grid-q", "recheck-grid-p2"],
+    )
+    def test_refuses_a_grid_its_norms_cannot_build(self, monkeypatch, p, q, points, limit,
+                                                   message):
+        if limit is not None:
+            monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", limit)
+        with pytest.raises(ValueError, match=message):
+            MultiplierProblem(self.u, 1, 1, p, q, grid_points=points)
+
+    @pytest.mark.parametrize("pq", [2, 4.0], ids=["p2", "p4"])
+    def test_accepts_the_grids_it_builds(self, monkeypatch, pq):
+        # p = q = 2 samples no grid; at p = q = 4, 4R < 90 nodes are exact, so no 2N re-check
+        if pq == 2:
+            MultiplierProblem(self.u, 1, 1, pq, pq, grid_points=9000)
+        monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", 10000)
+        prob = MultiplierProblem(self.u, 1, 1, pq, pq, grid_points=90)
+        assert np.isfinite(multiplier_norm_lp(prob))
+
+    def test_restriction_keeps_the_grid(self):
+        prob = MultiplierProblem(self.u, 1, 1, 3, 3, grid_points=40)
+        sub = replace(prob, u=restrict_field(self.u, 1))
+        assert sub.grid_points == sub.points == 40
+        # without a grid, each lattice has its own default 2(2R+1)
+        default = replace(prob, grid_points=None)
+        assert default.points == 14 and replace(default, u=sub.u).points == 6
+
+    @pytest.mark.parametrize(
+        "r, points, exact",
+        [(2.0, 7, True), (4.0, 13, True), (4.0, 12, False), (Fraction(4), 13, True),
+         (3.0, 100, False), (2.5, 100, False)],
+    )
+    def test_exact_on_grid_is_even_r_with_rR_below_N(self, r, points, exact):
+        prob = MultiplierProblem(self.u, 1, 1, 3, 3, grid_points=points)
+        assert prob.exact_on_grid(r) is exact
 
 
 class TestMultiplierMatrix:
@@ -396,7 +448,7 @@ class TestMultiplierNormLp:
         u = gen_distribution("power-decay", lat, alpha=1.0, seed=4)
         for points, pq, rechecked in ((lat.side, 4.0, 2), (4 * lat.radius, 4.0, 2), (lat.side, 2.0, 0)):
             synthesized.clear()
-            multiplier_norm_lp(problem(u, p=pq, q=pq), grid_points=points)
+            multiplier_norm_lp(MultiplierProblem(u, 1.0, 1.0, pq, pq, grid_points=points))
             assert synthesized.count(2 * points) == rechecked
 
     @pytest.mark.parametrize("p", [Fraction(21, 20), 1.05], ids=["fraction", "float"])

@@ -428,6 +428,8 @@ class TestCliExitCodes:
              "smoothness index must be finite, got nan"),
             (["norm", "--input", "u2.json", "--p", "3", "--grid-size", "9000"],
              "quadrature grid 9000^2 exceeds 67108864 points"),
+            (["norm", "--input", "u.json", "--p", "3", "--grid-size", str(2**63)],
+             f"quadrature grid {2**63}^1 exceeds 67108864 points"),
             (["apply-j", "--input", "u.json", "--s", "nan", "--out", "out.json"],
              "coefficients must be finite (no NaN/Inf)"),
             (["pair", "--input", "u.json", "--input2", "u5.json"],
@@ -449,11 +451,23 @@ class TestCliExitCodes:
               "--radius-grid", "4", "--u-kind", "power-decay", "--alpha", "-1",
               "--out", "out.csv"],
              "power-decay requires a decay exponent alpha >= 0, got -1.0"),
+            (["mult-norm", "--input", "u2.json", "--p", "3", "--q", "3", "--grid-size", "9000"],
+             "quadrature grid 9000^2 exceeds 67108864 points"),
+            (["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "3", "--q-grid", "3",
+              "--radius-grid", "3", "--n", "2", "--grid-size", "9000", "--out", "out.csv"],
+             "quadrature grid 9000^2 exceeds 67108864 points"),
+            (["mult-norm", "--input", "u2.json", "--p", "3", "--q", "3", "--grid-size", "90"],
+             "Boyd's 2N re-check grid 180^2 exceeds 10000 points"),
+            (["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "3", "--q-grid", "3",
+              "--radius-grid", "3", "--n", "2", "--grid-size", "90", "--out", "out.csv"],
+             "Boyd's 2N re-check grid 180^2 exceeds 10000 points"),
         ],
         ids=["norm-p-below-one", "norm-p-inf", "norm-s-nan", "norm-grid-too-large",
-             "apply-j-s-nan", "pair-lattice-mismatch", "pair-s-nan", "pair-s-inf",
-             "product-lattice-mismatch", "exact-product-lattice-too-large", "gen-alpha-negative",
-             "gen-alpha-nan", "sweep-alpha-negative"],
+             "norm-grid-beyond-int64", "apply-j-s-nan", "pair-lattice-mismatch", "pair-s-nan",
+             "pair-s-inf", "product-lattice-mismatch", "exact-product-lattice-too-large",
+             "gen-alpha-negative", "gen-alpha-nan", "sweep-alpha-negative",
+             "mult-norm-grid-too-large", "sweep-grid-too-large",
+             "mult-norm-recheck-grid-too-large", "sweep-recheck-grid-too-large"],
     )
     def test_refused_input_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
         for name, kind, n, radius in (("u.json", "power-decay", 1, 4),
@@ -465,6 +479,8 @@ class TestCliExitCodes:
         monkeypatch.chdir(tmp_path)
         if "--exact-product" in argv:  # 49 coefficients pass; radius 6 has 169
             monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", 100)
+        if "90" in argv:  # a 90^2 grid passes; at p = 3 its 180^2 re-check grid does not
+            monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", 10000)
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -591,6 +607,88 @@ class TestCliExitCodes:
         assert code == 2 and captured.out == "" and not (tmp_path / "sweep.csv").exists()
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (["mult-norm", "--grid-size", "9000"], None),
+            (["mult-norm", "--grid-size", "90"], 10000),
+            (["mult-norm"], 10000),
+            (["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "3", "--q-grid", "3",
+              "--radius-grid", "2,13", "--n", "2", "--out", "sweep.csv"], 10000),
+        ],
+        ids=["mult-norm-grid", "mult-norm-recheck-grid", "mult-norm-default-recheck-grid",
+             "sweep-default-recheck-grid"],
+    )
+    def test_oversized_quadrature_grid_is_refused_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, argv, limit
+    ):
+        # on the radius-13 plane the default grid is 54^2 and its re-check grid 108^2
+        path = tmp_path / "u.json"
+        write_coeff_file(path, gen_distribution("power-decay", make_lattice(2, 13), alpha=2.0))
+
+        def never(*args, **kwargs):
+            raise AssertionError("a solve began")
+
+        for name in ("multiplier_norm_l2", "multiplier_norm_lp", "synthesize"):
+            monkeypatch.setattr(multipliers, name, never)
+        if limit is not None:
+            monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", limit)
+        monkeypatch.chdir(tmp_path)
+        inputs = [] if argv[0] == "sweep" else ["--input", str(path), "--p", "3", "--q", "3"]
+        code = cli.main(argv + inputs + ["--force"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not (tmp_path / "sweep.csv").exists()
+        assert captured.err.startswith("error:") and "grid" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_radii_that_fit_the_grid_limit_are_accepted(self, tmp_path, capsys, monkeypatch):
+        # the file's radius 13 would need a 108^2 re-check grid; radius 5 needs 44^2
+        path = tmp_path / "u.json"
+        write_coeff_file(path, gen_distribution("power-decay", make_lattice(2, 13), alpha=2.0))
+        argv = ["mult-norm", "--input", str(path), "--p", "3", "--q", "3", "--radii", "2,5"]
+        assert cli.main(argv) == 0
+        unlimited = capsys.readouterr().out
+        monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", 10000)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == unlimited
+        assert cli.main(argv[:-2]) == 2
+        assert capsys.readouterr().err == (
+            "error: Boyd's 2N re-check grid 108^2 exceeds 10000 points\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm", "--input", "u.json", "--s", "BIG"],
+            ["norm", "--input", "u.json", "--p", "BIG/1"],
+            ["apply-j", "--input", "u.json", "--s", "BIG", "--out", "out.json"],
+            ["pair", "--input", "u.json", "--input2", "u.json", "--s", "BIG"],
+            ["mult-norm", "--input", "u.json", "--s", "BIG"],
+            ["verify", "embedding", "--s", "BIG"],
+            ["sweep", "--s-grid", "1,BIG", "--t-grid", "1", "--p-grid", "2", "--q-grid", "2",
+             "--radius-grid", "2", "--out", "out.csv"],
+            ["--config", "conf.json", "norm", "--input", "u.json"],
+        ],
+        ids=["norm-s", "norm-p-fraction", "apply-j-s", "pair-s", "mult-norm-s", "verify-s",
+             "sweep-s-grid", "config-s"],
+    )
+    def test_number_too_large_for_a_float_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        big = str(10**400)
+        write_coeff_file(tmp_path / "u.json", gen_distribution("dirac", make_lattice(1, 2)))
+        (tmp_path / "conf.json").write_text(json.dumps({"s": 10**400}))
+        written = set(tmp_path.iterdir())
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = cli.main([arg.replace("BIG", big) for arg in argv])
+        except SystemExit as refused:  # argparse refuses the flag
+            code = refused.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and set(tmp_path.iterdir()) == written
+        refusal = "error: config value s=" if "--config" in argv else "invalid _numeric"
+        assert refusal in captured.err
 
     def test_infinite_smoothness_index_is_refused_before_any_solve(
         self, tmp_path, capsys, monkeypatch
