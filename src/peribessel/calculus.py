@@ -100,13 +100,30 @@ def duality_pair(u: SpectralField, v: SpectralField, s: float = 0.0) -> complex:
     return complex(tree_sum(u.coeffs * np.conj(v.coeffs)))
 
 
+def _fast_length(m: int) -> int:
+    """The least 7-smooth integer >= m: numpy's FFT is several times slower at a
+    length with a large prime factor.  Each odd 7-smooth part is doubled up to m."""
+    best, odd7 = 1 << max(m - 1, 0).bit_length(), 1
+    while odd7 < best:
+        odd5 = odd7
+        while odd5 < best:
+            odd3 = odd5
+            while odd3 < best:
+                best = min(best, odd3 << (-(-m // odd3) - 1).bit_length())
+                odd3 *= 3
+            odd5 *= 5
+        odd7 *= 7
+    return best
+
+
 def _convolver(a: np.ndarray, shape: tuple, window: slice):
     """Cyclic convolution with ``a`` at length ``shape``: the map ``b ->
     ifftn(FFT(a) * fftn(b, shape))``, with FFT(a) taken once, over the trailing
     ``a.ndim`` axes of b, cut to ``window`` on each.  Each axis is cut right after
     its inverse transform, in ``ifftn``'s order, so later axes transform only the
     kept lines, bit for bit.  A length of at least the two extents summed minus
-    one per axis wraps nothing."""
+    one per axis wraps nothing; callers round their lengths up by
+    :func:`_fast_length`, which changes only rounding."""
     axes = tuple(range(-a.ndim, 0))
     spectrum = np.fft.fftn(a, shape, axes)
 
@@ -123,17 +140,18 @@ def _linear_convolve(a: np.ndarray, b: np.ndarray, window: slice) -> np.ndarray:
     """Linear convolution of two equal-shape coefficient cubes, cut to ``window``
     on each axis of the full ``(2*side-1,)*n`` result: the other cube shifted and
     scaled, exactly, when one cube has a single nonzero (a scaled basis field);
-    otherwise :func:`_convolver` at length 2*side-1."""
+    otherwise :func:`_convolver` at length ``_fast_length(2*side-1)``, the same
+    for every window, so a truncated product is the exact one's centre bit for bit."""
     side = a.shape[0]
-    full = (2 * side - 1,) * a.ndim
+    full = 2 * side - 1
+    start, stop, _ = window.indices(full)
     nonzero_a, nonzero_b = np.flatnonzero(a), np.flatnonzero(b)
     if len(nonzero_a) != 1 and len(nonzero_b) != 1:
-        return _convolver(a, full, window)(b)
+        return _convolver(a, (_fast_length(full),) * a.ndim, slice(start, stop))(b)
     if len(nonzero_a) == 1:  # ravel, not flat: the flat iterator takes at most 32 axes
         position, product = nonzero_a[0], a.ravel()[nonzero_a[0]] * b
     else:
         position, product = nonzero_b[0], a * b.ravel()[nonzero_b[0]]
-    start, stop, _ = window.indices(full[0])
     width = stop - start
     out = np.zeros((width,) * a.ndim, dtype=np.complex128)
     shifts = [o - start for o in np.unravel_index(position, a.shape)]
@@ -153,7 +171,8 @@ def pointwise_product(
     By default the result is truncated back to the input radius (closing the
     model); with ``exact=True`` the full convolution is kept on a lattice of
     radius 2R, where it matches dealiased grid multiplication.  A factor with
-    one nonzero coefficient shifts the other exactly; other pairs use an FFT.
+    one nonzero coefficient shifts the other exactly; other pairs use an FFT of
+    the least 7-smooth length >= 4R+1 per axis, the same in either mode.
     """
     _require_same_lattice(f, u)
     lattice = f.lattice

@@ -20,7 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from . import lattice as _lattice
-from .calculus import SpaceIndex, _convolver, bessel_weights, default_grid_points, hs_norm, lift
+from .calculus import (
+    SpaceIndex, _convolver, _fast_length, bessel_weights, default_grid_points, hs_norm, lift,
+)
 from .conditions import conjugate_exponent, strichartz_case
 from .lattice import (
     GridFunction,
@@ -81,9 +83,9 @@ class MultiplierProblem:
 
     The target smoothness is -t with t >= 0 stored explicitly; u's lattice is
     fixed for the whole problem.  ``grid_points`` is the quadrature grid N per
-    axis of every p != 2 norm, None for 2(2R+1).  Unless p = q = 2, a problem
-    whose largest grid (2N where Boyd's re-check runs, else N) exceeds
-    ``lattice.MAX_COEFFICIENTS`` points is refused.
+    axis of every p != 2 norm: an int, or None for 2(2R+1).  Unless p = q = 2, an
+    N below 2R+1 or a largest grid (2N where Boyd's re-check runs, else N) over
+    ``lattice.MAX_COEFFICIENTS`` points is refused too.
     """
 
     u: SpectralField
@@ -99,9 +101,16 @@ class MultiplierProblem:
         for name, value in (("p", self.p), ("q", self.q)):
             if not 1 < value < np.inf:
                 raise ValueError(f"{name} must lie in (1, inf), got {value}")
+        N = self.grid_points
+        if N is not None:
+            if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+                raise ValueError(f"grid_points must be an integer or None, got {N!r}")
+            object.__setattr__(self, "grid_points", int(N))
         if self.p == 2 and self.q == 2:
             return
-        N, n, limit = self.points, self.n, _lattice.MAX_COEFFICIENTS
+        N, n, limit, side = self.points, self.n, _lattice.MAX_COEFFICIENTS, self.u.lattice.side
+        if N < side:
+            raise ValueError(f"grid too small: need at least {side} points per axis, got {N}")
         if N**n > limit:
             raise ValueError(f"quadrature grid {N}^{n} exceeds {limit} points")
         if not (self.exact_on_grid(self.p) and self.exact_on_grid(self.q)) and (2 * N) ** n > limit:
@@ -159,13 +168,14 @@ def multiplier_operator(prob: MultiplierProblem) -> tuple:
     for any (p, q); differences of indices outside u's lattice contribute zero.
 
     ``matvec`` maps ``lift(s, f)`` to ``lift(-t, f*u)``: ``(2*pi)^(-n/2) W_{-t}
-    window_R(u conv (W_{-s} v))``, W_a the Bessel weights, cyclic of length 3R+1
-    per axis (the least at which nothing wraps into the window), FFT(u) taken
-    once.  ``rmatvec`` is the adjoint: the same for conj(u), s and t swapped.
-    Either also maps a stack of vectors, shape ``(..., size)``, one vector at a time.
+    window_R(u conv (W_{-s} v))``, W_a the Bessel weights, cyclic of length
+    ``_fast_length(3R+1)`` per axis (3R+1 is the least at which nothing wraps into
+    the window; a longer one changes only rounding), FFT(u) taken once.
+    ``rmatvec`` is the adjoint: the same for conj(u), s and t swapped.  Either also
+    maps a stack of vectors, shape ``(..., size)``, one vector at a time.
     """
     lattice = prob.u.lattice
-    padded = (3 * lattice.radius + 1,) * lattice.n
+    padded = (_fast_length(3 * lattice.radius + 1),) * lattice.n
     # Cube positions are index + R, so the product's index l sits at l + 2R.
     window = slice(lattice.radius, lattice.radius + lattice.side)
 
@@ -246,24 +256,32 @@ def _ratio(prob: MultiplierProblem, matvec, x: SpectralField, points: int, *,
            image: SpectralField | None = None, norms=(None, None)) -> tuple:
     """Ratio |f*u|_{H^(-t)_q} / |f|_{H^s_p} on ``points`` nodes per axis for the test
     field f with ``x = lift(s, f)``, the samples (or None) and coefficients ``image`` of
-    lift(-t, f*u), and the ``norms`` (numerator, denominator); given ones are reused."""
+    lift(-t, f*u), and the ``norms`` (numerator, denominator); given ones are reused.
+    Without ``image``, x and its image are synthesized in one stacked transform."""
     (numerator, denominator), samples = norms, None
+    if image is None:
+        image = SpectralField._owned(x.lattice, matvec(x.coeffs))
+        stacked = _lattice._synthesize(np.stack([x.coeffs, image.coeffs]), x.lattice, points)
+        source, samples = GridFunction._owned(stacked[0]), GridFunction._owned(stacked[1])
+        denominator, numerator = lp_norm(source, float(prob.p)), lp_norm(samples, float(prob.q))
     if denominator is None:
         denominator = lp_norm(synthesize(x, points), float(prob.p))
     if denominator == 0.0:
         raise ValueError("test field has zero source-space norm")
-    image = SpectralField._owned(x.lattice, matvec(x.coeffs)) if image is None else image
     if numerator is None:
-        samples = synthesize(image, points)
-        numerator = lp_norm(samples, float(prob.q))
+        numerator = lp_norm(synthesize(image, points), float(prob.q))
     return numerator / denominator, samples, image, (numerator, denominator)
 
 
 def _dual(values: np.ndarray, r: float) -> np.ndarray:
-    """Duality map |w|^(r-2) w, w = values / max|values|; zeros stay 0 (0.0 ** (r-2) = inf)."""
-    w = values / np.max(np.abs(values))
-    magnitude = np.abs(w)
-    return np.power(magnitude, r - 2.0, out=np.zeros_like(magnitude), where=magnitude > 0.0) * w
+    """Duality map |w|^(r-2) w, w = values / max|values|, as (|values| / max)^(r-2)
+    / max * values, from one |values| scaled in place; zeros stay 0 (0.0 ** (r-2) = inf)."""
+    magnitude = np.abs(values)
+    scale = np.max(magnitude)
+    magnitude /= scale
+    np.power(magnitude, r - 2.0, out=magnitude, where=magnitude > 0.0)
+    magnitude /= scale
+    return magnitude * values
 
 
 def multiplier_norm_lp(prob: MultiplierProblem) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 from . import SUITES
 from .calculus import (
     SpaceIndex,
+    _fast_length,
     duality_pair,
     hs_norm,
     lift,
@@ -371,8 +372,9 @@ def _multiplier_radius(ctx) -> int:
 
 def _largest_grid(ctx) -> int:
     """Points per axis of the largest lattice, synthesis or convolution grid the
-    checks build for ctx: refinement-stability's convolution of a radius 2 max(R, 8) field."""
-    return 6 * max(ctx.radius, 8) + 1
+    checks build for ctx: the operator's length on refinement-stability's field
+    of radius 2 max(R, 8)."""
+    return _fast_length(6 * max(ctx.radius, 8) + 1)
 
 
 @_check("swap-adjoint-identity", "multiplier", 1e-14,

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from peribessel import (
 )
 from peribessel import lattice as lattice_module
 from peribessel.conditions import conjugate_exponent
-from peribessel.calculus import _convolver, bessel_weights
+from peribessel.calculus import _convolver, _fast_length, bessel_weights
 from peribessel.lattice import tree_sum
 
 from conftest import convolve_direct, rectangle_quadrature, rel_err
@@ -205,6 +206,18 @@ class TestDualityPair:
                     assert pairing <= bound * (1 + 1e-12)
 
 
+def test_fast_length_is_the_least_7_smooth_integer_at_least_m():
+    def smooth(k):
+        for prime in (2, 3, 5, 7):
+            while k % prime == 0:
+                k //= prime
+        return k == 1
+
+    lengths = range(1, 2001)
+    expected = [next(k for k in itertools.count(m) if smooth(k)) for m in lengths]
+    assert [_fast_length(m) for m in lengths] == expected
+
+
 @pytest.mark.parametrize("n, radius", [(1, 0), (1, 4), (2, 1), (2, 4), (3, 2), (3, 4)])
 @pytest.mark.parametrize("stack", [(), (3,)])
 def test_windowed_convolver_matches_full_inverse_transform_bit_for_bit(n, radius, stack):
@@ -213,7 +226,7 @@ def test_windowed_convolver_matches_full_inverse_transform_bit_for_bit(n, radius
     a = rng.normal(size=(side,) * n) + 1j * rng.normal(size=(side,) * n)
     b = rng.normal(size=stack + a.shape) + 1j * rng.normal(size=stack + a.shape)
     axes = tuple(range(-n, 0))
-    for length in (3 * radius + 1, 2 * side - 1, 2 * side + 2):
+    for length in (3 * radius + 1, _fast_length(3 * radius + 1), 2 * side - 1, 2 * side + 2):
         shape = (length,) * n
         full = np.fft.ifftn(np.fft.fftn(a, shape, axes) * np.fft.fftn(b, shape, axes), axes=axes)
         for window in (slice(radius, radius + side), slice(None), slice(1, length - 1)):

@@ -208,7 +208,7 @@ class TestVerifySuites:
         # lattice, synthesis grid or convolution grid would escape that refusal
         points = []
         original_lattice, original_convolver = verify.make_lattice, calculus._convolver
-        original_synthesize = verify.synthesize
+        original_synthesize, original_stacked = verify.synthesize, lattice._synthesize
 
         def recording_lattice(n, radius):
             points.append((2 * radius + 1) ** n)
@@ -222,6 +222,10 @@ class TestVerifySuites:
             points.append(points_per_axis ** u.lattice.n)
             return original_synthesize(u, points_per_axis)
 
+        def recording_stacked(coeffs, lat, points_per_axis):  # Boyd's paired step
+            points.append(points_per_axis ** lat.n)
+            return original_stacked(coeffs, lat, points_per_axis)
+
         ctx = VerifyContext(n=n, radius=ctx_radius)
         for module in (lattice, calculus, verify):
             monkeypatch.setattr(module, "make_lattice", recording_lattice)
@@ -229,10 +233,43 @@ class TestVerifySuites:
             monkeypatch.setattr(module, "_convolver", recording_convolver)
         for module in (lattice, calculus, multipliers, verify):
             monkeypatch.setattr(module, "synthesize", recording_synthesize)
+        monkeypatch.setattr(lattice, "_synthesize", recording_stacked)
         results = run_suite("all", ctx)
         assert all(result.passed for result in results), format_report(results)
         assert points and max(points) <= verify._largest_grid(ctx) ** n
         assert verify._largest_grid(ctx) >= 6 * max(ctx.radius, 8) + 1
+
+    def test_every_convolution_length_is_7_smooth(self, tmp_path, capsys, monkeypatch):
+        # numpy's FFT is several times slower at a length with a large prime
+        # factor, such as the operator's 3R+1 = 13 at R = 4 or 19 at R = 6, or a
+        # product's 4R+1 = 33 at R = 8; every convolution rounds its length up
+        def smooth(length):
+            for prime in (2, 3, 5, 7):
+                while length % prime == 0:
+                    length //= prime
+            return length == 1
+
+        lengths = set()
+        original = calculus._convolver
+
+        def recording_convolver(a, shape, window):
+            lengths.update(shape)
+            return original(a, shape, window)
+
+        for module in (calculus, multipliers):
+            monkeypatch.setattr(module, "_convolver", recording_convolver)
+        results = run_suite("all")
+        assert all(result.passed for result in results), format_report(results)
+        path = tmp_path / "u.json"
+        write_coeff_file(path, gen_distribution("power-decay", make_lattice(2, 4), alpha=1.0))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["mult-norm", "--input", str(path), "--s", "2", "--p", "3",
+                         "--q", "3/2", "--radii", "2,4"]) == 0
+        assert cli.main(["sweep", "--s-grid", "2", "--t-grid", "1", "--p-grid", "2,3",
+                         "--q-grid", "2", "--radius-grid", "6", "--n", "2",
+                         "--out", "sweep.csv"]) == 0
+        capsys.readouterr()
+        assert {14, 20, 35} <= lengths and all(map(smooth, lengths)), sorted(lengths)
 
     def test_nan_sample_fails_its_check(self, monkeypatch):
         # max(0.0, nan) is 0.0: a check that kept its own running maximum would
