@@ -327,25 +327,18 @@ def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:
     numpy transforms each line on its own, so this is ``ifftn`` bit for bit.
     A grid of more than :data:`MAX_COEFFICIENTS` points raises ValueError first.
     """
-    return GridFunction._owned(_synthesize(u.coeffs, u.lattice, points_per_axis))
-
-
-def _synthesize(coeffs: np.ndarray, lattice: Lattice, N: int) -> np.ndarray:
-    """The samples array of :func:`synthesize` for each coefficient vector of a
-    stack ``(..., size)``, shape ``(..., N, ..., N)``; unchecked for finiteness.
-    Lines are transformed one at a time, so each slice is bit for bit one call."""
+    lattice, N = u.lattice, points_per_axis
     if N ** lattice.n > MAX_COEFFICIENTS:  # first: numpy cannot take N % beyond int64
         raise ValueError(f"quadrature grid {N}^{lattice.n} exceeds {MAX_COEFFICIENTS} points")
     bins = _dft_bins(lattice, N)
-    lead = coeffs.shape[:-1]
-    samples = (coeffs * lattice.signs).reshape(lead + lattice.shape)
-    for axis in reversed(range(len(lead), samples.ndim)):
+    samples = (u.coeffs * lattice.signs).reshape(lattice.shape)
+    for axis in reversed(range(lattice.n)):
         spread = np.zeros(samples.shape[:axis] + (N,) + samples.shape[axis + 1 :], np.complex128)
         spread[(slice(None),) * axis + (bins,)] = samples
         samples = np.fft.ifft(spread, axis=axis)
     samples *= N ** lattice.n
     samples *= TWO_PI ** (-lattice.n / 2.0)
-    return samples
+    return GridFunction._owned(samples)
 
 
 def analyze(g: GridFunction, lattice: Lattice) -> SpectralField:

@@ -256,20 +256,16 @@ def _ratio(prob: MultiplierProblem, matvec, x: SpectralField, points: int, *,
            image: SpectralField | None = None, norms=(None, None)) -> tuple:
     """Ratio |f*u|_{H^(-t)_q} / |f|_{H^s_p} on ``points`` nodes per axis for the test
     field f with ``x = lift(s, f)``, the samples (or None) and coefficients ``image`` of
-    lift(-t, f*u), and the ``norms`` (numerator, denominator); given ones are reused.
-    Without ``image``, x and its image are synthesized in one stacked transform."""
+    lift(-t, f*u), and the ``norms`` (numerator, denominator); given ones are reused."""
     (numerator, denominator), samples = norms, None
-    if image is None:
-        image = SpectralField._owned(x.lattice, matvec(x.coeffs))
-        stacked = _lattice._synthesize(np.stack([x.coeffs, image.coeffs]), x.lattice, points)
-        source, samples = GridFunction._owned(stacked[0]), GridFunction._owned(stacked[1])
-        denominator, numerator = lp_norm(source, float(prob.p)), lp_norm(samples, float(prob.q))
     if denominator is None:
         denominator = lp_norm(synthesize(x, points), float(prob.p))
     if denominator == 0.0:
         raise ValueError("test field has zero source-space norm")
+    image = SpectralField._owned(x.lattice, matvec(x.coeffs)) if image is None else image
     if numerator is None:
-        numerator = lp_norm(synthesize(image, points), float(prob.q))
+        samples = synthesize(image, points)
+        numerator = lp_norm(samples, float(prob.q))
     return numerator / denominator, samples, image, (numerator, denominator)
 
 

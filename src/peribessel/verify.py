@@ -78,13 +78,15 @@ class VerifyContext:
                 f"verify needs radius, seed >= 0 and finite s, t >= 0; got "
                 f"radius={self.radius}, seed={self.seed}, s={self.s}, t={self.t}"
             )
-        largest = _largest_grid(self)
-        try:  # a lattice of side largest, or largest + 1 if it is even
-            make_lattice(self.n, largest // 2)
-        except ValueError as exc:
-            raise ValueError(
-                f"verify builds grids up to {largest} points per axis: {exc}"
-            ) from None
+        # unrounded first: rounding a length of hundreds of digits takes minutes
+        for rounded in (False, True):
+            largest = _largest_grid(self, rounded)
+            try:  # a lattice of side largest, or largest + 1 if it is even
+                make_lattice(self.n, largest // 2)
+            except ValueError as exc:
+                raise ValueError(
+                    f"verify builds grids of at least {largest} points per axis: {exc}"
+                ) from None
         for name in ("s", "t"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -370,11 +372,12 @@ def _multiplier_radius(ctx) -> int:
     return min(ctx.radius, 8 if ctx.n == 1 else 4)
 
 
-def _largest_grid(ctx) -> int:
+def _largest_grid(ctx, rounded: bool = True) -> int:
     """Points per axis of the largest lattice, synthesis or convolution grid the
     checks build for ctx: the operator's length on refinement-stability's field
-    of radius 2 max(R, 8)."""
-    return _fast_length(6 * max(ctx.radius, 8) + 1)
+    of radius 2 max(R, 8), or unless ``rounded`` the 6 max(R, 8) + 1 it rounds up."""
+    length = 6 * max(ctx.radius, 8) + 1
+    return _fast_length(length) if rounded else length
 
 
 @_check("swap-adjoint-identity", "multiplier", 1e-14,

@@ -26,6 +26,14 @@ def rel_err(value, reference) -> float:
     return float(np.max(np.abs(value - reference))) / scale
 
 
+def seven_smooth(k: int) -> bool:
+    """Whether k has no prime factor above 7, by trial division."""
+    for prime in (2, 3, 5, 7):
+        while k % prime == 0:
+            k //= prime
+    return k == 1
+
+
 def synthesize_direct(u: SpectralField, points_per_axis: int) -> np.ndarray:
     """Direct O(N^n * |lattice|) evaluation of the coefficient sum."""
     lattice = u.lattice

@@ -30,7 +30,7 @@ from peribessel.conditions import conjugate_exponent
 from peribessel.calculus import _convolver, _fast_length, bessel_weights
 from peribessel.lattice import tree_sum
 
-from conftest import convolve_direct, rectangle_quadrature, rel_err
+from conftest import convolve_direct, rectangle_quadrature, rel_err, seven_smooth
 
 TWO_PI = 2.0 * np.pi
 
@@ -207,14 +207,8 @@ class TestDualityPair:
 
 
 def test_fast_length_is_the_least_7_smooth_integer_at_least_m():
-    def smooth(k):
-        for prime in (2, 3, 5, 7):
-            while k % prime == 0:
-                k //= prime
-        return k == 1
-
     lengths = range(1, 2001)
-    expected = [next(k for k in itertools.count(m) if smooth(k)) for m in lengths]
+    expected = [next(k for k in itertools.count(m) if seven_smooth(k)) for m in lengths]
     assert [_fast_length(m) for m in lengths] == expected
 
 

@@ -23,7 +23,7 @@ from peribessel import (
     synthesize,
     tree_sum,
 )
-from peribessel.lattice import _synthesize, grid_nodes
+from peribessel.lattice import grid_nodes
 
 from conftest import (
     analyze_reference,
@@ -371,22 +371,6 @@ class TestTransforms:
         assert analyze(GridFunction(noise), lat).coeffs.tobytes() == (
             analyze_reference(noise, lat).tobytes()
         )
-
-    # Boyd's step synthesizes a test field and its image in one stacked call,
-    # on N = 2(2R+1) nodes, and its re-check on 2N
-    @pytest.mark.parametrize("n, radius", [(1, 6), (2, 3), (3, 2)])
-    @pytest.mark.parametrize("count", [2, 3])
-    @pytest.mark.parametrize("factor", [1, 2])
-    def test_stacked_synthesis_is_one_call_per_field_bit_for_bit(self, n, radius, count, factor):
-        lat = make_lattice(n, radius)
-        rng = np.random.default_rng(count * lat.size)
-        coeffs = rng.normal(size=(count, lat.size)) + 1j * rng.normal(size=(count, lat.size))
-        points = factor * 2 * lat.side
-        stacked = _synthesize(coeffs, lat, points)
-        assert stacked.shape == (count,) + (points,) * n
-        for row, samples in zip(coeffs, stacked):
-            single = synthesize(SpectralField(lat, row), points).samples
-            assert samples.tobytes() == single.tobytes()
 
     def test_transform_results_are_frozen_without_losing_the_finite_check(self):
         lat = make_lattice(2, 1)

@@ -31,6 +31,8 @@ from peribessel.calculus import SpaceIndex, bessel_weights
 from peribessel.multipliers import CSV_COLUMNS, index_cells
 from peribessel.verify import REGISTRY, SUITES, VerifyContext, format_report
 
+from conftest import seven_smooth
+
 CLI = [sys.executable, "-m", "peribessel.cli"]
 # CLI child processes import the package from this checkout, as pytest does
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -205,10 +207,12 @@ class TestVerifySuites:
     def test_no_check_allocates_a_grid_beyond_the_context_bound(self, monkeypatch, n, ctx_radius):
         # VerifyContext refuses a context whose largest grid, _largest_grid(ctx)
         # points per axis, make_lattice would refuse; a check that built a larger
-        # lattice, synthesis grid or convolution grid would escape that refusal
-        points = []
+        # lattice, synthesis grid or convolution grid would escape that refusal.
+        # Every convolution length is 7-smooth: numpy's FFT is several times
+        # slower at a large prime length such as a product's 4R+1 = 33 at R = 8
+        points, lengths = [], set()
         original_lattice, original_convolver = verify.make_lattice, calculus._convolver
-        original_synthesize, original_stacked = verify.synthesize, lattice._synthesize
+        original_synthesize = verify.synthesize
 
         def recording_lattice(n, radius):
             points.append((2 * radius + 1) ** n)
@@ -216,15 +220,12 @@ class TestVerifySuites:
 
         def recording_convolver(a, shape, window):
             points.append(int(np.prod(shape)))
+            lengths.update(shape)
             return original_convolver(a, shape, window)
 
         def recording_synthesize(u, points_per_axis):
             points.append(points_per_axis ** u.lattice.n)
             return original_synthesize(u, points_per_axis)
-
-        def recording_stacked(coeffs, lat, points_per_axis):  # Boyd's paired step
-            points.append(points_per_axis ** lat.n)
-            return original_stacked(coeffs, lat, points_per_axis)
 
         ctx = VerifyContext(n=n, radius=ctx_radius)
         for module in (lattice, calculus, verify):
@@ -233,22 +234,14 @@ class TestVerifySuites:
             monkeypatch.setattr(module, "_convolver", recording_convolver)
         for module in (lattice, calculus, multipliers, verify):
             monkeypatch.setattr(module, "synthesize", recording_synthesize)
-        monkeypatch.setattr(lattice, "_synthesize", recording_stacked)
         results = run_suite("all", ctx)
         assert all(result.passed for result in results), format_report(results)
         assert points and max(points) <= verify._largest_grid(ctx) ** n
         assert verify._largest_grid(ctx) >= 6 * max(ctx.radius, 8) + 1
+        assert lengths and all(map(seven_smooth, lengths)), sorted(lengths)
 
-    def test_every_convolution_length_is_7_smooth(self, tmp_path, capsys, monkeypatch):
-        # numpy's FFT is several times slower at a length with a large prime
-        # factor, such as the operator's 3R+1 = 13 at R = 4 or 19 at R = 6, or a
-        # product's 4R+1 = 33 at R = 8; every convolution rounds its length up
-        def smooth(length):
-            for prime in (2, 3, 5, 7):
-                while length % prime == 0:
-                    length //= prime
-            return length == 1
-
+    def test_cli_multiplier_convolutions_have_7_smooth_lengths(self, tmp_path, capsys, monkeypatch):
+        # the operator's 3R+1 is 13 at R = 4 and 19 at R = 6, rounded up to 14 and 20
         lengths = set()
         original = calculus._convolver
 
@@ -256,10 +249,7 @@ class TestVerifySuites:
             lengths.update(shape)
             return original(a, shape, window)
 
-        for module in (calculus, multipliers):
-            monkeypatch.setattr(module, "_convolver", recording_convolver)
-        results = run_suite("all")
-        assert all(result.passed for result in results), format_report(results)
+        monkeypatch.setattr(multipliers, "_convolver", recording_convolver)
         path = tmp_path / "u.json"
         write_coeff_file(path, gen_distribution("power-decay", make_lattice(2, 4), alpha=1.0))
         monkeypatch.chdir(tmp_path)
@@ -269,7 +259,7 @@ class TestVerifySuites:
                          "--q-grid", "2", "--radius-grid", "6", "--n", "2",
                          "--out", "sweep.csv"]) == 0
         capsys.readouterr()
-        assert {14, 20, 35} <= lengths and all(map(smooth, lengths)), sorted(lengths)
+        assert {14, 20} <= lengths and all(map(seven_smooth, lengths)), sorted(lengths)
 
     def test_nan_sample_fails_its_check(self, monkeypatch):
         # max(0.0, nan) is 0.0: a check that kept its own running maximum would
@@ -581,6 +571,7 @@ class TestCliExitCodes:
         [
             # refinement-stability's convolution grid reaches 6 max(R, 8) + 1 points per axis
             (["--radius", "100000000"], "exceeds"),
+            (["--radius", "1" + "0" * 400], "exceeds"),  # refused before it is rounded up
             (["--n", "5"], "exceeds"),
             (["--n", "0"], "dimension must be >= 1"),
             (["--n", "70"], "dimension must be <= 64"),
@@ -589,7 +580,7 @@ class TestCliExitCodes:
             (["--t", "nan"], "t=nan"),
             (["--seed", "-1"], "seed=-1"),
         ],
-        ids=["radius-huge", "dimension-huge", "n-zero", "n-overflow", "radius-negative",
+        ids=["radius-huge", "radius-400-digits", "dimension-huge", "n-zero", "n-overflow", "radius-negative",
              "s-negative", "t-nan", "seed-negative"],
     )
     def test_bad_verify_input_is_refused_before_any_check(self, capsys, monkeypatch, flags,
