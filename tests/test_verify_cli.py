@@ -580,8 +580,8 @@ class TestCliExitCodes:
             (["--t", "nan"], "t=nan"),
             (["--seed", "-1"], "seed=-1"),
         ],
-        ids=["radius-huge", "radius-400-digits", "dimension-huge", "n-zero", "n-overflow", "radius-negative",
-             "s-negative", "t-nan", "seed-negative"],
+        ids=["radius-huge", "radius-400-digits", "dimension-huge", "n-zero", "n-overflow",
+             "radius-negative", "s-negative", "t-nan", "seed-negative"],
     )
     def test_bad_verify_input_is_refused_before_any_check(self, capsys, monkeypatch, flags,
                                                           message):
