@@ -325,9 +325,13 @@ def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:
     Axes go in ``ifftn``'s order, last first, each spread into its bins just
     before its transform, so only lines that carry lattice data are transformed;
     numpy transforms each line on its own, so this is ``ifftn`` bit for bit.
-    A grid of more than :data:`MAX_COEFFICIENTS` points raises ValueError first.
+    A grid of more than :data:`MAX_COEFFICIENTS` points, or a ``points_per_axis``
+    that is not an integer (a bool included), raises ValueError first.
     """
-    lattice, N = u.lattice, points_per_axis
+    N = points_per_axis
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+        raise ValueError(f"points_per_axis must be an integer, got {N!r}")
+    lattice, N = u.lattice, int(N)
     if N ** lattice.n > MAX_COEFFICIENTS:  # first: numpy cannot take N % beyond int64
         raise ValueError(f"quadrature grid {N}^{lattice.n} exceeds {MAX_COEFFICIENTS} points")
     bins = _dft_bins(lattice, N)

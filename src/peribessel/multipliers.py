@@ -3,7 +3,9 @@
 The multiplication operator ``f -> f*u`` is a weighted convolution in lifted
 coefficients, applied matrix-free through zero-padded FFTs.  For p = q = 2 its
 norm is the top singular value from Golub-Kahan-Lanczos bidiagonalization,
-stopped once the Ritz residual is at most 1e-12 of the Ritz value.  For general
+stopped once the Ritz residual is at most 1e-12 of the Ritz value; the solver
+returns the whole triplet, and a refinement warm-starts each radius from the
+previous radius's right vector.  For general
 (p, q) a lower bound is reported: the best norm ratio along a fixed number of
 steps of Boyd's power method (Boyd, LAA 9, 1974; Higham, Numer. Math. 62, 1992),
 started from the all-ones field, so the classical ``|u|_{H^(-t)_q} / |E|_{H^s_p}``
@@ -39,6 +41,7 @@ from .lattice import (
 
 GKL_TOLERANCE = 1e-12
 GKL_SEED = 0
+GKL_WARM_MIX = 1e-3  # weight of the seeded vector in a warm start
 BOYD_STEPS = 8  # a fixed count at every (p, q): the cost depends on the lattice, not on u
 
 CSV_COLUMNS = (
@@ -209,21 +212,51 @@ def _store(rows: np.ndarray, k: int, vector: np.ndarray) -> np.ndarray:
     return rows
 
 
-def top_singular_value(matvec, rmatvec, size: int) -> float:
-    """Largest singular value by Golub-Kahan-Lanczos bidiagonalization.
+@dataclass(frozen=True)
+class SingularTriplet:
+    """What :func:`top_singular_value` found: the Ritz value, its unit left and
+    right Ritz vectors, the relative Ritz residual and the GKL step count."""
+
+    value: float
+    left: np.ndarray
+    right: np.ndarray
+    residual: float
+    steps: int
+
+
+def _combine(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_j weights[j] rows[j]`` by one tree sum; scales ``rows`` in place."""
+    rows *= weights[:, None]
+    return tree_sum(rows, axis=0)
+
+
+def top_singular_value(matvec, rmatvec, size: int,
+                       start: np.ndarray | None = None) -> SingularTriplet:
+    """Top singular triplet by Golub-Kahan-Lanczos bidiagonalization.
 
     Seeded random start (Kuczynski & Wozniakowski, SIMAX 13, 1992), full
     reorthogonalization.  After k steps A V_k = U_k B_k; for the top triplet
     (sigma, x, y) of B_k, A^H U_k x - sigma V_k y = beta_k x_k v_{k+1}, so the
     Ritz value sigma (a lower bound) is returned once |beta_k x_k| <=
-    GKL_TOLERANCE * sigma.  That holds within ``size`` steps in exact arithmetic;
-    failing it at step ``size`` raises ConvergenceError.  All reductions are
+    GKL_TOLERANCE * sigma, as a :class:`SingularTriplet` with U_k x and V_k y.
+    That holds within ``size`` steps in exact arithmetic; failing it at step
+    ``size`` raises ConvergenceError.  A ``start`` vector (a warm start) is
+    normalised and mixed with GKL_WARM_MIX times the seeded one, so a start
+    orthogonal to the top right vector still finds it.  All reductions are
     fixed-order tree sums, so the result does not depend on the thread count.
     """
     rng = np.random.default_rng(GKL_SEED)
-    start = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    seeded = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    first = seeded / _deterministic_norm(seeded)
+    if start is not None:
+        start = np.asarray(start, dtype=np.complex128)
+        scale = _deterministic_norm(start) if start.shape == (size,) else 0.0
+        if not 0.0 < scale < np.inf:
+            raise ValueError(f"start must be a finite nonzero vector of length {size}")
+        first = start / scale + GKL_WARM_MIX * first
+        first /= _deterministic_norm(first)
     right, left = np.empty((2, 8, size), dtype=np.complex128)  # row blocks, see _store
-    right[0] = start / _deterministic_norm(start)
+    right[0] = first
     alphas, betas = [], []
     beta = sigma = residual = 0.0
     for k in range(size):
@@ -231,14 +264,21 @@ def top_singular_value(matvec, rmatvec, size: int) -> float:
         w = _orthogonalize(w, left[:k])
         alphas.append(_deterministic_norm(w))
         beta = 0.0
+        # an exact zero w is stored as it is, so U_k x stays finite
+        left = _store(left, k, w / alphas[-1] if alphas[-1] > 0.0 else w)
         if alphas[-1] > 0.0:
-            left = _store(left, k, w / alphas[-1])
             w = _orthogonalize(rmatvec(left[k]) - alphas[-1] * right[k], right[: k + 1])
             beta = _deterministic_norm(w)
-        x, sigmas, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+        x, sigmas, vh = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
         sigma, residual = float(sigmas[0]), beta * abs(float(x[-1, 0]))
         if residual <= GKL_TOLERANCE * sigma:
-            return sigma
+            return SingularTriplet(
+                value=sigma,
+                left=_combine(left[: k + 1], x[:, 0]),
+                right=_combine(right[: k + 1], np.conj(vh[0])),
+                residual=residual / sigma if sigma > 0.0 else 0.0,
+                steps=k + 1,
+            )
         betas.append(beta)
         right = _store(right, k + 1, w / beta)
     raise ConvergenceError(size, residual / sigma if sigma > 0.0 else np.inf)
@@ -246,10 +286,33 @@ def top_singular_value(matvec, rmatvec, size: int) -> float:
 
 def multiplier_norm_l2(prob: MultiplierProblem) -> float:
     """Exact multiplier norm for p = q = 2: the top singular value of
-    :func:`multiplier_operator`, by :func:`top_singular_value`."""
+    :func:`multiplier_operator`, by :func:`top_singular_value` from its seeded start."""
     if not (prob.p == 2 and prob.q == 2):
         raise ValueError("the exact multiplier norm requires p = q = 2")
-    return top_singular_value(*multiplier_operator(prob), prob.u.lattice.size)
+    return top_singular_value(*multiplier_operator(prob), prob.u.lattice.size).value
+
+
+def _zero_pad(vector: np.ndarray, lattice: _lattice.Lattice, target: _lattice.Lattice):
+    """A coefficient vector on ``lattice``, zero-padded onto the larger ``target``."""
+    offset = target.radius - lattice.radius
+    padded = np.zeros(target.shape, dtype=np.complex128)
+    padded[(slice(offset, offset + lattice.side),) * target.n] = vector.reshape(lattice.shape)
+    return padded.ravel()
+
+
+def _refine_l2(problems: list) -> list:
+    """The p = q = 2 norm of each problem, on lattices of ascending radius: the
+    first from the seeded start, each later one warm-started from the previous
+    top right vector, zero-padded onto its larger lattice."""
+    values, start = [], None
+    for prob in problems:
+        lattice = prob.u.lattice
+        if start is not None:
+            start = _zero_pad(start, previous, lattice)
+        triplet = top_singular_value(*multiplier_operator(prob), lattice.size, start=start)
+        values.append(triplet.value)
+        start, previous = triplet.right, lattice
+    return values
 
 
 def _ratio(prob: MultiplierProblem, matvec, x: SpectralField, points: int, *,
@@ -343,7 +406,10 @@ def equivalence_report(
     which the multiplier norm is recomputed on the restricted field; all are
     checked before any solve, and headline figures come from the largest.  The
     norm is :func:`multiplier_norm_l2` at p = q = 2 and Boyd's lower bound
-    :func:`multiplier_norm_lp` otherwise.
+    :func:`multiplier_norm_lp` otherwise.  At p = q = 2 each radius after the
+    smallest starts GKL from the previous radius's top right vector, so its value
+    may differ from an isolated :func:`multiplier_norm_l2` in the last bits; the
+    smallest radius, and so a single-radius report, does not.
     The classical lower-bound certificate ``|u|_{H^(-t)_q} / |E|_{H^s_p}`` is
     checked against the reported norm.  ``family_seed`` is ignored.
     """
@@ -360,9 +426,9 @@ def equivalence_report(
         raise ValueError("at least one radius is required")
 
     exact = float(prob.p) == 2.0 and float(prob.q) == 2.0
-    solve = multiplier_norm_l2 if exact else multiplier_norm_lp
     restricted = [replace(prob, u=fields[r]) for r in sorted(fields)]
-    refinement = tuple((sub.u.lattice.radius, solve(sub)) for sub in restricted)
+    norms = _refine_l2(restricted) if exact else map(multiplier_norm_lp, restricted)
+    refinement = tuple(zip(sorted(fields), norms))
     (top_radius, norm), top = refinement[-1], restricted[-1]
 
     target_norm, dual_norm = _intersection_terms(top.u, top.s, top.p, top.t, top.q, top.points)

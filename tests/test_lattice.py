@@ -15,6 +15,7 @@ from peribessel import (
     constant_field,
     delta_field,
     hs_norm,
+    intersection_norm,
     linear_combine,
     lp_norm,
     make_lattice,
@@ -273,6 +274,24 @@ class TestTransforms:
     def test_synthesize_rejects_small_grid(self):
         with pytest.raises(ValueError, match="grid too small"):
             synthesize(constant_field(make_lattice(1, 4)), 8)
+
+    # on a radius-0 lattice any positive count is enough nodes, so only the type refuses
+    @pytest.mark.parametrize("points", [18.0, 20.5, True, np.float64(18)],
+                             ids=["float", "fraction", "bool", "numpy-float"])
+    def test_synthesize_refuses_a_grid_size_that_is_not_an_integer(self, points):
+        u = constant_field(make_lattice(2, 0))
+        with pytest.raises(ValueError, match="points_per_axis must be an integer"):
+            synthesize(u, points)
+        with pytest.raises(ValueError, match="points_per_axis must be an integer"):
+            hs_norm(u, SpaceIndex(0.0, 3.0), points)
+        with pytest.raises(ValueError, match="points_per_axis must be an integer"):
+            intersection_norm(u, 1.0, 3.0, 1.0, 3.0, grid_points=points)
+
+    def test_synthesize_accepts_a_numpy_integer_grid_size(self):
+        u = constant_field(make_lattice(2, 3))
+        grid = synthesize(u, np.int64(18))
+        assert np.array_equal(grid.samples, synthesize(u, 18).samples)
+        assert hs_norm(u, SpaceIndex(0.0, 3.0), np.int64(18)) == hs_norm(u, SpaceIndex(0.0, 3.0), 18)
 
     # A one-coefficient field at n = 30 asks hs_norm for 2^30 grid points (16 GiB);
     # at n = 64, for 2^64.  Both are refused before the grid is allocated.

@@ -30,7 +30,7 @@ from peribessel import (
 )
 from peribessel.calculus import bessel_weights
 from peribessel import lattice, multipliers
-from peribessel.multipliers import BOYD_STEPS, _dual
+from peribessel.multipliers import BOYD_STEPS, GKL_TOLERANCE, SingularTriplet, _dual
 
 from conftest import best_ratio, multiplier_matrix, rel_err, svd_operator_norm
 
@@ -301,6 +301,142 @@ class TestMultiplierNormL2:
         base = multiplier_norm_l2(prob)
         scaled = multiplier_norm_l2(problem(SpectralField(prob.u.lattice, 3.5j * prob.u.coeffs)))
         assert scaled == pytest.approx(3.5 * base, rel=1e-10)
+
+
+def counted_operator(prob, calls):
+    """``multiplier_operator(prob)`` whose matvec appends to ``calls``."""
+    matvec, rmatvec = multiplier_operator(prob)
+
+    def counted(v):
+        calls.append(None)
+        return matvec(v)
+
+    return counted, rmatvec
+
+
+def dense_top(prob):
+    """The dense oracle's singular values and right singular vectors, as rows."""
+    _, sigmas, vh = np.linalg.svd(multiplier_matrix(prob))
+    return sigmas, vh.conj()
+
+
+TRIPLET_PROBLEMS = [
+    pytest.param(1, 6, 1.0, 1.0, 1.0, id="n1-R6"),
+    pytest.param(1, 8, 0.0, 0.6, 0.6, id="n1-R8-rough"),
+    pytest.param(2, 3, 1.0, 1.0, 1.5, id="n2-R3"),
+    pytest.param(2, 4, 0.0, 0.6, 0.6, id="n2-R4-rough"),
+]
+
+
+class TestSingularTriplet:
+    @pytest.mark.parametrize("n, radius, alpha, s, t", TRIPLET_PROBLEMS)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_triplet(self, n, radius, alpha, s, t, seed):
+        prob = random_problem(radius, seed, n=n, alpha=alpha, s=s, t=t)
+        matvec, rmatvec = multiplier_operator(prob)
+        calls = []
+        triplet = top_singular_value(*counted_operator(prob, calls), prob.u.lattice.size)
+        assert isinstance(triplet, SingularTriplet)
+        assert triplet.value == multiplier_norm_l2(prob)  # bit for bit
+        assert triplet.steps == len(calls)
+        assert 0.0 <= triplet.residual <= GKL_TOLERANCE
+        for vector in (triplet.left, triplet.right):
+            assert vector.shape == (prob.u.lattice.size,)
+            assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
+        value = triplet.value
+        assert np.linalg.norm(matvec(triplet.right) - value * triplet.left) <= 1e-10 * value
+        assert np.linalg.norm(rmatvec(triplet.left) - value * triplet.right) <= 1e-10 * value
+
+    def test_triplet_is_frozen(self):
+        prob = random_problem(4, 1)
+        triplet = top_singular_value(*multiplier_operator(prob), prob.u.lattice.size)
+        with pytest.raises(AttributeError):
+            triplet.value = 0.0
+
+    def test_zero_operator_gives_a_finite_triplet(self):
+        lat = make_lattice(2, 3)
+        prob = problem(SpectralField(lat, np.zeros(lat.size)))
+        triplet = top_singular_value(*multiplier_operator(prob), lat.size)
+        assert (triplet.value, triplet.residual, triplet.steps) == (0.0, 0.0, 1)
+        assert not np.any(triplet.left)
+        assert np.linalg.norm(triplet.right) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n, radius, alpha, s, t", TRIPLET_PROBLEMS)
+    def test_start_orthogonal_to_the_top_vector_still_finds_it(self, n, radius, alpha, s, t):
+        # the second right singular vector spans an invariant subspace of A^H A
+        # without the top one: unmixed, GKL would stop at once on sigma_2
+        prob = random_problem(radius, 3, n=n, alpha=alpha, s=s, t=t)
+        sigmas, rights = dense_top(prob)
+        assert abs(np.vdot(rights[0], rights[1])) < 1e-12
+        triplet = top_singular_value(*multiplier_operator(prob), prob.u.lattice.size,
+                                     start=rights[1])
+        assert triplet.value == pytest.approx(sigmas[0], rel=1e-10)
+
+    @pytest.mark.parametrize("n, radius, alpha, s, t", TRIPLET_PROBLEMS)
+    def test_start_at_the_top_vector_takes_fewer_steps(self, n, radius, alpha, s, t):
+        prob = random_problem(radius, 3, n=n, alpha=alpha, s=s, t=t)
+        sigmas, rights = dense_top(prob)
+        size = prob.u.lattice.size
+        seeded = top_singular_value(*multiplier_operator(prob), size)
+        warm = top_singular_value(*multiplier_operator(prob), size, start=rights[0])
+        assert warm.steps < seeded.steps
+        assert warm.value == pytest.approx(sigmas[0], rel=1e-10)
+
+    @pytest.mark.parametrize("start", [np.zeros(13), np.ones(12), np.full(13, np.nan)],
+                             ids=["zero", "short", "nan"])
+    def test_refuses_a_start_it_cannot_normalise(self, start):
+        prob = random_problem(6, 1)
+        with pytest.raises(ValueError, match="start must be a finite nonzero vector of length 13"):
+            top_singular_value(*multiplier_operator(prob), prob.u.lattice.size, start=start)
+
+
+class TestWarmRefinement:
+    @pytest.mark.parametrize(
+        "n, alpha, s, t, force",
+        [
+            (1, 1.0, 1.0, 1.0, False),
+            (1, 0.0, 0.6, 0.6, False),
+            (2, 1.0, 1.5, 1.0, False),
+            (2, 0.0, 0.6, 0.6, True),  # near-tied, below the index gate at n = 2
+        ],
+        ids=["n1", "n1-rough", "n2", "n2-near-tied"],
+    )
+    def test_matches_the_dense_oracle(self, n, alpha, s, t, force):
+        u = gen_distribution("power-decay", make_lattice(n, 8), alpha=alpha)
+        prob = problem(u, s=s, t=t)
+        report = equivalence_report(prob, radii=(2, 4, 8), force=force)
+        assert [radius for radius, _ in report.refinement] == [2, 4, 8]
+        for radius, value in report.refinement:
+            sub = replace(prob, u=restrict_field(u, radius))
+            assert value == pytest.approx(svd_operator_norm(multiplier_matrix(sub)), rel=1e-10)
+            assert value == pytest.approx(multiplier_norm_l2(sub), rel=1e-13)
+        first = multiplier_norm_l2(replace(prob, u=restrict_field(u, 2)))
+        assert report.refinement[0][1] == first  # bit for bit: a cold start
+        single = equivalence_report(replace(prob, u=restrict_field(u, 4)), force=force)
+        assert single.multiplier_norm == multiplier_norm_l2(replace(prob, u=restrict_field(u, 4)))
+
+    def test_warm_starts_save_steps_on_the_near_tied_field(self, monkeypatch):
+        u = gen_distribution("power-decay", make_lattice(2, 16), alpha=0.0)
+        prob = problem(u, s=0.6, t=0.6)
+        radii, calls = (4, 8, 16), []
+        cold = 0
+        for radius in radii:
+            sub = replace(prob, u=restrict_field(u, radius))
+            cold += top_singular_value(*multiplier_operator(sub), sub.u.lattice.size).steps
+        monkeypatch.setattr(multipliers, "multiplier_operator",
+                            lambda sub: counted_operator(sub, calls))
+        equivalence_report(prob, radii=radii, force=True)
+        assert 0 < len(calls) < cold
+
+    def test_a_zero_restriction_passes_its_start_on(self):
+        # u vanishes on the radius-2 lattice: that solve has value 0, and the next
+        # one starts from its right vector (the seeded start) and still converges
+        prob = problem(delta_field(make_lattice(1, 4), (3,)))
+        report = equivalence_report(prob, radii=(2, 4))
+        assert report.refinement[0] == (2, 0.0)
+        assert report.refinement[1][1] == pytest.approx(
+            svd_operator_norm(multiplier_matrix(prob)), rel=1e-10
+        )
 
 
 # Fixed test fields scored by the ratio Boyd's iteration evaluates (conftest.best_ratio)
