@@ -302,6 +302,8 @@ def _cmd_mult_norm(args) -> int:
     _check_grid_size(args.grid_size, max(radii))
     top = restrict_field(field, max(radii))  # a radius --radii never reaches sets no grid
     prob = _usage(MultiplierProblem, top, args.s, args.t, args.p, args.q, args.grid_size)
+    if not top.coeffs.any():  # refused here, before the hypothesis gate
+        raise UsageError("multiplier field is identically zero")
     report = equivalence_report(prob, radii=args.radii, force=args.force)
     if args.format == "json":
         record = report.as_dict()

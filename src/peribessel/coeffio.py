@@ -60,7 +60,7 @@ def field_from_dict(data: dict) -> SpectralField:
     if not isinstance(data["entries"], list):
         raise CoeffFileError("'entries' must be a list")
     coeffs = np.zeros(lattice.size, dtype=np.complex128)
-    seen = set()
+    seen = np.zeros(lattice.size, dtype=bool)
     for entry in data["entries"]:
         if not isinstance(entry, list) or len(entry) != n + 2:
             raise CoeffFileError(
@@ -73,9 +73,9 @@ def field_from_dict(data: dict) -> SpectralField:
             position = lattice.position(k)
         except ValueError:
             raise CoeffFileError(f"index {k} outside declared radius {radius}") from None
-        if k in seen:
+        if seen[position]:
             raise CoeffFileError(f"duplicate index {k}")
-        seen.add(k)
+        seen[position] = True
         if not all(_is_finite_number(part) for part in entry[n:]):
             raise CoeffFileError(
                 f"coefficient at index {k} must be two finite JSON numbers, got {entry[n:]!r}"

@@ -315,23 +315,6 @@ def _refine_l2(problems: list) -> list:
     return values
 
 
-def _ratio(prob: MultiplierProblem, matvec, x: SpectralField, points: int, *,
-           image: SpectralField | None = None, norms=(None, None)) -> tuple:
-    """Ratio |f*u|_{H^(-t)_q} / |f|_{H^s_p} on ``points`` nodes per axis for the test
-    field f with ``x = lift(s, f)``, the samples (or None) and coefficients ``image`` of
-    lift(-t, f*u), and the ``norms`` (numerator, denominator); given ones are reused."""
-    (numerator, denominator), samples = norms, None
-    if denominator is None:
-        denominator = lp_norm(synthesize(x, points), float(prob.p))
-    if denominator == 0.0:
-        raise ValueError("test field has zero source-space norm")
-    image = SpectralField._owned(x.lattice, matvec(x.coeffs)) if image is None else image
-    if numerator is None:
-        samples = synthesize(image, points)
-        numerator = lp_norm(samples, float(prob.q))
-    return numerator / denominator, samples, image, (numerator, denominator)
-
-
 def _dual(values: np.ndarray, r: float) -> np.ndarray:
     """Duality map |w|^(r-2) w, w = values / max|values|, as (|values| / max)^(r-2)
     / max * values, from one |values| scaled in place; zeros stay 0 (0.0 ** (r-2) = inf)."""
@@ -346,31 +329,40 @@ def _dual(values: np.ndarray, r: float) -> np.ndarray:
 def multiplier_norm_lp(prob: MultiplierProblem) -> float:
     """Lower bound of the multiplier norm for any (p, q) by Boyd's power method.
 
-    From x = lift(s, E), E the all-ones field (the classical certificate), take
-    BOYD_STEPS steps ``x <- analyze(dual_p'(synthesize(rmatvec(analyze(dual_q(A x))))))``;
-    at p = q = 2 that is power iteration on A^H A.  Returns max(start ratio, best
-    iterate's smaller ratio on N = ``prob.points`` and 2N nodes per axis).  The 2N
-    ratio redoes only the norms that ``prob.exact_on_grid`` does not clear.
+    One loop: step 0 is x = lift(s, E), E the all-ones field (the classical
+    certificate), and each of BOYD_STEPS more is ``x <- analyze(dual_p'(synthesize(
+    rmatvec(analyze(dual_q(A x))))))``, at p = q = 2 power iteration on A^H A.  Each
+    x = lift(s, f) is scored by |f*u|_{H^(-t)_q} / |f|_{H^s_p} on N = ``prob.points``
+    nodes per axis, and the best x and A x are kept; those of their two norms that
+    ``prob.exact_on_grid`` does not clear are redone on 2N nodes.  Returns
+    max(start ratio, the smaller of the best's N- and 2N-node ratios).
     """
     lattice, points = prob.u.lattice, prob.points
     if not np.any(prob.u.coeffs):
         return 0.0
-    q, p_conj = float(prob.q), float(conjugate_exponent(prob.p))
+    p, q, p_conj = float(prob.p), float(prob.q), float(conjugate_exponent(prob.p))
     matvec, rmatvec = multiplier_operator(prob)
-    step = _ratio(prob, matvec, lift(float(prob.s), constant_field(lattice)), points)
-    start, best = step[0], (-1.0,)
-    for _ in range(BOYD_STEPS):
-        dual = analyze(GridFunction._owned(_dual(step[1].samples, q)), lattice)
-        source = synthesize(SpectralField._owned(lattice, rmatvec(dual.coeffs)), points)
-        x = analyze(GridFunction._owned(_dual(source.samples, p_conj)), lattice)
-        step = _ratio(prob, matvec, x, points)
-        if step[0] > best[0]:
-            best, best_x = step, x
-    ratio, _, image, norms = best
-    norms = [norm if prob.exact_on_grid(r) else None for norm, r in zip(norms, (q, prob.p))]
-    if None in norms:  # the 2N re-check
-        ratio = min(ratio, _ratio(prob, matvec, best_x, 2 * points, image=image, norms=norms)[0])
-    return max(start, ratio)
+    x, best = lift(float(prob.s), constant_field(lattice)), -1.0
+    for step in range(BOYD_STEPS + 1):
+        if step:
+            dual = analyze(GridFunction._owned(_dual(samples.samples, q)), lattice)
+            source = synthesize(SpectralField._owned(lattice, rmatvec(dual.coeffs)), points)
+            x = analyze(GridFunction._owned(_dual(source.samples, p_conj)), lattice)
+        # u != 0 and each x pairs positively with the adjoint image it came from: no zero norm
+        denominator = lp_norm(synthesize(x, points), p)
+        image = SpectralField._owned(lattice, matvec(x.coeffs))
+        samples = synthesize(image, points)
+        numerator = lp_norm(samples, q)
+        ratio = numerator / denominator
+        start = ratio if step == 0 else start
+        if ratio > best:
+            best, best_x, best_image, norms = ratio, x, image, (numerator, denominator)
+    numerator, denominator = norms
+    if not prob.exact_on_grid(q):  # the 2N re-check
+        numerator = lp_norm(synthesize(best_image, 2 * points), q)
+    if not prob.exact_on_grid(p):
+        denominator = lp_norm(synthesize(best_x, 2 * points), p)
+    return max(start, min(best, numerator / denominator))
 
 
 def intersection_norm(

@@ -4,14 +4,16 @@ These deliberately avoid the library's FFT/convolution code paths: synthesis
 by direct summation, quadrature by plain rectangle sums, and operator norms by
 LAPACK SVD of a dense multiplier matrix built entry by entry, so the fast
 implementations are checked against something slower but obviously correct.
-``best_ratio`` is the exception: a lower bound built from the library's own
-ratio evaluation, for tests that compare fixed test fields with the solvers.
+``best_ratio`` scores fixed test fields through the library's public operator,
+transforms and norms instead, in the order Boyd's iteration evaluates them, so
+that tests can compare those fields with the solvers to the last bit.
 """
 
 import numpy as np
 
-from peribessel import MultiplierProblem, SpectralField, bessel_weights, lift, multiplier_operator
-from peribessel import multipliers
+from peribessel import (
+    MultiplierProblem, SpectralField, bessel_weights, lift, lp_norm, multiplier_operator, synthesize,
+)
 from peribessel.calculus import default_grid_points
 from peribessel.generators import _splitmix
 from peribessel.lattice import grid_nodes
@@ -175,7 +177,16 @@ def svd_operator_norm(matrix: np.ndarray) -> float:
 def best_ratio(prob: MultiplierProblem, family) -> float:
     """Lower bound of the multiplier norm: the best ratio
     ``|f*u|_{H^(-t)_q} / |f|_{H^s_p}`` over the test fields f of ``family``, each
-    on u's lattice, by the ratio Boyd's iteration evaluates, on the default grid."""
+    on u's lattice, on the default grid; a member of zero norm is refused."""
     matvec, _ = multiplier_operator(prob)
-    points = default_grid_points(prob.u.lattice)
-    return max(multipliers._ratio(prob, matvec, lift(float(prob.s), f), points)[0] for f in family)
+    lattice = prob.u.lattice
+    points = default_grid_points(lattice)
+    ratios = []
+    for f in family:
+        x = lift(float(prob.s), f)
+        denominator = lp_norm(synthesize(x, points), float(prob.p))
+        if denominator == 0.0:
+            raise ValueError("test field has zero source-space norm")
+        image = SpectralField(lattice, matvec(x.coeffs))
+        ratios.append(lp_norm(synthesize(image, points), float(prob.q)) / denominator)
+    return max(ratios)

@@ -636,6 +636,21 @@ class TestCliExitCodes:
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert message in captured.err
 
+    # a field that is zero, or zero within the largest of --radii, is a refused
+    # input, whatever the index hypotheses say
+    @pytest.mark.parametrize(
+        "entries, flags",
+        [([], []), ([[2, 1.0, 0.0]], ["--radii", "1"]), ([], ["--s", "1/2", "--t", "0"])],
+        ids=["empty", "zero-within-radii", "empty-gated"],
+    )
+    def test_zero_multiplier_field_is_refused(self, tmp_path, capsys, entries, flags):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"n": 1, "radius": 2, "entries": entries}))
+        code = cli.main(["mult-norm", "--input", str(path)] + flags)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: multiplier field is identically zero\n"
+
     @pytest.mark.parametrize(
         "argv, limit",
         [
