@@ -212,7 +212,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
 def _emit_record(record: dict, fmt: str, stream):
     if fmt == "json":
-        stream.write(json.dumps(record) + "\n")
+        stream.write(json.dumps(record, allow_nan=False) + "\n")  # a non-finite value raises
     else:
         import csv
         writer = csv.writer(stream, lineterminator="\n")

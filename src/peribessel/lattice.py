@@ -71,6 +71,14 @@ def _freeze_finite(array: np.ndarray, what: str) -> np.ndarray:
     return _freeze(array)
 
 
+def _integer(value, refusal: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer but not a bool; else
+    ValueError(refusal.format(value)), formatted only then (str() refuses huge ints)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(refusal.format(value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Symmetric box of frequencies ``max_m |k_m| <= radius`` in Z^n.
@@ -88,10 +96,8 @@ class Lattice:
 
     def __post_init__(self):
         for name, what in (("n", "dimension"), ("radius", "radius")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{what} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            value = _integer(getattr(self, name), what + " must be an integer, got {!r}")
+            object.__setattr__(self, name, value)
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if self.radius < 0:
@@ -317,6 +323,13 @@ def _dft_bins(lattice: Lattice, N: int) -> np.ndarray:
     return np.arange(-lattice.radius, lattice.radius + 1) % N
 
 
+def _grid_bins(lattice: Lattice, N: int) -> np.ndarray:
+    """:func:`_dft_bins` of a grid to allocate, refusing one of over MAX_COEFFICIENTS points."""
+    if N ** lattice.n > MAX_COEFFICIENTS:  # first: numpy cannot take N % beyond int64
+        raise ValueError(f"quadrature grid {N}^{lattice.n} exceeds {MAX_COEFFICIENTS} points")
+    return _dft_bins(lattice, N)
+
+
 def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:
     """Evaluate the field on the uniform grid via inverse FFT.
 
@@ -328,13 +341,9 @@ def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:
     A grid of more than :data:`MAX_COEFFICIENTS` points, or a ``points_per_axis``
     that is not an integer (a bool included), raises ValueError first.
     """
-    N = points_per_axis
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
-        raise ValueError(f"points_per_axis must be an integer, got {N!r}")
-    lattice, N = u.lattice, int(N)
-    if N ** lattice.n > MAX_COEFFICIENTS:  # first: numpy cannot take N % beyond int64
-        raise ValueError(f"quadrature grid {N}^{lattice.n} exceeds {MAX_COEFFICIENTS} points")
-    bins = _dft_bins(lattice, N)
+    lattice = u.lattice
+    N = _integer(points_per_axis, "points_per_axis must be an integer, got {!r}")
+    bins = _grid_bins(lattice, N)
     samples = (u.coeffs * lattice.signs).reshape(lattice.shape)
     for axis in reversed(range(lattice.n)):
         spread = np.zeros(samples.shape[:axis] + (N,) + samples.shape[axis + 1 :], np.complex128)
@@ -368,12 +377,17 @@ def lp_norm(g: GridFunction, p: float) -> float:
     """Uniform-grid rectangle-rule L_p norm over [-pi, pi)^n.
 
     Exact in the limit of grid refinement for smooth integrands; for p = 2 and
-    band-limited input it reproduces the l2 coefficient norm (Parseval).
+    band-limited input it reproduces the l2 coefficient norm (Parseval).  If the sum
+    of ``|samples|^p`` over- or underflows, it is m |samples / m|_p, m = max |samples|.
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"integrability index must satisfy 1 <= p < inf, got {p}")
     weight = (TWO_PI / g.points_per_axis) ** g.n
     magnitude = np.abs(g.samples)
-    magnitude **= p  # in place: one grid-sized temporary fewer, the same bits
-    total = float(np.real(tree_sum(magnitude)))
-    return (weight * total) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # an overflow, of a power or of the sum, is redone below
+        magnitude **= p  # in place: one grid-sized temporary fewer, the same bits
+        integral = weight * float(np.real(tree_sum(magnitude)))
+    if np.finfo(float).tiny <= integral < np.inf or not np.any(g.samples):
+        return integral ** (1.0 / p)
+    scale = float(np.max(np.abs(g.samples)))  # then 1 <= sum |samples / scale|^p <= N^n
+    return scale * lp_norm(GridFunction._owned(g.samples / scale), p)

@@ -86,9 +86,9 @@ class MultiplierProblem:
 
     The target smoothness is -t with t >= 0 stored explicitly; u's lattice is
     fixed for the whole problem.  ``grid_points`` is the quadrature grid N per
-    axis of every p != 2 norm: an int, or None for 2(2R+1).  Unless p = q = 2, an
-    N below 2R+1 or a largest grid (2N where Boyd's re-check runs, else N) over
-    ``lattice.MAX_COEFFICIENTS`` points is refused too.
+    axis of every p != 2 norm: an int, or None for 2(2R+1).  Unless p = q = 2, an N
+    that ``synthesize`` refuses is refused too, in its words, and so is a 2N grid
+    over ``lattice.MAX_COEFFICIENTS`` points where Boyd's re-check runs.
     """
 
     u: SpectralField
@@ -104,18 +104,13 @@ class MultiplierProblem:
         for name, value in (("p", self.p), ("q", self.q)):
             if not 1 < value < np.inf:
                 raise ValueError(f"{name} must lie in (1, inf), got {value}")
-        N = self.grid_points
-        if N is not None:
-            if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
-                raise ValueError(f"grid_points must be an integer or None, got {N!r}")
-            object.__setattr__(self, "grid_points", int(N))
+        if self.grid_points is not None:
+            refusal = "grid_points must be an integer or None, got {!r}"
+            object.__setattr__(self, "grid_points", _lattice._integer(self.grid_points, refusal))
         if self.p == 2 and self.q == 2:
             return
-        N, n, limit, side = self.points, self.n, _lattice.MAX_COEFFICIENTS, self.u.lattice.side
-        if N < side:
-            raise ValueError(f"grid too small: need at least {side} points per axis, got {N}")
-        if N**n > limit:
-            raise ValueError(f"quadrature grid {N}^{n} exceeds {limit} points")
+        N, n, limit = self.points, self.n, _lattice.MAX_COEFFICIENTS
+        _lattice._grid_bins(self.u.lattice, N)  # the grids synthesize refuses
         if not (self.exact_on_grid(self.p) and self.exact_on_grid(self.q)) and (2 * N) ** n > limit:
             raise ValueError(f"Boyd's 2N re-check grid {2 * N}^{n} exceeds {limit} points")
 
@@ -286,29 +281,21 @@ def top_singular_value(matvec, rmatvec, size: int,
 
 def multiplier_norm_l2(prob: MultiplierProblem) -> float:
     """Exact multiplier norm for p = q = 2: the top singular value of
-    :func:`multiplier_operator`, by :func:`top_singular_value` from its seeded start."""
+    :func:`multiplier_operator`: the one-radius :func:`_refine_l2`, seeded start."""
     if not (prob.p == 2 and prob.q == 2):
         raise ValueError("the exact multiplier norm requires p = q = 2")
-    return top_singular_value(*multiplier_operator(prob), prob.u.lattice.size).value
-
-
-def _zero_pad(vector: np.ndarray, lattice: _lattice.Lattice, target: _lattice.Lattice):
-    """A coefficient vector on ``lattice``, zero-padded onto the larger ``target``."""
-    offset = target.radius - lattice.radius
-    padded = np.zeros(target.shape, dtype=np.complex128)
-    padded[(slice(offset, offset + lattice.side),) * target.n] = vector.reshape(lattice.shape)
-    return padded.ravel()
+    return _refine_l2([prob])[0]
 
 
 def _refine_l2(problems: list) -> list:
-    """The p = q = 2 norm of each problem, on lattices of ascending radius: the
-    first from the seeded start, each later one warm-started from the previous
-    top right vector, zero-padded onto its larger lattice."""
+    """The p = q = 2 norm of each problem, on lattices of ascending radius, by the
+    library's one :func:`top_singular_value` call: the first from the seeded start,
+    each later one from the previous top right vector, zero-padded onto its lattice."""
     values, start = [], None
     for prob in problems:
         lattice = prob.u.lattice
         if start is not None:
-            start = _zero_pad(start, previous, lattice)
+            start = np.pad(start.reshape(previous.shape), lattice.radius - previous.radius).ravel()
         triplet = top_singular_value(*multiplier_operator(prob), lattice.size, start=start)
         values.append(triplet.value)
         start, previous = triplet.right, lattice

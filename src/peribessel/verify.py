@@ -34,6 +34,7 @@ from .lattice import (
     GridFunction,
     SpectralField,
     TWO_PI,
+    _integer,
     analyze,
     constant_field,
     delta_field,
@@ -68,10 +69,8 @@ class VerifyContext:
 
     def __post_init__(self):
         for name in ("radius", "n", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"verify needs an integer {name}; got {name}={value!r}")
-            object.__setattr__(self, name, int(value))
+            refusal = f"verify needs an integer {name}; got {name}={{!r}}"
+            object.__setattr__(self, name, _integer(getattr(self, name), refusal))
         if not (self.radius >= 0 and self.seed >= 0 and 0 <= self.s < math.inf
                 and 0 <= self.t < math.inf):
             raise ValueError(

@@ -437,6 +437,16 @@ class TestLpNorm:
             with pytest.raises(ValueError, match="1 <= p < inf"):
                 lp_norm(GridFunction(np.ones(4, dtype=complex)), p)
 
+    # c^p overflows (c = 10) or underflows (c = 0.1), or at c = 1e154 the sum of
+    # the c^p overflows; the norm is c (2 pi)^(n/p) all the same, with no
+    # overflow warning (an error in tier-1)
+    @pytest.mark.parametrize("c, p", [(10.0, 400.0), (10.0, 1000.0), (0.1, 400.0),
+                                      (0.1, 1000.0), (1e154, 2.0001)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_large_p_of_a_constant_is_finite_and_exact(self, c, p, n):
+        g = GridFunction(np.full((8,) * n, c))
+        assert lp_norm(g, p) == pytest.approx(c * TWO_PI ** (n / p), rel=1e-14)
+
     # lp_norm raises |samples| to the power p in place; numpy's scalar fast
     # paths (p = 2 squares) apply there too, so the value keeps every bit of
     # the out-of-place expression

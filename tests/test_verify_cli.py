@@ -399,6 +399,39 @@ class TestCliBasics:
         assert [entry[0] for entry in report["refinement"]] == [3, 6]
         assert report["lower_bound_certificate"] <= report["multiplier_norm"] * (1 + 1e-12)
 
+    @pytest.mark.parametrize(
+        "flags, radii, p, q",
+        [(["--radii", "2,4,8"], [2, 4, 8], 2, 2),
+         (["--p", "3", "--q", "3/2"], None, 3, Fraction(3, 2))],
+        ids=["p2-radii", "p3-q3/2"],
+    )
+    def test_mult_norm_csv_is_the_report_row(self, tmp_path, capsys, flags, radii, p, q):
+        path = tmp_path / "u.json"
+        write_coeff_file(path, gen_distribution("power-decay", make_lattice(2, 8), alpha=2.0))
+        argv = ["mult-norm", "--input", str(path), "--force", "--format", "csv", *flags]
+        assert cli.main(argv) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        prob = MultiplierProblem(parse_coeff_file(path), 1, 1, p, q)
+        assert header == list(CSV_COLUMNS)
+        assert row == equivalence_report(prob, radii=radii, force=True).csv_row()
+
+    # |g|^p overflows at p = 1000 and underflows at p = 400, s = -3, which made
+    # these Infinity, 0.0 and a NaN ratio with an overflow warning
+    def test_norms_at_large_p_are_finite(self, tmp_path, capsys):
+        path = tmp_path / "dirac.json"
+        assert cli.main(["gen", "--kind", "dirac", "--n", "3", "--radius", "4",
+                         "--out", str(path)]) == 0
+        for argv, key, expected in (
+            (["norm", "--p", "1000"], "norm", 2.929656),
+            (["norm", "--p", "400", "--s", "-3"], "norm", 0.07162986),
+            (["mult-norm", "--s", "3", "--t", "0", "--p", "1000", "--q", "1000", "--force"],
+             "ratio", 0.9945015),
+        ):
+            assert cli.main([*argv, "--input", str(path)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert json.loads(captured.out)[key] == pytest.approx(expected, rel=1e-6)
+
     def test_fraction_arguments_hit_exact_boundary(self, tmp_path):
         u_path = tmp_path / "u.json"
         run_cli("gen", "--kind", "power-decay", "--radius", "4", "--alpha", "2",
@@ -435,6 +468,18 @@ class TestCliExitCodes:
         result = run_cli("norm", "--input", str(path))
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr == f"error: index ({index},) outside declared radius 2\n"
+
+    # every |coefficient|^2 or product overflows: JSON has no Infinity, so no record
+    @pytest.mark.parametrize("command", [["norm", "--p", "2"], ["pair", "--input2", "big.json"]],
+                             ids=["norm", "pair"])
+    def test_non_finite_json_result_is_an_error(self, tmp_path, command):
+        (tmp_path / "big.json").write_text(
+            '{"n": 1, "radius": 1, "entries": [[0, 1e200, 0.0], [1, 1e200, 0.0]]}'
+        )
+        result = run_cli(command[0], "--input", "big.json", *command[1:], cwd=tmp_path)
+        assert result.returncode == 1 and result.stdout == ""
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and result.stderr.endswith(errors[0] + "\n")
 
     def test_infinite_exponent_is_rejected(self, tmp_path):
         u_path = tmp_path / "u.json"
@@ -474,6 +519,11 @@ class TestCliExitCodes:
              "power-decay requires a decay exponent alpha >= 0, got -1.0"),
             (["gen", "--kind", "power-decay", "--alpha", "nan", "--out", "out.json"],
              "coefficients must be finite (no NaN/Inf)"),
+            (["gen", "--kind", "power-decay", "--out", "out.json"],
+             "--kind power-decay requires --alpha"),
+            (["sweep", "--s-grid", ",", "--t-grid", "1", "--p-grid", "2", "--q-grid", "2",
+              "--radius-grid", "4", "--out", "out.csv"],
+             "sweep grids must be nonempty"),
             (["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "2", "--q-grid", "2",
               "--radius-grid", "4", "--u-kind", "power-decay", "--alpha", "-1",
               "--out", "out.csv"],
@@ -492,7 +542,8 @@ class TestCliExitCodes:
         ids=["norm-p-below-one", "norm-p-inf", "norm-s-nan", "norm-grid-too-large",
              "norm-grid-beyond-int64", "apply-j-s-nan", "pair-lattice-mismatch", "pair-s-nan",
              "pair-s-inf", "product-lattice-mismatch", "exact-product-lattice-too-large",
-             "gen-alpha-negative", "gen-alpha-nan", "sweep-alpha-negative",
+             "gen-alpha-negative", "gen-alpha-nan", "gen-alpha-missing", "sweep-grid-empty",
+             "sweep-alpha-negative",
              "mult-norm-grid-too-large", "sweep-grid-too-large",
              "mult-norm-recheck-grid-too-large", "sweep-recheck-grid-too-large"],
     )
@@ -941,6 +992,18 @@ class TestCliConfig:
         assert result.returncode == 2
         assert result.stderr.startswith("error: config value")
         assert len(result.stderr.splitlines()) == 1
+
+    def test_switch_config_value_true_sets_the_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_coeff_file("f.json", gen_distribution("random-smooth", make_lattice(1, 3), seed=1))
+        write_coeff_file("u.json", gen_distribution("power-decay", make_lattice(1, 3), alpha=1.0))
+        Path("conf.json").write_text(json.dumps({"exact_product": True}))
+        product = ["product", "--input", "f.json", "--input2", "u.json", "--out"]
+        assert cli.main(["--config", "conf.json", *product, "config.json"]) == 0
+        assert cli.main([*product, "flag.json", "--exact-product"]) == 0
+        assert capsys.readouterr().err == ""
+        assert Path("config.json").read_bytes() == Path("flag.json").read_bytes()
+        assert parse_coeff_file("config.json").lattice.radius == 6
 
     @pytest.mark.parametrize("key", ["q", "p"])
     def test_q_config_key_is_ignored_by_verify(self, tmp_path, key):
