@@ -64,15 +64,20 @@ def hs_norm(u: SpectralField, index: SpaceIndex, grid_points: int | None = None)
     """Norm of u in H^s_p: the L_p norm of the order-s lift of u.
 
     For p = 2 this is computed in the closed coefficient form
-    sqrt(sum_k (1 + |k|^2)^s |coeff_k|^2); for other p the lifted field is
+    sqrt(sum_k (1 + |k|^2)^s |coeff_k|^2), as m times that of u / m, m = max |coeff_k|,
+    if that sum over- or underflows; for other p the lifted field is
     synthesized on a uniform grid (default 2*(2R+1) points per axis) and the
     rectangle-rule L_p norm is taken.
     """
     p = float(index.p)
     if p == 2.0:
-        weights = bessel_weights(float(index.s), u.lattice)
-        total = tree_sum(weights * weights * np.abs(u.coeffs) ** 2)
-        return float(np.sqrt(total))
+        weights, scale = bessel_weights(float(index.s), u.lattice), 1.0
+        with np.errstate(over="ignore"):
+            total = float(tree_sum(weights * weights * np.abs(u.coeffs) ** 2))
+            if (total == np.inf or total < np.finfo(float).tiny) and np.any(u.coeffs):
+                scale = float(np.max(np.abs(u.coeffs)))  # a weight that overflows stays inf
+                total = float(tree_sum(weights * weights * np.abs(u.coeffs / scale) ** 2))
+        return scale * float(np.sqrt(total))
     N = default_grid_points(u.lattice) if grid_points is None else grid_points
     return lp_norm(synthesize(lift(float(index.s), u), N), p)
 

@@ -318,9 +318,7 @@ def _cmd_verify(args) -> int:
     ctx = _usage(VerifyContext, args.radius, args.n, args.seed, args.s, args.t)
     results = run_suite(args.suite, ctx)
     if args.format == "json":
-        sys.stdout.write(
-            json.dumps([result.__dict__ for result in results]) + "\n"
-        )
+        sys.stdout.write(json.dumps([result.__dict__ for result in results]) + "\n")
     else:
         sys.stdout.write(format_report(results) + "\n")
     return 0 if all(result.passed for result in results) else 1

@@ -77,12 +77,8 @@ def _fmt(value) -> str:
 
 
 def _check_range(name: str, value, low, strict_low: bool = True):
-    if strict_low:
-        if not value > low:
-            raise ValueError(f"{name} must be > {low}, got {value}")
-    else:
-        if not value >= low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+    if not (value > low if strict_low else value >= low):
+        raise ValueError(f"{name} must be {'>' if strict_low else '>='} {low}, got {value}")
 
 
 def embedding_holds(s, t, p, q, n: int) -> ConditionVerdict:
@@ -94,8 +90,7 @@ def embedding_holds(s, t, p, q, n: int) -> ConditionVerdict:
     s, t, p, q = map(_exact, (s, t, p, q))
     _check_range("p", p, 1)
     _check_range("q", q, 1)
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_range("dimension", n, 1, strict_low=False)
 
     s_gap, t_gap = s - Fraction(n) / p, t - Fraction(n) / q
     exponents, smoothness = f"p = {_fmt(p)}, q = {_fmt(q)}", f"s = {_fmt(s)}, t = {_fmt(t)}"
@@ -128,8 +123,7 @@ def strichartz_case(s, t, p, q, n: int) -> ConditionVerdict:
     _check_range("t", t, 0, strict_low=False)
     _check_range("p", p, 1)
     _check_range("q", q, 1)
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_range("dimension", n, 1, strict_low=False)
 
     qc = conjugate_exponent(q)
     failures = []

@@ -9,13 +9,15 @@ previous radius's right vector.  For general
 (p, q) a lower bound is reported: the best norm ratio along a fixed number of
 steps of Boyd's power method (Boyd, LAA 9, 1974; Higham, Numer. Math. 62, 1992),
 started from the all-ones field, so the classical ``|u|_{H^(-t)_q} / |E|_{H^s_p}``
-certificate is its first step.  The best iterate's norms are re-checked on 2N
-nodes per axis unless N nodes integrate them exactly; none is at p, q in {2, 4}.
+certificate is its first step.  The best iterate's norms are re-checked on its N
+nodes per axis and on those shifted by half a node, unless N nodes integrate them
+exactly; none is at p, q in {2, 4}.
 ``MultiplierProblem(..., grid_points=None)`` sets N, by default 2(2R+1).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -43,6 +45,7 @@ GKL_TOLERANCE = 1e-12
 GKL_SEED = 0
 GKL_WARM_MIX = 1e-3  # weight of the seeded vector in a warm start
 BOYD_STEPS = 8  # a fixed count at every (p, q): the cost depends on the lattice, not on u
+_TINY = np.finfo(float).tiny
 
 CSV_COLUMNS = (
     "n",
@@ -87,8 +90,8 @@ class MultiplierProblem:
     The target smoothness is -t with t >= 0 stored explicitly; u's lattice is
     fixed for the whole problem.  ``grid_points`` is the quadrature grid N per
     axis of every p != 2 norm: an int, or None for 2(2R+1).  Unless p = q = 2, an N
-    that ``synthesize`` refuses is refused too, in its words, and so is a 2N grid
-    over ``lattice.MAX_COEFFICIENTS`` points where Boyd's re-check runs.
+    that ``synthesize`` refuses is refused too, in its words; Boyd's re-check
+    synthesizes on the same N nodes, so no other grid is refused.
     """
 
     u: SpectralField
@@ -109,10 +112,7 @@ class MultiplierProblem:
             object.__setattr__(self, "grid_points", _lattice._integer(self.grid_points, refusal))
         if self.p == 2 and self.q == 2:
             return
-        N, n, limit = self.points, self.n, _lattice.MAX_COEFFICIENTS
-        _lattice._grid_bins(self.u.lattice, N)  # the grids synthesize refuses
-        if not (self.exact_on_grid(self.p) and self.exact_on_grid(self.q)) and (2 * N) ** n > limit:
-            raise ValueError(f"Boyd's 2N re-check grid {2 * N}^{n} exceeds {limit} points")
+        _lattice._grid_bins(self.u.lattice, self.points)  # the grids synthesize refuses
 
     @property
     def n(self) -> int:
@@ -158,7 +158,12 @@ class MultiplierReport:
 
 
 def _deterministic_norm(vector: np.ndarray) -> float:
-    return float(np.sqrt(np.real(tree_sum(np.abs(vector) ** 2))))
+    """Tree-summed l2 norm, m |vector / m| (m = max |vector|) if the sum over- or underflows."""
+    total = float(np.real(tree_sum(np.abs(vector) ** 2)))
+    if (total == math.inf or total < _TINY) and np.any(vector):  # NaN is kept as it is
+        scale = float(np.max(np.abs(vector)))
+        return scale * _deterministic_norm(vector / scale)
+    return math.sqrt(total)  # the bits of np.sqrt, without its scalar overhead
 
 
 def multiplier_operator(prob: MultiplierProblem) -> tuple:
@@ -225,6 +230,7 @@ def _combine(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return tree_sum(rows, axis=0)
 
 
+@np.errstate(over="ignore")  # once per solve, not per step: _deterministic_norm rescales
 def top_singular_value(matvec, rmatvec, size: int,
                        start: np.ndarray | None = None) -> SingularTriplet:
     """Top singular triplet by Golub-Kahan-Lanczos bidiagonalization.
@@ -321,8 +327,8 @@ def multiplier_norm_lp(prob: MultiplierProblem) -> float:
     rmatvec(analyze(dual_q(A x))))))``, at p = q = 2 power iteration on A^H A.  Each
     x = lift(s, f) is scored by |f*u|_{H^(-t)_q} / |f|_{H^s_p} on N = ``prob.points``
     nodes per axis, and the best x and A x are kept; those of their two norms that
-    ``prob.exact_on_grid`` does not clear are redone on 2N nodes.  Returns
-    max(start ratio, the smaller of the best's N- and 2N-node ratios).
+    ``prob.exact_on_grid`` does not clear are redone by :func:`_half_shift_norm`.
+    Returns max(start ratio, the smaller of the best's N-node and re-checked ratios).
     """
     lattice, points = prob.u.lattice, prob.points
     if not np.any(prob.u.coeffs):
@@ -345,11 +351,22 @@ def multiplier_norm_lp(prob: MultiplierProblem) -> float:
         if ratio > best:
             best, best_x, best_image, norms = ratio, x, image, (numerator, denominator)
     numerator, denominator = norms
-    if not prob.exact_on_grid(q):  # the 2N re-check
-        numerator = lp_norm(synthesize(best_image, 2 * points), q)
+    if not prob.exact_on_grid(q):  # the re-check
+        numerator = _half_shift_norm(best_image, points, q, numerator)
     if not prob.exact_on_grid(p):
-        denominator = lp_norm(synthesize(best_x, 2 * points), p)
+        denominator = _half_shift_norm(best_x, points, p, denominator)
     return max(start, min(best, numerator / denominator))
+
+
+def _half_shift_norm(field: SpectralField, points: int, r: float, norm: float) -> float:
+    """L^r norm of ``field`` by the mean of its N-node rectangle sum, of norm ``norm`` > 0,
+    and the sum on nodes shifted by pi/N per axis, coefficient k times exp(i pi sum(k)/N):
+    the shift flips the sign of the leading alias terms (Trefethen & Weideman, SIAM Rev.
+    56, 2014), and at n = 1 the mean is the 2N rule.  Combined relative to the larger norm."""
+    shift = np.exp(1j * np.pi / points * field.lattice.indices.sum(axis=1)) * field.coeffs
+    shifted = lp_norm(synthesize(SpectralField._owned(field.lattice, shift), points), r)
+    large = max(norm, shifted)
+    return large * ((1.0 + (min(norm, shifted) / large) ** r) / 2.0) ** (1.0 / r)
 
 
 def intersection_norm(
@@ -390,7 +407,8 @@ def equivalence_report(
     may differ from an isolated :func:`multiplier_norm_l2` in the last bits; the
     smallest radius, and so a single-radius report, does not.
     The classical lower-bound certificate ``|u|_{H^(-t)_q} / |E|_{H^s_p}`` is
-    checked against the reported norm.  ``family_seed`` is ignored.
+    checked against the reported norm, and unless p = q = 2 it is the floor of the
+    largest radius's bound.  ``family_seed`` is ignored.
     """
     del family_seed
     verdict = strichartz_case(prob.s, prob.t, prob.p, prob.q, prob.n)
@@ -406,9 +424,8 @@ def equivalence_report(
 
     exact = float(prob.p) == 2.0 and float(prob.q) == 2.0
     restricted = [replace(prob, u=fields[r]) for r in sorted(fields)]
-    norms = _refine_l2(restricted) if exact else map(multiplier_norm_lp, restricted)
-    refinement = tuple(zip(sorted(fields), norms))
-    (top_radius, norm), top = refinement[-1], restricted[-1]
+    norms = _refine_l2(restricted) if exact else list(map(multiplier_norm_lp, restricted))
+    top_radius, norm, top = max(fields), norms[-1], restricted[-1]
 
     target_norm, dual_norm = _intersection_terms(top.u, top.s, top.p, top.t, top.q, top.points)
     inter = max(target_norm, dual_norm)
@@ -418,6 +435,8 @@ def equivalence_report(
     certificate = target_norm / hs_norm(constant_field(top.u.lattice), source, top.points)
     if certificate > norm * (1.0 + 1e-12):
         raise RuntimeError(f"lower-bound certificate {certificate} exceeds multiplier norm {norm}")
+    if not exact:  # the constant field's ratio bounds the norm too: the bound's floor
+        norms[-1] = norm = max(norm, certificate)
 
     return MultiplierReport(
         n=prob.n,
@@ -431,5 +450,5 @@ def equivalence_report(
         intersection_norm=inter,
         ratio=norm / inter,
         lower_bound_certificate=certificate,
-        refinement=refinement,
+        refinement=tuple(zip(sorted(fields), norms)),
     )

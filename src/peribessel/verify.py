@@ -267,9 +267,7 @@ def _check_pairing_s_independent(ctx):
     for u, v in zip(fields[:3], fields[3:]):
         cancelled = duality_pair(u, v)
         for s in (-2.0, 0.0, 3.0):
-            lifted = complex(
-                tree_sum(lift(-s, u).coeffs * np.conj(lift(s, v).coeffs))
-            )
+            lifted = complex(tree_sum(lift(-s, u).coeffs * np.conj(lift(s, v).coeffs)))
             yield abs(lifted - cancelled) / max(abs(cancelled), 1e-300)
 
 
@@ -280,9 +278,8 @@ def _check_hoelder_bound(ctx):
         for p in (1.5, 2.0, 3.0):
             for s in (0.0, 1.0, 2.5):
                 pairing = abs(duality_pair(u, v, s))
-                bound = hs_norm(u, SpaceIndex(-s, float(conjugate_exponent(p)))) * hs_norm(
-                    v, SpaceIndex(s, p)
-                )
+                dual = hs_norm(u, SpaceIndex(-s, float(conjugate_exponent(p))))
+                bound = dual * hs_norm(v, SpaceIndex(s, p))
                 yield (pairing - bound) / max(bound, 1e-300)
 
 
@@ -337,9 +334,7 @@ def _check_strichartz_symmetry(ctx):
         q = Fraction(int(rng.integers(5, 17)), 4)
         n = int(rng.integers(1, 4))
         direct = strichartz_case(s, t, p, q, n).holds
-        swapped = strichartz_case(
-            t, s, conjugate_exponent(q), conjugate_exponent(p), n
-        ).holds
+        swapped = strichartz_case(t, s, conjugate_exponent(q), conjugate_exponent(p), n).holds
         mismatches += direct != swapped
     yield mismatches
 
@@ -429,11 +424,8 @@ def _check_refinement_stability(ctx):
     lattice = make_lattice(ctx.n, 2 * coarse)
     u = gen_distribution("power-decay", lattice, alpha=ctx.t + 2.0, seed=ctx.seed)
     prob = MultiplierProblem(u, ctx.s, ctx.t, 2.0, 2.0)
-    ratios = {}
-    for radius in (coarse, 2 * coarse):
-        report = equivalence_report(prob, radii=[radius], force=True)
-        ratios[radius] = report.ratio
-    yield abs(ratios[2 * coarse] / ratios[coarse] - 1.0)
+    ratios = [equivalence_report(prob, radii=[r], force=True).ratio for r in (coarse, 2 * coarse)]
+    yield abs(ratios[1] / ratios[0] - 1.0)
 
 
 @_check("scaling-homogeneity", "multiplier", 1e-10,
@@ -474,16 +466,8 @@ def run_suite(suite: str, ctx: VerifyContext | None = None) -> list:
         if suite != "all" and spec.suite != suite:
             continue
         error = float(spec.runner(ctx))
-        results.append(
-            CheckResult(
-                check_id=spec.check_id,
-                suite=spec.suite,
-                law=spec.law,
-                error=error,
-                tolerance=spec.tolerance,
-                passed=error <= spec.tolerance,
-            )
-        )
+        results.append(CheckResult(spec.check_id, spec.suite, spec.law, error, spec.tolerance,
+                                   passed=error <= spec.tolerance))
     return results
 
 

@@ -19,6 +19,7 @@ from peribessel import (
     hs_norm,
     intersection_norm,
     lift,
+    lp_norm,
     make_lattice,
     multiplier_norm_l2,
     multiplier_norm_lp,
@@ -26,11 +27,14 @@ from peribessel import (
     pointwise_product,
     real_part_field,
     restrict_field,
+    synthesize,
     top_singular_value,
 )
 from peribessel.calculus import bessel_weights
 from peribessel import lattice, multipliers
-from peribessel.multipliers import BOYD_STEPS, GKL_TOLERANCE, SingularTriplet, _dual
+from peribessel.multipliers import (
+    BOYD_STEPS, GKL_TOLERANCE, SingularTriplet, _dual, _half_shift_norm,
+)
 
 from conftest import best_ratio, multiplier_matrix, rel_err, svd_operator_norm
 
@@ -81,11 +85,8 @@ class TestProblemGrid:
         [
             (3.0, 3.0, 9000, None, r"quadrature grid 9000\^2 exceeds 67108864 points"),
             (4.0, 4.0, 9000, None, r"quadrature grid 9000\^2 exceeds 67108864 points"),
-            (3.0, 3.0, 90, 10000, r"Boyd's 2N re-check grid 180\^2 exceeds 10000 points"),
-            (4.0, 3.0, 90, 10000, r"Boyd's 2N re-check grid 180\^2"),
-            (2, Fraction(3, 2), 90, 10000, r"Boyd's 2N re-check grid 180\^2"),
         ],
-        ids=["grid", "grid-even-exponent", "recheck-grid", "recheck-grid-q", "recheck-grid-p2"],
+        ids=["grid", "grid-even-exponent"],
     )
     def test_refuses_a_grid_its_norms_cannot_build(self, monkeypatch, p, q, points, limit,
                                                    message):
@@ -120,6 +121,24 @@ class TestProblemGrid:
         monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", 10000)
         prob = MultiplierProblem(self.u, 1, 1, pq, pq, grid_points=90)
         assert np.isfinite(multiplier_norm_lp(prob))
+
+    # Boyd's re-check synthesizes on the N nodes it shifts, so a grid of N^n points
+    # within the limit is the only one its norms build, re-checked or not
+    @pytest.mark.parametrize("p, q", [(3.0, 3.0), (4.0, 3.0), (2, Fraction(3, 2))],
+                             ids=["recheck-grid", "recheck-grid-q", "recheck-grid-p2"])
+    def test_recheck_needs_no_larger_grid(self, monkeypatch, p, q):
+        synthesized = []
+
+        def counted_synthesize(u, points_per_axis):
+            synthesized.append(points_per_axis)
+            return synthesize(u, points_per_axis)
+
+        synthesize = multipliers.synthesize
+        monkeypatch.setattr(multipliers, "synthesize", counted_synthesize)
+        monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", 10000)
+        prob = MultiplierProblem(self.u, 1, 1, p, q, grid_points=90)
+        assert np.isfinite(multiplier_norm_lp(prob))
+        assert synthesized and max(synthesized) ** 2 <= 10000
 
     def test_restriction_keeps_the_grid(self):
         prob = MultiplierProblem(self.u, 1, 1, 3, 3, grid_points=40)
@@ -507,11 +526,11 @@ class TestMultiplierNormLp:
     @pytest.mark.parametrize(
         "seed, kind, alpha, indices, expected",
         [
-            (1, "power-decay", 1.0, (2, Fraction(1, 2), 3, Fraction(3, 2)), "0x1.9a773634ae5bcp+0"),
+            (1, "power-decay", 1.0, (2, Fraction(1, 2), 3, Fraction(3, 2)), "0x1.9a7c32289ba07p+0"),
             (2, "power-decay", 2.0, (Fraction(1, 2), Fraction(5, 2), Fraction(3, 2), 3),
              "0x1.910af4ccff08fp-6"),
             (3, "random-smooth", None, (Fraction(3, 2), Fraction(3, 2), 4, 4), "0x1.797e8926ebcdbp-4"),
-            (4, "dirac", None, (3, 0, Fraction(21, 20), Fraction(3, 2)), "0x1.6dea3667e2838p-6"),
+            (4, "dirac", None, (3, 0, Fraction(21, 20), Fraction(3, 2)), "0x1.69e17eb7e8e3fp-6"),
             (5, "power-decay", 0.0, (1, Fraction(5, 2), 4, 3), "0x1.483e58a6c2609p-1"),
         ],
     )
@@ -536,7 +555,7 @@ class TestMultiplierNormLp:
             ("dirac", None, 1.5, 0.5, 3.0, 1.5, 1.41),
             ("dirac", None, 1.5, 0.5, 1.5, 3.0, 2.93),
             ("dirac", None, 2.0, 0.5, 4.0, 3.0, 1.17),
-            ("dirac", None, 3.0, 0.0, Fraction(21, 20), Fraction(3, 2), 1.41),
+            ("dirac", None, 3.0, 0.0, Fraction(21, 20), Fraction(3, 2), 1.40),
             ("power-decay", 0.0, 1.5, 0.5, 3.0, 1.5, 1.01),
             ("power-decay", 0.0, 1.5, 0.5, 1.5, 3.0, 1.54),
             ("power-decay", 0.0, 2.0, 0.5, 4.0, 3.0, 1.01),
@@ -556,8 +575,9 @@ class TestMultiplierNormLp:
     # The step count is fixed at every (p, q), so the cost of a report does not
     # depend on the field: the start ratio synthesizes x and its image on N = 18
     # nodes, each of BOYD_STEPS steps the adjoint source, x and its image, and the
-    # 2N re-check only the norms N nodes do not integrate exactly (an even integer
-    # r with 4r < 18): both, one (the image at (4, 3)) or none
+    # re-check, on the same 18 nodes shifted, only the norms N nodes do not
+    # integrate exactly (an even integer r with 4r < 18): both, one (the image at
+    # (4, 3)) or none
     @pytest.mark.parametrize(
         "p, q, rechecked",
         [(3.0, 1.5, 2), (1.5, 3.0, 2), (2.0, 2.0, 0), (4.0, 4.0, 0), (4.0, 3.0, 1), (2.0, 4.0, 0)],
@@ -576,9 +596,9 @@ class TestMultiplierNormLp:
         for kind, alpha, seed in [("dirac", None, 0), ("power-decay", 2.0, 3), ("power-decay", 2.0, 8)]:
             synthesized.clear()
             multiplier_norm_lp(problem(gen_distribution(kind, lat, alpha=alpha, seed=seed), p=p, q=q))
-            assert synthesized == [18] * (2 + 3 * BOYD_STEPS) + [36] * rechecked
+            assert synthesized == [18] * (2 + 3 * BOYD_STEPS + rechecked)
 
-    # At p = q = 4 the N-node norms are exact, so a forced 2N re-check could only
+    # At p = q = 4 the N-node norms are exact, so a forced re-check could only
     # lower the best N-node ratio by rounding
     @pytest.mark.parametrize(
         "kind, alpha, n, radius",
@@ -594,8 +614,9 @@ class TestMultiplierNormLp:
         assert value - forced <= 1e-15 * value
 
     def test_recheck_runs_when_the_grid_is_too_coarse(self, monkeypatch):
-        # on N = 2R+1 or N = 4R nodes |g|^4 has degree 4R >= N, so the 2N
-        # re-check of both norms still runs; |g|^2 (degree 2R < 2R+1) needs none
+        # on N = 2R+1 or N = 4R nodes |g|^4 has degree 4R >= N, so the re-check
+        # of both norms still runs, one more N-node synthesis each; |g|^2 (degree
+        # 2R < 2R+1) needs none
         synthesized = []
 
         def counted_synthesize(u, points_per_axis):
@@ -609,7 +630,54 @@ class TestMultiplierNormLp:
         for points, pq, rechecked in ((lat.side, 4.0, 2), (4 * lat.radius, 4.0, 2), (lat.side, 2.0, 0)):
             synthesized.clear()
             multiplier_norm_lp(MultiplierProblem(u, 1.0, 1.0, pq, pq, grid_points=points))
-            assert synthesized.count(2 * points) == rechecked
+            assert synthesized == [points] * (2 + 3 * BOYD_STEPS + rechecked)
+
+    # At n = 1 the shifted nodes interleave the N nodes, so the mean of the two
+    # rectangle sums is the 2N-node rule; at r = 1000 both rescale to stay finite
+    @pytest.mark.parametrize(
+        "kind, alpha, r",
+        [("dirac", None, 1.05), ("power-decay", 1.0, 3.0), ("random-smooth", None, 1.5),
+         ("dirac", None, 1000.0)],
+    )
+    @pytest.mark.parametrize("points", [17, 34, 35])
+    def test_half_shift_mean_is_the_2n_rule_at_n_one(self, kind, alpha, r, points):
+        field = gen_distribution(kind, make_lattice(1, 8), alpha=alpha, seed=2)
+        value = _half_shift_norm(field, points, r, lp_norm(synthesize(field, points), r))
+        assert value == pytest.approx(lp_norm(synthesize(field, 2 * points), r), rel=1e-13)
+
+    # On the rough Dirac shapes the best iterate's re-checked ratio lies nearer its
+    # 4N-node ratio than the 2N-node ratio that the re-check replaced
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_recheck_is_nearer_the_4n_rule_than_the_2n_rule(self, monkeypatch, n):
+        calls = []
+
+        def recorded(field, points, r, norm):
+            calls.append((field, points, r, half_shift_norm(field, points, r, norm)))
+            return calls[-1][-1]
+
+        half_shift_norm = multipliers._half_shift_norm
+        monkeypatch.setattr(multipliers, "_half_shift_norm", recorded)
+        u = gen_distribution("dirac", make_lattice(n, 4))
+        multiplier_norm_lp(MultiplierProblem(u, n, 0, Fraction(21, 20), Fraction(3, 2)))
+        (image, points, q, numerator), (x, _, p, denominator) = calls
+
+        def ratio(nodes):
+            return lp_norm(synthesize(image, nodes), q) / lp_norm(synthesize(x, nodes), p)
+
+        reference = ratio(4 * points)
+        assert abs(numerator / denominator - reference) < abs(ratio(2 * points) - reference)
+
+    # The re-check allocates N^n-point grids only: at n = 5 one (2N)^n grid is 48.8 MiB
+    def test_recheck_memory_stays_below_one_2n_grid(self):
+        u = gen_distribution("dirac", make_lattice(5, 2))
+        prob = MultiplierProblem(u, 5, 0, Fraction(3, 2), Fraction(3, 2))
+        tracemalloc.start()
+        try:
+            multiplier_norm_lp(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * prob.points) ** 5 * np.dtype(np.complex128).itemsize
 
     @pytest.mark.parametrize("p", [Fraction(21, 20), 1.05], ids=["fraction", "float"])
     def test_dirac_near_p_one_stays_finite(self, p):

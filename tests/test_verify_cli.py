@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,6 +65,19 @@ REQUIRED_CHECKS = {
     "refinement-stability",
     "scaling-homogeneity",
 }
+
+
+def record_grids(monkeypatch) -> list:
+    """The point count N^n of every grid ``synthesize`` builds from now on, wherever
+    it is imported: each passes ``lattice._grid_bins``."""
+    grids, grid_bins = [], lattice._grid_bins
+
+    def recorded(lat, N):
+        grids.append(N ** lat.n)
+        return grid_bins(lat, N)
+
+    monkeypatch.setattr(lattice, "_grid_bins", recorded)
+    return grids
 
 
 def run_cli(*args, cwd=None):
@@ -432,6 +446,37 @@ class TestCliBasics:
             assert captured.err == ""
             assert json.loads(captured.out)[key] == pytest.approx(expected, rel=1e-6)
 
+    # Boyd's step-0 ratio and the certificate are one quotient by two routes, which
+    # differed in the last bits here: the certificate is now the bound's floor
+    def test_bound_is_never_below_its_certificate(self, tmp_path, capsys):
+        path = tmp_path / "dirac.json"
+        assert cli.main(["gen", "--kind", "dirac", "--n", "3", "--radius", "4",
+                         "--out", str(path)]) == 0
+        assert cli.main(["mult-norm", "--s", "3", "--t", "0", "--p", "1000", "--q", "1000",
+                         "--force", "--input", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["multiplier_norm"] >= report["lower_bound_certificate"]
+        assert report["refinement"] == [[4, report["multiplier_norm"]]]
+
+    # |coefficient|^2 overflows at 1e200, so the p = 2 norms rescale by the largest
+    # modulus; they are 1e200 times the unit file's, and the ratio is the same
+    def test_p2_norms_of_huge_coefficients_are_finite(self, tmp_path, capsys):
+        records = []
+        for scale in (1.0, 1e200):
+            path = tmp_path / f"u{scale}.json"
+            path.write_text(json.dumps(
+                {"n": 1, "radius": 1, "entries": [[0, scale, 0.0], [1, scale, 0.0]]}))
+            for argv in (["norm", "--p", "2"], ["mult-norm", "--p", "2", "--q", "2", "--force"]):
+                assert cli.main([*argv, "--input", str(path)]) == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                records.append(json.loads(captured.out))
+        (norm, report), (big_norm, big_report) = records[:2], records[2:]
+        assert big_norm["norm"] == pytest.approx(1e200 * norm["norm"], rel=1e-12)
+        for key in ("multiplier_norm", "intersection_norm", "lower_bound_certificate"):
+            assert big_report[key] == pytest.approx(1e200 * report[key], rel=1e-12)
+        assert big_report["ratio"] == pytest.approx(report["ratio"], rel=1e-12)
+
     def test_fraction_arguments_hit_exact_boundary(self, tmp_path):
         u_path = tmp_path / "u.json"
         run_cli("gen", "--kind", "power-decay", "--radius", "4", "--alpha", "2",
@@ -469,8 +514,9 @@ class TestCliExitCodes:
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr == f"error: index ({index},) outside declared radius 2\n"
 
-    # every |coefficient|^2 or product overflows: JSON has no Infinity, so no record
-    @pytest.mark.parametrize("command", [["norm", "--p", "2"], ["pair", "--input2", "big.json"]],
+    # a Bessel weight or every product overflows: JSON has no Infinity or NaN, so no record
+    @pytest.mark.parametrize("command",
+                             [["norm", "--p", "2", "--s", "5000"], ["pair", "--input2", "big.json"]],
                              ids=["norm", "pair"])
     def test_non_finite_json_result_is_an_error(self, tmp_path, command):
         (tmp_path / "big.json").write_text(
@@ -533,19 +579,13 @@ class TestCliExitCodes:
             (["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "3", "--q-grid", "3",
               "--radius-grid", "3", "--n", "2", "--grid-size", "9000", "--out", "out.csv"],
              "quadrature grid 9000^2 exceeds 67108864 points"),
-            (["mult-norm", "--input", "u2.json", "--p", "3", "--q", "3", "--grid-size", "90"],
-             "Boyd's 2N re-check grid 180^2 exceeds 10000 points"),
-            (["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "3", "--q-grid", "3",
-              "--radius-grid", "3", "--n", "2", "--grid-size", "90", "--out", "out.csv"],
-             "Boyd's 2N re-check grid 180^2 exceeds 10000 points"),
         ],
         ids=["norm-p-below-one", "norm-p-inf", "norm-s-nan", "norm-grid-too-large",
              "norm-grid-beyond-int64", "apply-j-s-nan", "pair-lattice-mismatch", "pair-s-nan",
              "pair-s-inf", "product-lattice-mismatch", "exact-product-lattice-too-large",
              "gen-alpha-negative", "gen-alpha-nan", "gen-alpha-missing", "sweep-grid-empty",
              "sweep-alpha-negative",
-             "mult-norm-grid-too-large", "sweep-grid-too-large",
-             "mult-norm-recheck-grid-too-large", "sweep-recheck-grid-too-large"],
+             "mult-norm-grid-too-large", "sweep-grid-too-large"],
     )
     def test_refused_input_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
         for name, kind, n, radius in (("u.json", "power-decay", 1, 4),
@@ -557,8 +597,6 @@ class TestCliExitCodes:
         monkeypatch.chdir(tmp_path)
         if "--exact-product" in argv:  # 49 coefficients pass; radius 6 has 169
             monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", 100)
-        if "90" in argv:  # a 90^2 grid passes; at p = 3 its 180^2 re-check grid does not
-            monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", 10000)
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -706,18 +744,16 @@ class TestCliExitCodes:
         "argv, limit",
         [
             (["mult-norm", "--grid-size", "9000"], None),
-            (["mult-norm", "--grid-size", "90"], 10000),
-            (["mult-norm"], 10000),
+            (["mult-norm"], 2000),
             (["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "3", "--q-grid", "3",
-              "--radius-grid", "2,13", "--n", "2", "--out", "sweep.csv"], 10000),
+              "--radius-grid", "2,13", "--n", "2", "--out", "sweep.csv"], 2000),
         ],
-        ids=["mult-norm-grid", "mult-norm-recheck-grid", "mult-norm-default-recheck-grid",
-             "sweep-default-recheck-grid"],
+        ids=["mult-norm-grid", "mult-norm-default-grid", "sweep-default-grid"],
     )
     def test_oversized_quadrature_grid_is_refused_before_any_solve(
         self, tmp_path, capsys, monkeypatch, argv, limit
     ):
-        # on the radius-13 plane the default grid is 54^2 and its re-check grid 108^2
+        # on the radius-13 plane the default grid is 54^2 = 2916 points
         path = tmp_path / "u.json"
         write_coeff_file(path, gen_distribution("power-decay", make_lattice(2, 13), alpha=2.0))
 
@@ -737,19 +773,56 @@ class TestCliExitCodes:
         assert len(captured.err.splitlines()) == 1
 
     def test_radii_that_fit_the_grid_limit_are_accepted(self, tmp_path, capsys, monkeypatch):
-        # the file's radius 13 would need a 108^2 re-check grid; radius 5 needs 44^2
+        # radius 5's grid is 22^2 and the file's radius 13's 54^2: both within the limit,
+        # and Boyd's re-check synthesizes on those same nodes
         path = tmp_path / "u.json"
         write_coeff_file(path, gen_distribution("power-decay", make_lattice(2, 13), alpha=2.0))
         argv = ["mult-norm", "--input", str(path), "--p", "3", "--q", "3", "--radii", "2,5"]
         assert cli.main(argv) == 0
         unlimited = capsys.readouterr().out
         monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", 10000)
+        grids = record_grids(monkeypatch)
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == unlimited
-        assert cli.main(argv[:-2]) == 2
-        assert capsys.readouterr().err == (
-            "error: Boyd's 2N re-check grid 108^2 exceeds 10000 points\n"
-        )
+        assert cli.main(argv[:-2]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["radius"] == 13 and math.isfinite(report["multiplier_norm"])
+        assert grids and max(grids) <= 10000
+
+    # these inputs were refused for Boyd's former 2N re-check grid of (2N)^2 > 10000
+    # points; the re-check now synthesizes on the N nodes, whose N^2 grid fits
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mult-norm", "--input", "u2.json", "--p", "3", "--q", "3", "--grid-size", "90"],
+            ["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "3", "--q-grid", "3",
+             "--radius-grid", "3", "--n", "2", "--grid-size", "90", "--out", "out.csv"],
+            ["mult-norm", "--input", "u13.json", "--p", "3", "--q", "3", "--grid-size", "90"],
+            ["mult-norm", "--input", "u13.json", "--p", "3", "--q", "3"],
+            ["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "3", "--q-grid", "3",
+             "--radius-grid", "2,13", "--n", "2", "--out", "out.csv"],
+        ],
+        ids=["mult-norm-recheck-grid-too-large", "sweep-recheck-grid-too-large",
+             "mult-norm-recheck-grid", "mult-norm-default-recheck-grid",
+             "sweep-default-recheck-grid"],
+    )
+    def test_grids_the_2n_recheck_refused_now_run(self, tmp_path, capsys, monkeypatch, argv):
+        write_coeff_file(tmp_path / "u2.json",
+                         gen_distribution("random-smooth", make_lattice(2, 3), alpha=1.0))
+        write_coeff_file(tmp_path / "u13.json",
+                         gen_distribution("power-decay", make_lattice(2, 13), alpha=2.0))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", 10000)
+        grids = record_grids(monkeypatch)
+        assert cli.main(argv + ["--force"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if argv[0] == "sweep":
+            rows = list(csv.DictReader((tmp_path / "out.csv").read_text().splitlines()))
+            assert rows and all(math.isfinite(float(row["mult_norm"])) for row in rows)
+        else:
+            assert math.isfinite(json.loads(captured.out)["multiplier_norm"])
+        assert grids and max(grids) <= 10000
 
     @pytest.mark.parametrize(
         "argv",
