@@ -42,8 +42,17 @@ class SpaceIndex:
 
 def bessel_weights(s: float, lattice: Lattice) -> np.ndarray:
     """Bessel weights (1 + |k|^2)^(s/2), |k| the Euclidean norm, for every
-    lattice index, in enumeration order."""
-    return (1.0 + lattice.norms_sq) ** (s / 2.0)
+    lattice index, in enumeration order.  An s whose largest weight on the lattice
+    overflows is refused (ValueError): an inf weight on a zero coefficient is NaN.
+    A NaN s gives NaN weights, which the callers refuse."""
+    with np.errstate(over="ignore"):
+        weights = (1.0 + lattice.norms_sq) ** (s / 2.0)
+    if weights[-1] == np.inf:  # k = (R, ..., R), |k|^2 = nR^2: the largest if s > 0
+        raise ValueError(
+            f"smoothness index {s} overflows the Bessel weight (1 + |k|^2)^(s/2) "
+            f"at |k|^2 = {lattice.n * lattice.radius ** 2}"
+        )
+    return weights
 
 
 def lift(s: float, u: SpectralField) -> SpectralField:

@@ -2,14 +2,17 @@
 
 The multiplication operator ``f -> f*u`` is a weighted convolution in lifted
 coefficients, applied matrix-free through zero-padded FFTs.  For p = q = 2 its
-norm is the top singular value from Golub-Kahan-Lanczos bidiagonalization,
-stopped once the Ritz residual is at most 1e-12 of the Ritz value; the solver
-returns the whole triplet, and a refinement warm-starts each radius from the
-previous radius's right vector.  For general
-(p, q) a lower bound is reported: the best norm ratio along a fixed number of
-steps of Boyd's power method (Boyd, LAA 9, 1974; Higham, Numer. Math. 62, 1992),
-started from the all-ones field, so the classical ``|u|_{H^(-t)_q} / |E|_{H^s_p}``
-certificate is its first step.  The best iterate's norms are re-checked on its N
+norm is the top singular value, the square root of the top eigenvalue of A^H A
+by Lanczos with full reorthogonalization: the Krylov space of Golub-Kahan-Lanczos
+(GKL) bidiagonalization at one reorthogonalized basis per step, not two.  It stops
+once the Ritz residual |A^H x - sigma y| is at most 1e-12 sigma.  Each image is
+scaled by one power of two taken from the first, as A^H A squares A's range; the
+solver returns the whole triplet, and a refinement warm-starts each radius from
+the previous radius's right vector.  For general (p, q) a lower bound is
+reported: the best norm ratio along a fixed number of steps of Boyd's power
+method (Boyd, LAA 9, 1974; Higham, Numer. Math. 62, 1992), started from the
+all-ones field, so the classical ``|u|_{H^(-t)_q} / |E|_{H^s_p}`` certificate
+is its first step.  The best iterate's norms are re-checked on its N
 nodes per axis and on those shifted by half a node, unless N nodes integrate them
 exactly; none is at p, q in {2, 4}.
 ``MultiplierProblem(..., grid_points=None)`` sets N, by default 2(2R+1).
@@ -41,6 +44,7 @@ from .lattice import (
     tree_sum,
 )
 
+# the GKL names stay: Lanczos on A^H A spans GKL's Krylov space with GKL's stop test
 GKL_TOLERANCE = 1e-12
 GKL_SEED = 0
 GKL_WARM_MIX = 1e-3  # weight of the seeded vector in a warm start
@@ -74,7 +78,7 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
         self.residual = residual
         super().__init__(
-            f"Golub-Kahan-Lanczos did not converge in {iterations} steps "
+            f"Lanczos on A^H A did not converge in {iterations} steps "
             f"(achieved relative residual {residual:.3e})"
         )
 
@@ -91,7 +95,8 @@ class MultiplierProblem:
     fixed for the whole problem.  ``grid_points`` is the quadrature grid N per
     axis of every p != 2 norm: an int, or None for 2(2R+1).  Unless p = q = 2, an N
     that ``synthesize`` refuses is refused too, in its words; Boyd's re-check
-    synthesizes on the same N nodes, so no other grid is refused.
+    synthesizes on the same N nodes, so no other grid is refused.  An s that
+    :func:`bessel_weights` refuses on u's lattice is refused, in its words.
     """
 
     u: SpectralField
@@ -110,6 +115,7 @@ class MultiplierProblem:
         if self.grid_points is not None:
             refusal = "grid_points must be an integer or None, got {!r}"
             object.__setattr__(self, "grid_points", _lattice._integer(self.grid_points, refusal))
+        bessel_weights(self.s, self.u.lattice)  # the certificate's H^s_p weights, or refused
         if self.p == 2 and self.q == 2:
             return
         _lattice._grid_bins(self.u.lattice, self.points)  # the grids synthesize refuses
@@ -214,8 +220,10 @@ def _store(rows: np.ndarray, k: int, vector: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SingularTriplet:
-    """What :func:`top_singular_value` found: the Ritz value, its unit left and
-    right Ritz vectors, the relative Ritz residual and the GKL step count."""
+    """What :func:`top_singular_value` found: the Ritz value sigma, its unit left
+    and right Ritz vectors x and y (A y = sigma x to rounding), the relative Ritz
+    residual |A^H x - sigma y| / sigma and the Lanczos step count, one ``matvec``
+    call per step."""
 
     value: float
     left: np.ndarray
@@ -233,19 +241,21 @@ def _combine(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore")  # once per solve, not per step: _deterministic_norm rescales
 def top_singular_value(matvec, rmatvec, size: int,
                        start: np.ndarray | None = None) -> SingularTriplet:
-    """Top singular triplet by Golub-Kahan-Lanczos bidiagonalization.
+    """Top singular triplet by Lanczos on A^H A with full reorthogonalization.
 
-    Seeded random start (Kuczynski & Wozniakowski, SIMAX 13, 1992), full
-    reorthogonalization.  After k steps A V_k = U_k B_k; for the top triplet
-    (sigma, x, y) of B_k, A^H U_k x - sigma V_k y = beta_k x_k v_{k+1}, so the
-    Ritz value sigma (a lower bound) is returned once |beta_k x_k| <=
-    GKL_TOLERANCE * sigma, as a :class:`SingularTriplet` with U_k x and V_k y.
-    That holds within ``size`` steps in exact arithmetic; failing it at step
-    ``size`` raises ConvergenceError.  A ``start`` vector (a warm start) is
-    normalised and mixed with GKL_WARM_MIX times the seeded one, so a start
-    orthogonal to the top right vector still finds it.  All reductions are
-    fixed-order tree sums, so the result does not depend on the thread count.
-    """
+    Step k keeps z = A v_k as row k of Z, alpha_k = |z|^2, and orthogonalizes A^H z -
+    alpha_k v_k - beta_(k-1) v_(k-1) = beta_k v_(k+1) against V: GKL's Krylov space,
+    T_k = B_k^H B_k, at one reorthogonalization per step (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 13).  T_k's top eigenpair (theta, s) gives sigma =
+    sqrt(theta), right y = V s and left x = Z s / sigma, A y = sigma x and |A^H x -
+    sigma y| = beta_k |s_k| / sigma; it is returned once beta_k |s_k| <= GKL_TOLERANCE
+    * theta, else ConvergenceError at step ``size``.  A^H A squares A's range (sigma =
+    1e200 is theta = 1e400), so z and A^H z are scaled by 2^-e, 2^e the power of two
+    above z_1's largest real or imaginary part, and sigma 2^e is returned: exactly 2^m
+    times as large for 2^m A.  v_1 is seeded (Kuczynski & Wozniakowski, SIMAX 13, 1992)
+    or a normalised ``start`` plus GKL_WARM_MIX times the seeded one, which still finds
+    a top right vector orthogonal to ``start``.  Tree-summed reductions, so the result
+    does not depend on the thread count."""
     rng = np.random.default_rng(GKL_SEED)
     seeded = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     first = seeded / _deterministic_norm(seeded)
@@ -259,30 +269,28 @@ def top_singular_value(matvec, rmatvec, size: int,
     right, left = np.empty((2, 8, size), dtype=np.complex128)  # row blocks, see _store
     right[0] = first
     alphas, betas = [], []
-    beta = sigma = residual = 0.0
+    beta = theta = residual = 0.0
     for k in range(size):
-        w = matvec(right[k]) - (beta * left[k - 1] if k else 0.0)
-        w = _orthogonalize(w, left[:k])
-        alphas.append(_deterministic_norm(w))
-        beta = 0.0
-        # an exact zero w is stored as it is, so U_k x stays finite
-        left = _store(left, k, w / alphas[-1] if alphas[-1] > 0.0 else w)
-        if alphas[-1] > 0.0:
-            w = _orthogonalize(rmatvec(left[k]) - alphas[-1] * right[k], right[: k + 1])
-            beta = _deterministic_norm(w)
-        x, sigmas, vh = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
-        sigma, residual = float(sigmas[0]), beta * abs(float(x[-1, 0]))
-        if residual <= GKL_TOLERANCE * sigma:
+        left = _store(left, k, matvec(right[k]))
+        if not k:  # capped at 2^1023, so that the scale of a subnormal image is finite
+            exponent = max(math.frexp(float(np.max(np.abs(left[0].view(float)))))[1], -1023)
+            scale = math.ldexp(1.0, -exponent)
+        left[k] *= scale
+        alphas.append(_deterministic_norm(left[k]) ** 2)
+        w = scale * rmatvec(left[k]) - alphas[-1] * right[k] - (beta * right[k - 1] if k else 0.0)
+        w = _orthogonalize(w, right[: k + 1])
+        beta = _deterministic_norm(w)
+        thetas, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))  # lower triangle
+        theta, top = float(thetas[-1]), vectors[:, -1]
+        if (residual := beta * abs(float(top[-1]))) <= GKL_TOLERANCE * theta:
+            sigma = math.sqrt(theta)  # Z = 0 where sigma = 0: any divisor keeps x = 0
             return SingularTriplet(
-                value=sigma,
-                left=_combine(left[: k + 1], x[:, 0]),
-                right=_combine(right[: k + 1], np.conj(vh[0])),
-                residual=residual / sigma if sigma > 0.0 else 0.0,
-                steps=k + 1,
+                math.ldexp(sigma, exponent), _combine(left[: k + 1], top / (sigma or 1.0)),
+                _combine(right[: k + 1], top), residual / theta if theta > 0.0 else 0.0, k + 1,
             )
         betas.append(beta)
         right = _store(right, k + 1, w / beta)
-    raise ConvergenceError(size, residual / sigma if sigma > 0.0 else np.inf)
+    raise ConvergenceError(size, residual / theta if theta > 0.0 else np.inf)
 
 
 def multiplier_norm_l2(prob: MultiplierProblem) -> float:
@@ -403,7 +411,8 @@ def equivalence_report(
     checked before any solve, and headline figures come from the largest.  The
     norm is :func:`multiplier_norm_l2` at p = q = 2 and Boyd's lower bound
     :func:`multiplier_norm_lp` otherwise.  At p = q = 2 each radius after the
-    smallest starts GKL from the previous radius's top right vector, so its value
+    smallest starts Lanczos on A^H A (:func:`top_singular_value`) from the previous
+    radius's top right vector, zero-padded, so its value
     may differ from an isolated :func:`multiplier_norm_l2` in the last bits; the
     smallest radius, and so a single-radius report, does not.
     The classical lower-bound certificate ``|u|_{H^(-t)_q} / |E|_{H^s_p}`` is

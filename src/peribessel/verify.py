@@ -378,8 +378,8 @@ def _largest_grid(ctx, rounded: bool = True) -> int:
         "swapped-problem matrix is the conjugate transpose (real-valued u)")
 def _check_swap_adjoint(ctx):
     # matrices of the solvers' operator, its matvec applied to the identity
-    # columns; for real u the swapped matvec is the forward rmatvec that GKL
-    # and Boyd apply
+    # columns; for real u the swapped matvec is the forward rmatvec that Boyd and
+    # top_singular_value's Lanczos on A^H A apply
     lattice = make_lattice(ctx.n, _multiplier_radius(ctx))
 
     def matrix(u, s, t):

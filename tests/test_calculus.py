@@ -56,6 +56,15 @@ class TestBesselWeight:
         assert bessel_weight(-1.0, (2, 0, 0)) == pytest.approx(5 ** -0.5, rel=1e-15)
 
 
+    def test_refuses_an_order_whose_largest_weight_overflows(self):
+        # 19^240 is about 1e307 and 19^250 about 1e320, at k = (3, 3)
+        lattice = make_lattice(2, 3)
+        assert np.isfinite(bessel_weights(480.0, lattice)).all()
+        with pytest.raises(ValueError, match=r"index 500.0 overflows .* at \|k\|\^2 = 18"):
+            bessel_weights(500.0, lattice)
+        assert bessel_weights(-5000.0, lattice)[-1] == 0.0  # underflow is finite
+
+
 class TestLift:
     def test_order_zero_is_identity(self):
         u = random_field(make_lattice(1, 6), seed=0)

@@ -514,9 +514,10 @@ class TestCliExitCodes:
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr == f"error: index ({index},) outside declared radius 2\n"
 
-    # a Bessel weight or every product overflows: JSON has no Infinity or NaN, so no record
+    # the norm (a finite weight 2^400 times 1e200) or every product overflows: JSON
+    # has no Infinity or NaN, so no record; a weight that overflows is refused, exit 2
     @pytest.mark.parametrize("command",
-                             [["norm", "--p", "2", "--s", "5000"], ["pair", "--input2", "big.json"]],
+                             [["norm", "--p", "2", "--s", "800"], ["pair", "--input2", "big.json"]],
                              ids=["norm", "pair"])
     def test_non_finite_json_result_is_an_error(self, tmp_path, command):
         (tmp_path / "big.json").write_text(
@@ -875,6 +876,34 @@ class TestCliExitCodes:
         assert code == 2 and captured.out == "" and calls == []
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert "got inf, 1" in captured.err
+
+    # (1 + |k|^2)^(s/2) at s = 5000 is not finite at |k| = 1, and inf times the zero
+    # coefficient at k = -1 was NaN: these calls exited 1 or 2 with numpy warnings
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm", "--p", "2", "--s", "5000"],
+            ["norm", "--p", "3", "--s", "5000"],
+            ["apply-j", "--s", "5000", "--out", "OUT"],
+            ["mult-norm", "--p", "2", "--q", "2", "--s", "5000", "--t", "0", "--force"],
+        ],
+        ids=["norm-p2", "norm-p3", "apply-j", "mult-norm"],
+    )
+    def test_overflowing_bessel_weight_is_refused_before_any_work(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        path, out = tmp_path / "u.json", tmp_path / "out.json"
+        entries = [[0, 1.0, 0.0], [1, 1.0, 0.0]]
+        path.write_text(json.dumps({"n": 1, "radius": 1, "entries": entries}))
+        calls = []
+        for module, name in ((calculus, "tree_sum"), (calculus, "synthesize"),
+                             (multipliers, "top_singular_value")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        code = cli.main([arg.replace("OUT", str(out)) for arg in argv] + ["--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and calls == [] and not out.exists()
+        assert captured.err.startswith("error: smoothness index 5000")
+        assert len(captured.err.splitlines()) == 1
 
     def test_grid_size_of_2r_plus_1_is_accepted(self, tmp_path, capsys):
         path = tmp_path / "u.json"
