@@ -21,16 +21,15 @@ KINDS = ("power-decay", "random-smooth", "dirac")
 
 _EXPORTS = {
     "calculus": (
-        "SpaceIndex", "action", "bessel_weights", "duality_pair", "hs_norm", "lift",
-        "pointwise_product",
+        "SpaceIndex", "bessel_weights", "duality_pair", "hs_norm", "lift", "pointwise_product",
     ),
     "coeffio": ("CoeffFileError", "parse_coeff_file", "write_coeff_file"),
     "conditions": ("ConditionVerdict", "conjugate_exponent", "embedding_holds", "strichartz_case"),
     "generators": ("gen_distribution",),
     "lattice": (
         "GridFunction", "Lattice", "SpectralField", "analyze", "conj_field", "constant_field",
-        "delta_field", "linear_combine", "lp_norm", "make_lattice", "real_part_field",
-        "restrict_field", "synthesize", "tree_sum",
+        "delta_field", "lp_norm", "make_lattice", "real_part_field", "restrict_field",
+        "synthesize", "tree_sum",
     ),
     "multipliers": (
         "ConvergenceError", "HypothesisError", "MultiplierProblem", "MultiplierReport",

@@ -1,4 +1,4 @@
-"""Lifting operator, H^s_p norms, distribution action, duality, and products.
+"""Lifting operator, H^s_p norms, the duality pairing, and products.
 
 The lifting operator multiplies coefficients by the Bessel weight
 ``(1 + |k|^2)^(s/2)`` (|k| Euclidean).  It is an exact bijection on truncated
@@ -18,6 +18,8 @@ from .lattice import (
     Lattice,
     SpectralField,
     TWO_PI,
+    _TINY,
+    _deterministic_norm,
     _require_same_lattice,
     lp_norm,
     make_lattice,
@@ -40,19 +42,24 @@ class SpaceIndex:
             raise ValueError(f"integrability index must satisfy 1 <= p < inf, got {self.p}")
 
 
-def bessel_weights(s: float, lattice: Lattice) -> np.ndarray:
-    """Bessel weights (1 + |k|^2)^(s/2), |k| the Euclidean norm, for every
-    lattice index, in enumeration order.  An s whose largest weight on the lattice
-    overflows is refused (ValueError): an inf weight on a zero coefficient is NaN.
-    A NaN s gives NaN weights, which the callers refuse."""
+def _refuse_overflowing_order(s: float, n: int, radius: int):
+    """Refuse (ValueError) an s whose Bessel weight at k = (R, ..., R), the largest on the
+    (n, R) lattice if s > 0, overflows: an inf weight on a zero coefficient is NaN."""
     with np.errstate(over="ignore"):
-        weights = (1.0 + lattice.norms_sq) ** (s / 2.0)
-    if weights[-1] == np.inf:  # k = (R, ..., R), |k|^2 = nR^2: the largest if s > 0
+        corner = (1.0 + np.full(1, float(n * radius**2))) ** (s / 2.0)
+    if corner[0] == np.inf:
         raise ValueError(
             f"smoothness index {s} overflows the Bessel weight (1 + |k|^2)^(s/2) "
-            f"at |k|^2 = {lattice.n * lattice.radius ** 2}"
+            f"at |k|^2 = {n * radius ** 2}"
         )
-    return weights
+
+
+def bessel_weights(s: float, lattice: Lattice) -> np.ndarray:
+    """Bessel weights (1 + |k|^2)^(s/2), |k| the Euclidean norm, for every
+    lattice index, in enumeration order; :func:`_refuse_overflowing_order` refuses
+    an s whose largest one overflows.  A NaN s gives NaN weights, which callers refuse."""
+    _refuse_overflowing_order(s, lattice.n, lattice.radius)
+    return (1.0 + lattice.norms_sq) ** (s / 2.0)
 
 
 def lift(s: float, u: SpectralField) -> SpectralField:
@@ -73,45 +80,34 @@ def hs_norm(u: SpectralField, index: SpaceIndex, grid_points: int | None = None)
     """Norm of u in H^s_p: the L_p norm of the order-s lift of u.
 
     For p = 2 this is computed in the closed coefficient form
-    sqrt(sum_k (1 + |k|^2)^s |coeff_k|^2), as m times that of u / m, m = max |coeff_k|,
-    if that sum over- or underflows; for other p the lifted field is
-    synthesized on a uniform grid (default 2*(2R+1) points per axis) and the
-    rectangle-rule L_p norm is taken.
+    sqrt(sum_k (1 + |k|^2)^s |coeff_k|^2), or, if that sum over- or underflows (from
+    half the order bessel_weights refuses), as the lifted coefficients' l2 norm relative
+    to their largest modulus; for other p the lifted field is synthesized on a uniform
+    grid (default 2*(2R+1) points per axis) and the rectangle-rule L_p norm is taken.
     """
     p = float(index.p)
     if p == 2.0:
-        weights, scale = bessel_weights(float(index.s), u.lattice), 1.0
-        with np.errstate(over="ignore"):
+        weights = bessel_weights(float(index.s), u.lattice)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN: redone below
             total = float(tree_sum(weights * weights * np.abs(u.coeffs) ** 2))
-            if (total == np.inf or total < np.finfo(float).tiny) and np.any(u.coeffs):
-                scale = float(np.max(np.abs(u.coeffs)))  # a weight that overflows stays inf
-                total = float(tree_sum(weights * weights * np.abs(u.coeffs / scale) ** 2))
-        return scale * float(np.sqrt(total))
+            if _TINY <= total < np.inf or not np.any(u.coeffs):
+                return float(np.sqrt(total))
+            return _deterministic_norm(weights * u.coeffs)
     N = default_grid_points(u.lattice) if grid_points is None else grid_points
     return lp_norm(synthesize(lift(float(index.s), u), N), p)
 
 
-def action(u: SpectralField, f: SpectralField) -> complex:
-    """Value of the distribution u on the smooth test function f.
+def duality_pair(u: SpectralField, v: SpectralField) -> complex:
+    """Duality pairing of u in H^(-s)_p' against v in H^s_p, for every s.
 
-    Equals sum_k coeff_k(u) * coeff_{-k}(f); index negation reverses the
-    lattice enumeration, so the pairing is a reversed dot product.
+    The L_2 pairing of lift(-s, u) with lift(s, v): the real weights cancel, so it is
+    sum_k coeff_k(u) * conj(coeff_k(v)) at every s, inf or NaN (no warning) if that
+    overflows.  The action of u on a test function f, sum_k coeff_k(u) coeff_{-k}(f),
+    is ``duality_pair(u, conj_field(f))``.
     """
-    _require_same_lattice(u, f)
-    return complex(tree_sum(u.coeffs * f.coeffs[::-1]))
-
-
-def duality_pair(u: SpectralField, v: SpectralField, s: float = 0.0) -> complex:
-    """Duality pairing of u in H^(-s)_p' against v in H^s_p.
-
-    Defined as the L_2 pairing of the order(-s) lift of u with the order-s
-    lift of v; the two real weights cancel coefficientwise, so the value is
-    computed in the cancelled form sum_k coeff_k(u) * conj(coeff_k(v)) and is
-    exactly independent of s.  The argument is kept for interface clarity.
-    """
-    del s
     _require_same_lattice(u, v)
-    return complex(tree_sum(u.coeffs * np.conj(v.coeffs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(tree_sum(u.coeffs * np.conj(v.coeffs)))
 
 
 def _fast_length(m: int) -> int:

@@ -274,9 +274,9 @@ def _cmd_pair(args) -> int:
     u = _usage(parse_coeff_file, args.input)
     v = _usage(parse_coeff_file, args.input2)
     s = float(args.s)
-    if not math.isfinite(s):  # the pairing ignores s, so nothing else checks it
+    if not math.isfinite(s):  # the pairing does not depend on s: it is checked and echoed
         raise UsageError(f"smoothness index must be finite, got {s}")
-    value = _usage(duality_pair, u, v, s)
+    value = _usage(duality_pair, u, v)
     _emit_record({"s": s, "re": value.real, "im": value.imag}, args.format, sys.stdout)
     return 0
 

@@ -43,7 +43,7 @@ def gen_distribution(
     """Generate a named coefficient field on the lattice.
 
     power-decay:   |coeff_k| = (1 + |k|^2)^(-alpha/2), seeded random phases
-                   (alpha >= 0 required); alpha = 0 gives unit magnitudes,
+                   (finite alpha >= 0 required); alpha = 0 gives unit magnitudes,
                    i.e. at most polynomial growth with exponent zero.
     random-smooth: |coeff_k| = exp(-|k|), seeded random phases; the magnitudes
                    decay faster than any fixed power of |k|.
@@ -57,8 +57,9 @@ def gen_distribution(
         return SpectralField(lattice, coeffs)
 
     if kind == "power-decay":
-        if alpha is None or alpha < 0:
-            raise ValueError(f"power-decay requires a decay exponent alpha >= 0, got {alpha}")
+        if alpha is None or not 0 <= alpha < np.inf:  # a NaN alpha too
+            what = "finite decay exponent alpha" if alpha == np.inf else "decay exponent alpha >= 0"
+            raise ValueError(f"power-decay requires a {what}, got {alpha}")
         magnitudes = (1.0 + lattice.norms_sq) ** (-alpha / 2.0)
     else:
         magnitudes = np.exp(-np.sqrt(lattice.norms_sq))

@@ -20,6 +20,7 @@ builds, an exact product's radius-2R lattice included: at most
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -30,6 +31,7 @@ TWO_PI = 2.0 * np.pi
 
 # Largest lattice or quadrature grid the library allocates: 1 GiB of complex128.
 MAX_COEFFICIENTS = 2**26
+_TINY = np.finfo(float).tiny
 
 
 def tree_sum(values: np.ndarray, axis: int | None = None):
@@ -58,6 +60,16 @@ def tree_sum(values: np.ndarray, axis: int | None = None):
             out[half] = a[length - 1]
         a, out, spare, length = out, spare, out, half + odd
     return a[0].copy()  # a view would keep both buffers alive
+
+
+def _deterministic_norm(vector: np.ndarray) -> float:
+    """Tree-summed l2 norm, m |vector / m| (m = max |vector|, if finite) if the sum over- or
+    underflows.  It sets no ``np.errstate``: a caller that expects an overflow holds one."""
+    total = float(np.real(tree_sum(np.abs(vector) ** 2)))
+    if (total == math.inf or total < _TINY) and np.any(vector):  # NaN is kept as it is
+        scale = float(np.max(np.abs(vector)))
+        return scale * _deterministic_norm(vector / scale) if scale < math.inf else scale
+    return math.sqrt(total)  # the bits of np.sqrt, without its scalar overhead
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -164,13 +176,6 @@ class Lattice:
         for c in components:
             pos = pos * self.side + c + self.radius
         return pos
-
-    def contains(self, k) -> bool:
-        try:
-            self.position(k)
-        except ValueError:
-            return False
-        return True
 
 
 def make_lattice(n: int, radius: int) -> Lattice:
@@ -285,15 +290,9 @@ def conj_field(u: SpectralField) -> SpectralField:
     return SpectralField(u.lattice, np.conj(u.coeffs[::-1]))
 
 
-def linear_combine(a, u: SpectralField, b, v: SpectralField) -> SpectralField:
-    """Coefficientwise a*u + b*v on a shared lattice."""
-    _require_same_lattice(u, v)
-    return SpectralField(u.lattice, a * u.coeffs + b * v.coeffs)
-
-
 def real_part_field(u: SpectralField) -> SpectralField:
-    """Projection onto real-valued distributions: (u + conj(u)) / 2."""
-    return linear_combine(0.5, u, 0.5, conj_field(u))
+    """Projection onto real-valued distributions: u/2 + conj(u)/2, which cannot overflow."""
+    return SpectralField._owned(u.lattice, 0.5 * u.coeffs + 0.5 * conj_field(u).coeffs)
 
 
 def restrict_field(u: SpectralField, radius: int) -> SpectralField:

@@ -35,6 +35,7 @@ from .lattice import (
     GridFunction,
     SpectralField,
     TWO_PI,
+    _deterministic_norm,
     analyze,
     conj_field,
     constant_field,
@@ -49,7 +50,6 @@ GKL_TOLERANCE = 1e-12
 GKL_SEED = 0
 GKL_WARM_MIX = 1e-3  # weight of the seeded vector in a warm start
 BOYD_STEPS = 8  # a fixed count at every (p, q): the cost depends on the lattice, not on u
-_TINY = np.finfo(float).tiny
 
 CSV_COLUMNS = (
     "n",
@@ -161,15 +161,6 @@ class MultiplierReport:
             repr(self.ratio),
             repr(self.lower_bound_certificate),
         ]
-
-
-def _deterministic_norm(vector: np.ndarray) -> float:
-    """Tree-summed l2 norm, m |vector / m| (m = max |vector|) if the sum over- or underflows."""
-    total = float(np.real(tree_sum(np.abs(vector) ** 2)))
-    if (total == math.inf or total < _TINY) and np.any(vector):  # NaN is kept as it is
-        scale = float(np.max(np.abs(vector)))
-        return scale * _deterministic_norm(vector / scale)
-    return math.sqrt(total)  # the bits of np.sqrt, without its scalar overhead
 
 
 def multiplier_operator(prob: MultiplierProblem) -> tuple:

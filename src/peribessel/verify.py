@@ -23,6 +23,7 @@ from . import SUITES
 from .calculus import (
     SpaceIndex,
     _fast_length,
+    _refuse_overflowing_order,
     duality_pair,
     hs_norm,
     lift,
@@ -59,7 +60,8 @@ from .multipliers import (
 class VerifyContext:
     """Inputs of a verification run, with radius, n and seed stored as ints and s
     and t as floats.  A radius, n or seed that is not an integer, values out of
-    range, or a check lattice that ``make_lattice`` refuses raise ValueError."""
+    range, a check lattice that ``make_lattice`` refuses, or an s or t that
+    :func:`bessel_weights` refuses on a lattice a check lifts by it raise ValueError."""
 
     radius: int = 8
     n: int = 1
@@ -88,6 +90,14 @@ class VerifyContext:
                 ) from None
         for name in ("s", "t"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        # the largest order each check lattice is lifted by, as the checks compute it
+        for what, order, radius in (("s + 2", self.s + 2.0, self.radius),
+                                    ("s", self.s, 2 * max(self.radius, 8)),
+                                    ("t", self.t, _multiplier_radius(self))):
+            try:
+                _refuse_overflowing_order(order, self.n, radius)
+            except ValueError as exc:
+                raise ValueError(f"verify lifts by {what} at radius {radius}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -275,9 +285,9 @@ def _check_pairing_s_independent(ctx):
 def _check_hoelder_bound(ctx):
     fields = _sample_fields(ctx, 24, alpha=1.0)
     for u, v in zip(fields[:12], fields[12:]):
+        pairing = abs(duality_pair(u, v))
         for p in (1.5, 2.0, 3.0):
             for s in (0.0, 1.0, 2.5):
-                pairing = abs(duality_pair(u, v, s))
                 dual = hs_norm(u, SpaceIndex(-s, float(conjugate_exponent(p))))
                 bound = dual * hs_norm(v, SpaceIndex(s, p))
                 yield (pairing - bound) / max(bound, 1e-300)

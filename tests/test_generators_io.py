@@ -7,10 +7,11 @@ from peribessel import (
     CoeffFileError,
     SpaceIndex,
     SpectralField,
-    action,
     analyze,
+    conj_field,
     constant_field,
     delta_field,
+    duality_pair,
     gen_distribution,
     hs_norm,
     make_lattice,
@@ -57,7 +58,7 @@ class TestGenerators:
         f = gen_distribution("random-smooth", lat, seed=11)
         grid = synthesize(f, 16)
         value_at_origin = grid.samples[8]
-        assert abs(action(point_mass, f) - value_at_origin) < 1e-12
+        assert abs(duality_pair(point_mass, conj_field(f)) - value_at_origin) < 1e-12
 
     def test_same_seed_reproduces(self):
         lat = make_lattice(2, 4)

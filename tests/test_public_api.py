@@ -20,7 +20,6 @@ PUBLIC_API = [
     "SpaceIndex",
     "SpectralField",
     "VerifyContext",
-    "action",
     "analyze",
     "bessel_weights",
     "conj_field",
@@ -34,7 +33,6 @@ PUBLIC_API = [
     "hs_norm",
     "intersection_norm",
     "lift",
-    "linear_combine",
     "lp_norm",
     "make_lattice",
     "multiplier_norm_l2",
@@ -54,7 +52,7 @@ PUBLIC_API = [
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_API) == 42
+    assert len(PUBLIC_API) == 40
     assert peribessel.__all__ == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(peribessel, name) is not None, name

@@ -37,8 +37,10 @@ from conftest import seven_smooth
 CLI = [sys.executable, "-m", "peribessel.cli"]
 # CLI child processes import the package from this checkout, as pytest does
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# and, as pyproject.toml does in-process, fail on a RuntimeWarning
 CHILD_ENV = dict(
-    os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+    PYTHONWARNINGS="error::RuntimeWarning",
 )
 
 # every library invariant must be wired to a named check
@@ -565,7 +567,9 @@ class TestCliExitCodes:
             (["gen", "--kind", "power-decay", "--alpha", "-1", "--out", "out.json"],
              "power-decay requires a decay exponent alpha >= 0, got -1.0"),
             (["gen", "--kind", "power-decay", "--alpha", "nan", "--out", "out.json"],
-             "coefficients must be finite (no NaN/Inf)"),
+             "power-decay requires a decay exponent alpha >= 0, got nan"),
+            (["gen", "--kind", "power-decay", "--alpha", "inf", "--out", "out.json"],
+             "power-decay requires a finite decay exponent alpha, got inf"),
             (["gen", "--kind", "power-decay", "--out", "out.json"],
              "--kind power-decay requires --alpha"),
             (["sweep", "--s-grid", ",", "--t-grid", "1", "--p-grid", "2", "--q-grid", "2",
@@ -575,6 +579,12 @@ class TestCliExitCodes:
               "--radius-grid", "4", "--u-kind", "power-decay", "--alpha", "-1",
               "--out", "out.csv"],
              "power-decay requires a decay exponent alpha >= 0, got -1.0"),
+            (["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "2", "--q-grid", "2",
+              "--radius-grid", "4", "--alpha", "nan", "--out", "out.csv"],
+             "power-decay requires a decay exponent alpha >= 0, got nan"),
+            (["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "2", "--q-grid", "2",
+              "--radius-grid", "4", "--alpha", "inf", "--out", "out.csv"],
+             "power-decay requires a finite decay exponent alpha, got inf"),
             (["mult-norm", "--input", "u2.json", "--p", "3", "--q", "3", "--grid-size", "9000"],
              "quadrature grid 9000^2 exceeds 67108864 points"),
             (["sweep", "--s-grid", "1", "--t-grid", "1", "--p-grid", "3", "--q-grid", "3",
@@ -584,8 +594,8 @@ class TestCliExitCodes:
         ids=["norm-p-below-one", "norm-p-inf", "norm-s-nan", "norm-grid-too-large",
              "norm-grid-beyond-int64", "apply-j-s-nan", "pair-lattice-mismatch", "pair-s-nan",
              "pair-s-inf", "product-lattice-mismatch", "exact-product-lattice-too-large",
-             "gen-alpha-negative", "gen-alpha-nan", "gen-alpha-missing", "sweep-grid-empty",
-             "sweep-alpha-negative",
+             "gen-alpha-negative", "gen-alpha-nan", "gen-alpha-inf", "gen-alpha-missing",
+             "sweep-grid-empty", "sweep-alpha-negative", "sweep-alpha-nan", "sweep-alpha-inf",
              "mult-norm-grid-too-large", "sweep-grid-too-large"],
     )
     def test_refused_input_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, message):
@@ -669,9 +679,16 @@ class TestCliExitCodes:
             (["--s", "-1"], "s=-1"),
             (["--t", "nan"], "t=nan"),
             (["--seed", "-1"], "seed=-1"),
+            # the largest order a check lifts by overflows a Bessel weight on its lattice:
+            # s + 2 on the (n, R) lattice, s on refinement-stability's radius 2 max(R, 8)
+            # and t on the multiplier lattice
+            (["--s", "5000"], "s + 2 at radius 8: smoothness index 5002.0 overflows"),
+            (["--s", "300"], "s at radius 16: smoothness index 300.0 overflows"),
+            (["--t", "345"], "t at radius 8: smoothness index 345.0 overflows"),
         ],
         ids=["radius-huge", "radius-400-digits", "dimension-huge", "n-zero", "n-overflow",
-             "radius-negative", "s-negative", "t-nan", "seed-negative"],
+             "radius-negative", "s-negative", "t-nan", "seed-negative", "s-weight-overflow",
+             "s-weight-overflow-on-refinement-lattice", "t-weight-overflow"],
     )
     def test_bad_verify_input_is_refused_before_any_check(self, capsys, monkeypatch, flags,
                                                           message):
@@ -690,6 +707,13 @@ class TestCliExitCodes:
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert message in captured.err
         assert peak < 2**20
+
+    @pytest.mark.parametrize("flags", [["--t", "340"], ["--s", "250"]], ids=["t-340", "s-250"])
+    def test_orders_below_the_weight_overflow_pass_every_check(self, capsys, flags):
+        # t = 340 is just below the refused 345 on the multiplier lattice; at s = 250
+        # the squared Bessel weights of the p = 2 norms overflow, but not the weights
+        assert cli.main(["verify", "all"] + flags) == 0
+        assert capsys.readouterr().out.endswith("\n24/24 checks passed\n")
 
     @pytest.mark.parametrize(
         "argv, message",
