@@ -67,9 +67,11 @@ def lift(s: float, u: SpectralField) -> SpectralField:
     Bessel weight (1 + |k|^2)^(s/2).
 
     Every basis field is an eigenvector with that weight as eigenvalue;
-    lift(0, .) is the identity and lift(-s, .) inverts lift(s, .).
+    lift(0, .) is the identity and lift(-s, .) inverts lift(s, .).  An overflow
+    raises FloatingPointError; a NaN s gives NaN coefficients, which are refused.
     """
-    return SpectralField._owned(u.lattice, bessel_weights(s, u.lattice) * u.coeffs)
+    with np.errstate(over="raise"):
+        return SpectralField._owned(u.lattice, bessel_weights(s, u.lattice) * u.coeffs)
 
 
 def default_grid_points(lattice: Lattice) -> int:
@@ -129,16 +131,19 @@ def _fast_length(m: int) -> int:
 def _convolver(a: np.ndarray, shape: tuple, window: slice):
     """Cyclic convolution with ``a`` at length ``shape``: the map ``b ->
     ifftn(FFT(a) * fftn(b, shape))``, with FFT(a) taken once, over the trailing
-    ``a.ndim`` axes of b, cut to ``window`` on each.  Each axis is cut right after
-    its inverse transform, in ``ifftn``'s order, so later axes transform only the
-    kept lines, bit for bit.  A length of at least the two extents summed minus
-    one per axis wraps nothing; callers round their lengths up by
-    :func:`_fast_length`, which changes only rounding."""
+    ``a.ndim`` axes of b, cut to ``window`` on each.  b is transformed by ``fftn``'s
+    one-axis calls, last axis first, and multiplied in place, FFT(a) the first operand
+    (with FMA, complex a*b and b*a can differ in the last bit).  Each axis is cut right
+    after its inverse transform, in ``ifftn``'s order, so later axes transform only the
+    kept lines, bit for bit.  A length of at least the two extents summed minus one per
+    axis wraps nothing; callers round it up by :func:`_fast_length`: only rounding changes."""
     axes = tuple(range(-a.ndim, 0))
     spectrum = np.fft.fftn(a, shape, axes)
 
     def convolve(b: np.ndarray) -> np.ndarray:
-        out = spectrum * np.fft.fftn(b, shape, axes)
+        for axis in reversed(axes):
+            b = np.fft.fft(b, shape[axis], axis)
+        out = np.multiply(spectrum, b, out=b)
         for axis in reversed(axes):
             out = np.fft.ifft(out, axis=axis)[(..., window) + (slice(None),) * (-1 - axis)]
         return out
@@ -182,7 +187,8 @@ def pointwise_product(
     model); with ``exact=True`` the full convolution is kept on a lattice of
     radius 2R, where it matches dealiased grid multiplication.  A factor with
     one nonzero coefficient shifts the other exactly; other pairs use an FFT of
-    the least 7-smooth length >= 4R+1 per axis, the same in either mode.
+    the least 7-smooth length >= 4R+1 per axis, the same in either mode.  An
+    overflow raises FloatingPointError.
     """
     _require_same_lattice(f, u)
     lattice = f.lattice
@@ -190,5 +196,6 @@ def pointwise_product(
         lattice, window = make_lattice(lattice.n, 2 * lattice.radius), slice(None)
     else:
         window = slice(lattice.radius, lattice.radius + lattice.side)
-    product = _linear_convolve(f.cube(), u.cube(), window)
+    with np.errstate(over="raise"):
+        product = _linear_convolve(f.cube(), u.cube(), window)
     return SpectralField._owned(lattice, (TWO_PI ** (-lattice.n / 2.0) * product).ravel())

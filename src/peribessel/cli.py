@@ -376,7 +376,7 @@ def main(argv=None) -> int:
     except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError) as exc:  # the last: np.errstate overflow
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except MemoryError as exc:  # numpy's message names the array it could not allocate

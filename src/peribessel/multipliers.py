@@ -20,6 +20,7 @@ exactly; none is at p, q in {2, 4}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
@@ -183,30 +184,29 @@ def multiplier_operator(prob: MultiplierProblem) -> tuple:
         convolve = _convolver(u.cube(), padded, window)
         source = bessel_weights(-float(s), lattice)
         target = TWO_PI ** (-lattice.n / 2.0) * bessel_weights(-float(t), lattice)
+        target = target.reshape(lattice.shape)  # the window's shape: multiplied uncopied
 
         def apply(v: np.ndarray) -> np.ndarray:
             cubes = (source * v).reshape(v.shape[:-1] + lattice.shape)
-            return target * convolve(cubes).reshape(v.shape)
+            return (target * convolve(cubes)).reshape(v.shape)
 
         return apply
 
     return side(prob.u, prob.s, prob.t), side(conj_field(prob.u), prob.t, prob.s)
 
 
-def _orthogonalize(vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Remove the components along the orthonormal rows of ``rows``."""
-    if not len(rows):
-        return vector
-    coefficients = tree_sum(np.conj(rows) * vector, axis=1)
-    return vector - tree_sum(coefficients[:, None] * rows, axis=0)
+def _doubled(right: np.ndarray, left: np.ndarray, tridiagonal: np.ndarray) -> tuple:
+    """The two bases with twice their rows, and T zero-padded to twice its order."""
+    grown = [np.concatenate([rows, np.empty_like(rows)]) for rows in (right, left)]
+    return *grown, np.pad(tridiagonal, (0, len(tridiagonal)))
 
 
-def _store(rows: np.ndarray, k: int, vector: np.ndarray) -> np.ndarray:
-    """Write ``vector`` as row k of ``rows``, doubling the row count when full."""
-    if k == len(rows):
-        rows = np.concatenate([rows, np.empty_like(rows)])
-    rows[k] = vector
-    return rows
+@functools.lru_cache(maxsize=8)
+def _seeded_start(size: int) -> np.ndarray:
+    """The unit seeded start of length ``size``, drawn once per size; read-only."""
+    rng = np.random.default_rng(GKL_SEED)
+    seeded = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return _lattice._freeze(seeded / _deterministic_norm(seeded))
 
 
 @dataclass(frozen=True)
@@ -247,9 +247,7 @@ def top_singular_value(matvec, rmatvec, size: int,
     or a normalised ``start`` plus GKL_WARM_MIX times the seeded one, which still finds
     a top right vector orthogonal to ``start``.  Tree-summed reductions, so the result
     does not depend on the thread count."""
-    rng = np.random.default_rng(GKL_SEED)
-    seeded = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    first = seeded / _deterministic_norm(seeded)
+    first = _seeded_start(size)
     if start is not None:
         start = np.asarray(start, dtype=np.complex128)
         scale = _deterministic_norm(start) if start.shape == (size,) else 0.0
@@ -257,21 +255,24 @@ def top_singular_value(matvec, rmatvec, size: int,
             raise ValueError(f"start must be a finite nonzero vector of length {size}")
         first = start / scale + GKL_WARM_MIX * first
         first /= _deterministic_norm(first)
-    right, left = np.empty((2, 8, size), dtype=np.complex128)  # row blocks, see _store
+    (right, left), tridiagonal = np.empty((2, 8, size), dtype=np.complex128), np.zeros((8, 8))
     right[0] = first
-    alphas, betas = [], []
     beta = theta = residual = 0.0
     for k in range(size):
-        left = _store(left, k, matvec(right[k]))
+        left[k] = matvec(right[k])
         if not k:  # capped at 2^1023, so that the scale of a subnormal image is finite
             exponent = max(math.frexp(float(np.max(np.abs(left[0].view(float)))))[1], -1023)
             scale = math.ldexp(1.0, -exponent)
         left[k] *= scale
-        alphas.append(_deterministic_norm(left[k]) ** 2)
-        w = scale * rmatvec(left[k]) - alphas[-1] * right[k] - (beta * right[k - 1] if k else 0.0)
-        w = _orthogonalize(w, right[: k + 1])
+        alpha = tridiagonal[k, k] = _deterministic_norm(left[k]) ** 2
+        w = rmatvec(left[k])  # scale * A^H z - alpha v_k - beta v_(k-1), in place, in order
+        np.subtract(np.multiply(scale, w, out=w), alpha * right[k], out=w)
+        if k:
+            np.subtract(w, beta * right[k - 1], out=w)
+        coefficients = tree_sum(np.conj(right[: k + 1]) * w, axis=1)  # against V, in place
+        w -= tree_sum(coefficients[:, None] * right[: k + 1], axis=0)
         beta = _deterministic_norm(w)
-        thetas, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))  # lower triangle
+        thetas, vectors = np.linalg.eigh(tridiagonal[: k + 1, : k + 1])  # lower triangle
         theta, top = float(thetas[-1]), vectors[:, -1]
         if (residual := beta * abs(float(top[-1]))) <= GKL_TOLERANCE * theta:
             sigma = math.sqrt(theta)  # Z = 0 where sigma = 0: any divisor keeps x = 0
@@ -279,8 +280,10 @@ def top_singular_value(matvec, rmatvec, size: int,
                 math.ldexp(sigma, exponent), _combine(left[: k + 1], top / (sigma or 1.0)),
                 _combine(right[: k + 1], top), residual / theta if theta > 0.0 else 0.0, k + 1,
             )
-        betas.append(beta)
-        right = _store(right, k + 1, w / beta)
+        if k + 1 == len(right):
+            right, left, tridiagonal = _doubled(right, left, tridiagonal)
+        tridiagonal[k + 1, k] = beta
+        np.divide(w, beta, out=right[k + 1])
     raise ConvergenceError(size, residual / theta if theta > 0.0 else np.inf)
 
 

@@ -87,6 +87,14 @@ class TestLift:
         u = random_field(make_lattice(1, 8), seed=seed)
         assert rel_err(lift(s, lift(t, u)).coeffs, lift(s + t, u).coeffs) < 1e-13
 
+    def test_an_overflowing_lift_raises_floating_point_error(self):
+        # the weights are finite (at most 2^400), their products with 1e200 are not
+        big = SpectralField(make_lattice(1, 1), np.full(3, 1e200))
+        with pytest.raises(FloatingPointError, match="overflow encountered"):
+            lift(800, big)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            lift(float("nan"), big)
+
 
 class TestHsNorm:
     def test_single_mode_closed_form(self):
@@ -291,6 +299,15 @@ class TestPointwiseProduct:
             expected = TWO_PI ** (-n / 2) * f0 * u0
             assert out.lattice == lat
             assert out.coefficient((0,) * n) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("entries", [(1.0, 0.0), (1.0, 1.0)], ids=["shift", "fft"])
+    def test_an_overflowing_product_raises_floating_point_error(self, entries, exact):
+        lat = make_lattice(1, 1)
+        big = SpectralField(lat, np.full(3, 1e200))
+        f = SpectralField(lat, [0.0, *entries])  # one nonzero is shifted exactly, two by FFT
+        with pytest.raises(FloatingPointError, match="overflow encountered"):
+            pointwise_product(SpectralField(lat, 1e200 * f.coeffs), big, exact=exact)
 
     def test_multiplying_by_ones_is_identity(self):
         lat = make_lattice(1, 5)

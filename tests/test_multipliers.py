@@ -442,12 +442,70 @@ class TestSingularTriplet:
         assert warm.steps < seeded.steps
         assert warm.value == pytest.approx(sigmas[0], rel=1e-10)
 
+    def test_seeded_start_is_drawn_once_per_size_and_read_only(self):
+        first = multipliers._seeded_start(13)
+        assert multipliers._seeded_start(13) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0.0
+        assert np.linalg.norm(first) == pytest.approx(1.0, abs=1e-15)
+
+    def test_cold_solves_are_byte_identical(self):
+        prob = random_problem(4, 2, n=2, alpha=0.0, s=0.6, t=0.6)
+        operator, size = multiplier_operator(prob), prob.u.lattice.size
+        multipliers._seeded_start.cache_clear()
+        first = top_singular_value(*operator, size)
+        expected = (first.value, first.left.tobytes(), first.right.tobytes())
+        first.left[:], first.right[:] = 0.0, np.nan  # the caller owns the triplet's vectors
+        second = top_singular_value(*operator, size)
+        assert (second.value, second.left.tobytes(), second.right.tobytes()) == expected
+
+    def test_warm_start_leaves_the_seeded_start_alone(self):
+        prob = random_problem(6, 1)
+        size = prob.u.lattice.size
+        seeded = multipliers._seeded_start(size)
+        before = seeded.tobytes()
+        top_singular_value(*multiplier_operator(prob), size, start=np.ones(size))
+        assert multipliers._seeded_start(size) is seeded and seeded.tobytes() == before
+
     @pytest.mark.parametrize("start", [np.zeros(13), np.ones(12), np.full(13, np.nan)],
                              ids=["zero", "short", "nan"])
     def test_refuses_a_start_it_cannot_normalise(self, start):
         prob = random_problem(6, 1)
         with pytest.raises(ValueError, match="start must be a finite nonzero vector of length 13"):
             top_singular_value(*multiplier_operator(prob), prob.u.lattice.size, start=start)
+
+
+def count_calls(monkeypatch, *functions) -> dict:
+    """Replace each ``(module, name)`` function by one that counts its calls, by name."""
+    counts = {name: 0 for _, name in functions}
+    for module, name in functions:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+# The numpy calls each product and each Lanczos step issues, counted, not timed
+class TestHotPathCalls:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_product_makes_n_forward_and_n_inverse_one_axis_transforms(self, monkeypatch, n):
+        prob = random_problem(3, 1, n=n)
+        matvec, _ = multiplier_operator(prob)
+        names = ("fft", "ifft", "fftn", "ifftn")
+        counts = count_calls(monkeypatch, *((np.fft, name) for name in names))
+        matvec(prob.u.coeffs)
+        assert counts == {"fft": n, "ifft": n, "fftn": 0, "ifftn": 0}
+
+    def test_a_lanczos_step_calls_eigh_once_and_diag_never(self, monkeypatch):
+        prob = random_problem(4, 2, n=2, alpha=0.0, s=0.6, t=0.6)
+        operator = multiplier_operator(prob)
+        counts = count_calls(monkeypatch, (np.linalg, "eigh"), (np, "diag"))
+        triplet = top_singular_value(*operator, prob.u.lattice.size)
+        assert triplet.steps > 8  # past the first doubling of the bases
+        assert counts == {"eigh": triplet.steps, "diag": 0}
 
 
 class TestWarmRefinement:
@@ -489,6 +547,25 @@ class TestWarmRefinement:
         assert 0 < len(calls) < sum(cold)
         # Lanczos on A^H A spans GKL's Krylov space step for step: these are GKL's counts
         assert cold == [22, 26, 28] and len(calls) == 73
+
+    # the refinement to the bit on the benchmark's two refinement shapes: mult-l2's
+    # near-tied field, warm-started at radii 8 and 16, and mult-lp's Dirac field,
+    # whose radius-4 value is test_boyd_pinned_bits' (numpy 2.4, OpenBLAS, x86-64)
+    @pytest.mark.parametrize(
+        "n, radius, kind, alpha, indices, radii, force, expected",
+        [
+            (2, 16, "power-decay", 0.0, (0.6, 0.6, 2, 2), (4, 8, 16), True,
+             ("0x1.c0b61fd9af58fp-1", "0x1.33fb01f51a929p+0", "0x1.8c3c10a6e4d7bp+0")),
+            (3, 4, "dirac", None, (3, 0, Fraction(21, 20), Fraction(3, 2)), (2, 3, 4), False,
+             ("0x1.37062f52cccacp-7", "0x1.fa2eaf7e4edb3p-7", "0x1.69e17eb7e8e3fp-6")),
+        ],
+        ids=["mult-l2-near-tied", "mult-lp-dirac"],
+    )
+    def test_refinement_pinned_bits(self, n, radius, kind, alpha, indices, radii, force,
+                                    expected):
+        u = gen_distribution(kind, make_lattice(n, radius), alpha=alpha, seed=0)
+        report = equivalence_report(MultiplierProblem(u, *indices), radii=radii, force=force)
+        assert [(r, value.hex()) for r, value in report.refinement] == list(zip(radii, expected))
 
     def test_a_zero_restriction_passes_its_start_on(self):
         # u vanishes on the radius-2 lattice: that solve has value 0, and the next

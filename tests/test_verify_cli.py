@@ -517,10 +517,20 @@ class TestCliExitCodes:
         assert result.stderr == f"error: index ({index},) outside declared radius 2\n"
 
     # the norm (a finite weight 2^400 times 1e200) or every product overflows: JSON
-    # has no Infinity or NaN, so no record; a weight that overflows is refused, exit 2
-    @pytest.mark.parametrize("command",
-                             [["norm", "--p", "2", "--s", "800"], ["pair", "--input2", "big.json"]],
-                             ids=["norm", "pair"])
+    # has no Infinity or NaN, so no record; a weight that overflows is refused, exit 2.
+    # A lift or a product that overflows is refused where it is computed: no file
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["norm", "--p", "2", "--s", "800"],
+            ["pair", "--input2", "big.json"],
+            ["apply-j", "--s", "800", "--out", "out.json"],
+            ["norm", "--p", "3", "--s", "800"],
+            ["product", "--input2", "big.json", "--out", "out.json"],
+            ["product", "--input2", "big.json", "--exact-product", "--out", "out.json"],
+        ],
+        ids=["norm", "pair", "apply-j", "norm-p3", "product", "exact-product"],
+    )
     def test_non_finite_json_result_is_an_error(self, tmp_path, command):
         (tmp_path / "big.json").write_text(
             '{"n": 1, "radius": 1, "entries": [[0, 1e200, 0.0], [1, 1e200, 0.0]]}'
@@ -529,6 +539,7 @@ class TestCliExitCodes:
         assert result.returncode == 1 and result.stdout == ""
         errors = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
         assert len(errors) == 1 and result.stderr.endswith(errors[0] + "\n")
+        assert not (tmp_path / "out.json").exists()
 
     def test_infinite_exponent_is_rejected(self, tmp_path):
         u_path = tmp_path / "u.json"
