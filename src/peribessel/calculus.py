@@ -3,8 +3,8 @@
 The lifting operator multiplies coefficients by the Bessel weight
 ``(1 + |k|^2)^(s/2)`` (|k| Euclidean).  It is an exact bijection on truncated
 fields, forms a semigroup in s, and carries H^s_p isometrically onto
-H^(s-a)_p.  Norms for p = 2 use the closed coefficient form; other p go
-through synthesis and grid quadrature.  Products convolve by zero-padded FFT,
+H^(s-a)_p.  Norms for p = 2 are the l2 norm of the lifted coefficients; other p
+go through synthesis and grid quadrature.  Products convolve by zero-padded FFT,
 or by an exact shift when one factor is a scaled basis field.
 """
 
@@ -18,7 +18,6 @@ from .lattice import (
     Lattice,
     SpectralField,
     TWO_PI,
-    _TINY,
     _deterministic_norm,
     _require_same_lattice,
     lp_norm,
@@ -81,20 +80,15 @@ def default_grid_points(lattice: Lattice) -> int:
 def hs_norm(u: SpectralField, index: SpaceIndex, grid_points: int | None = None) -> float:
     """Norm of u in H^s_p: the L_p norm of the order-s lift of u.
 
-    For p = 2 this is computed in the closed coefficient form
-    sqrt(sum_k (1 + |k|^2)^s |coeff_k|^2), or, if that sum over- or underflows (from
-    half the order bessel_weights refuses), as the lifted coefficients' l2 norm relative
-    to their largest modulus; for other p the lifted field is synthesized on a uniform
-    grid (default 2*(2R+1) points per axis) and the rectangle-rule L_p norm is taken.
+    For p = 2 this is the l2 norm of the lifted coefficients, sqrt(sum_k (1 + |k|^2)^s
+    |coeff_k|^2), taken relative to their largest modulus if the sum over- or underflows,
+    and inf if a lifted coefficient does; for other p the lifted field is synthesized on a
+    uniform grid (default 2*(2R+1) points per axis) and the rectangle-rule L_p norm is taken.
     """
     p = float(index.p)
     if p == 2.0:
-        weights = bessel_weights(float(index.s), u.lattice)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN: redone below
-            total = float(tree_sum(weights * weights * np.abs(u.coeffs) ** 2))
-            if _TINY <= total < np.inf or not np.any(u.coeffs):
-                return float(np.sqrt(total))
-            return _deterministic_norm(weights * u.coeffs)
+        with np.errstate(over="ignore"):
+            return _deterministic_norm(bessel_weights(float(index.s), u.lattice) * np.abs(u.coeffs))
     N = default_grid_points(u.lattice) if grid_points is None else grid_points
     return lp_norm(synthesize(lift(float(index.s), u), N), p)
 

@@ -28,9 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from . import lattice as _lattice
-from .calculus import (
-    SpaceIndex, _convolver, _fast_length, bessel_weights, default_grid_points, hs_norm, lift,
-)
+from .calculus import (SpaceIndex, _convolver, _fast_length, _refuse_overflowing_order,
+                       bessel_weights, default_grid_points, hs_norm, lift)
 from .conditions import conjugate_exponent, strichartz_case
 from .lattice import (
     GridFunction,
@@ -116,7 +115,7 @@ class MultiplierProblem:
         if self.grid_points is not None:
             refusal = "grid_points must be an integer or None, got {!r}"
             object.__setattr__(self, "grid_points", _lattice._integer(self.grid_points, refusal))
-        bessel_weights(self.s, self.u.lattice)  # the certificate's H^s_p weights, or refused
+        _refuse_overflowing_order(self.s, self.n, self.u.lattice.radius)  # no weights built
         if self.p == 2 and self.q == 2:
             return
         _lattice._grid_bins(self.u.lattice, self.points)  # the grids synthesize refuses
@@ -136,7 +135,8 @@ class MultiplierProblem:
 
 @dataclass(frozen=True)
 class MultiplierReport:
-    """Computed multiplier norm vs intersection norm for one instance."""
+    """Computed multiplier norm vs intersection norm for one instance; the norm is
+    floored at ``lower_bound_certificate`` at every (p, q)."""
 
     n: int
     radius: int
@@ -246,7 +246,9 @@ def top_singular_value(matvec, rmatvec, size: int,
     times as large for 2^m A.  v_1 is seeded (Kuczynski & Wozniakowski, SIMAX 13, 1992)
     or a normalised ``start`` plus GKL_WARM_MIX times the seeded one, which still finds
     a top right vector orthogonal to ``start``.  Tree-summed reductions, so the result
-    does not depend on the thread count."""
+    does not depend on the thread count.  ``size`` must be a positive integer."""
+    if _lattice._integer(size, refusal := "size must be a positive integer, got {!r}") < 1:
+        raise ValueError(refusal.format(size))
     first = _seeded_start(size)
     if start is not None:
         start = np.asarray(start, dtype=np.complex128)
@@ -406,12 +408,12 @@ def equivalence_report(
     norm is :func:`multiplier_norm_l2` at p = q = 2 and Boyd's lower bound
     :func:`multiplier_norm_lp` otherwise.  At p = q = 2 each radius after the
     smallest starts Lanczos on A^H A (:func:`top_singular_value`) from the previous
-    radius's top right vector, zero-padded, so its value
-    may differ from an isolated :func:`multiplier_norm_l2` in the last bits; the
-    smallest radius, and so a single-radius report, does not.
-    The classical lower-bound certificate ``|u|_{H^(-t)_q} / |E|_{H^s_p}`` is
-    checked against the reported norm, and unless p = q = 2 it is the floor of the
-    largest radius's bound.  ``family_seed`` is ignored.
+    radius's top right vector, zero-padded, so its value may differ from an isolated
+    :func:`multiplier_norm_l2` in the last bits; the smallest radius's does not.  The
+    classical lower-bound certificate ``|u|_{H^(-t)_q} / |E|_{H^s_p}`` is checked against
+    the reported norm and floors it at every (p, q): a single-radius report equals
+    :func:`multiplier_norm_l2` unless the certificate floors it, by at most 1e-12
+    relative.  ``family_seed`` is ignored.
     """
     del family_seed
     verdict = strichartz_case(prob.s, prob.t, prob.p, prob.q, prob.n)
@@ -438,8 +440,7 @@ def equivalence_report(
     certificate = target_norm / hs_norm(constant_field(top.u.lattice), source, top.points)
     if certificate > norm * (1.0 + 1e-12):
         raise RuntimeError(f"lower-bound certificate {certificate} exceeds multiplier norm {norm}")
-    if not exact:  # the constant field's ratio bounds the norm too: the bound's floor
-        norms[-1] = norm = max(norm, certificate)
+    norms[-1] = norm = max(norm, certificate)  # the constant field's ratio bounds it too
 
     return MultiplierReport(
         n=prob.n,

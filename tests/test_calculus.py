@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -117,9 +118,9 @@ class TestHsNorm:
     @pytest.mark.parametrize("s", [200.0, 250.0, 300.0])
     @pytest.mark.parametrize("zero_at", [None, 8], ids=["full", "zero-coefficient"])
     def test_p2_norm_past_the_squared_weight_overflow(self, s, zero_at):
-        # (1 + |k|^2)^s overflows at |k| = 8 once s > 170, half the order that
-        # bessel_weights refuses; the closed form still matches the quadrature, and
-        # an inf squared weight on a zero coefficient does not make it NaN
+        # (1 + |k|^2)^s, the squared weight, overflows at |k| = 8 once s > 170, half
+        # the order that bessel_weights refuses; the rescaled coefficient norm still
+        # matches the quadrature, and a zero coefficient does not make it NaN
         lat = make_lattice(1, 8)
         coeffs = gen_distribution("power-decay", lat, alpha=0.0, seed=2).coeffs.copy()
         if zero_at is not None:
@@ -128,6 +129,38 @@ class TestHsNorm:
         closed = hs_norm(u, SpaceIndex(s, 2.0))
         quad = lp_norm(synthesize(lift(s, u), 2 * lat.side), 2.0)
         assert abs(closed - quad) / quad < 1e-12
+
+    @pytest.mark.parametrize("n, radius", [(1, 4), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-300])
+    @pytest.mark.parametrize("s", [-300.0, -1.5, 0.0, 1.0, 300.0])
+    def test_p2_norm_matches_overflow_safe_hypot(self, n, radius, scale, s):
+        # math.hypot of the lifted moduli neither over- nor underflows on the way and
+        # sums in its own order: within 2 ulps of it, inf where it is inf
+        lat = make_lattice(n, radius)
+        weights, index = bessel_weights(s, lat).tolist(), SpaceIndex(s, 2.0)
+        for kind, seed in itertools.product(("power-decay", "random-smooth"), range(5)):
+            u = SpectralField(lat, scale * gen_distribution(kind, lat, 1.0, seed).coeffs)
+            oracle = math.hypot(*(w * abs(c) for w, c in zip(weights, u.coeffs.tolist())))
+            value = hs_norm(u, index)
+            if oracle in (0.0, math.inf):
+                assert value == oracle
+            else:
+                assert abs(value - oracle) <= 2 * math.ulp(oracle), (kind, seed)
+        assert hs_norm(SpectralField(lat, np.zeros(lat.size)), index) == 0.0
+
+    def test_p2_norm_peaks_under_23_bytes_per_coefficient(self):
+        # the lifted moduli (8 bytes a coefficient), their squares (8) and tree_sum's
+        # two level buffers (4 + 2)
+        lat = make_lattice(2, 255)
+        u, index = random_field(lat, seed=0), SpaceIndex(1.0, 2.0)
+        hs_norm(u, index)  # builds the lattice's cached |k|^2 outside the measurement
+        tracemalloc.start()
+        try:
+            hs_norm(u, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 23 * lat.size
 
     def test_p2_norm_that_overflows_is_inf_not_nan(self):
         # the lifted coefficient 2^400 * 1e200 overflows: the norm is inf, though

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -31,7 +32,7 @@ from peribessel import (
     top_singular_value,
 )
 from peribessel.calculus import bessel_weights
-from peribessel import lattice, multipliers
+from peribessel import calculus, lattice, multipliers
 from peribessel.multipliers import (
     BOYD_STEPS, GKL_TOLERANCE, SingularTriplet, _dual, _half_shift_norm,
 )
@@ -76,6 +77,20 @@ def low_family(lat):
 def test_problem_rejects_bad_indices(indices, message):
     with pytest.raises(ValueError, match=message):
         problem(constant_field(make_lattice(1, 2)), *indices)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_problem_builds_no_bessel_weights(monkeypatch, p):
+    def refuse(*args):
+        raise AssertionError("bessel_weights called")
+
+    monkeypatch.setattr(calculus, "bessel_weights", refuse)
+    monkeypatch.setattr(multipliers, "bessel_weights", refuse)
+    u = gen_distribution("power-decay", make_lattice(2, 4), alpha=1.0, seed=0)
+    assert problem(u, 1.0, 1.0, p, p).u is u
+    message = "smoothness index 5000.0 overflows the Bessel weight (1 + |k|^2)^(s/2) at |k|^2 = 32"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        problem(u, 5000.0, 1.0, p, p)
 
 
 class TestProblemGrid:
@@ -474,6 +489,14 @@ class TestSingularTriplet:
         prob = random_problem(6, 1)
         with pytest.raises(ValueError, match="start must be a finite nonzero vector of length 13"):
             top_singular_value(*multiplier_operator(prob), prob.u.lattice.size, start=start)
+
+    @pytest.mark.parametrize("size", [0, -1, 2.0, True], ids=["zero", "negative", "float", "bool"])
+    def test_refuses_a_size_that_is_not_a_positive_integer(self, monkeypatch, size):
+        prob = random_problem(6, 1)
+        monkeypatch.setattr(multipliers, "_seeded_start", None)  # refused before any draw
+        message = f"size must be a positive integer, got {size!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            top_singular_value(*multiplier_operator(prob), size)
 
 
 def count_calls(monkeypatch, *functions) -> dict:
@@ -891,6 +914,31 @@ class TestEquivalenceReport:
         assert report.multiplier_norm == pytest.approx(1.0, abs=1e-10)
         assert report.intersection_norm == pytest.approx(np.sqrt(TWO_PI), rel=1e-12)
         assert report.ratio == pytest.approx(0.3989, abs=2e-4)
+
+    # seeded p = q = 2 reports: the norm is the Lanczos value floored at the certificate,
+    # which would otherwise print up to a few ulps above the norm it bounds
+    @pytest.mark.parametrize("n, radius", [(1, 0), (1, 8), (2, 0), (2, 8), (3, 0), (3, 2)])
+    @pytest.mark.parametrize("kind", ["power-decay", "random-smooth", "dirac"])
+    def test_p2_norm_is_floored_at_its_certificate(self, n, radius, kind):
+        lat = make_lattice(n, radius)
+        for seed in range(5):
+            u = gen_distribution(kind, lat, alpha=None if kind == "dirac" else 1.5, seed=seed)
+            for s, t in [(0.5, 0.5), (1.0, 1.0), (1.0, 0.5), (2.0, 1.0), (0.25, 1.5)]:
+                report = equivalence_report(problem(u, s=s, t=t), force=True)
+                assert report.lower_bound_certificate <= report.multiplier_norm
+                value = multiplier_norm_l2(problem(u, s=s, t=t))
+                assert report.multiplier_norm == max(value, report.lower_bound_certificate)
+                assert report.refinement == ((radius, report.multiplier_norm),)
+
+    @pytest.mark.parametrize("n, radius", [(1, 8), (2, 2), (2, 8), (3, 3)])
+    def test_constant_field_reports_at_least_one(self, n, radius):
+        # its certificate is |E|_{H^(-t)_2} / |E|_{H^s_2} = 1.0 exactly; the Lanczos
+        # value alone lands a few ulps below 1 on some of these
+        for s, t in [(0.5, 0.5), (1.0, 1.0), (2.0, 1.0), (1.0, 0.5)]:
+            prob = problem(constant_field(make_lattice(n, radius)), s, t)
+            report = equivalence_report(prob, force=True)
+            assert report.lower_bound_certificate == 1.0 <= report.multiplier_norm
+            assert report.multiplier_norm == pytest.approx(1.0, rel=1e-15)
 
     def test_hypothesis_gate(self):
         prob = random_problem(6, 0, s=0.4, t=0.1)

@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -90,3 +92,30 @@ def test_import_loads_no_submodule_until_a_name_is_read():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=env, timeout=120, check=True)
     assert result.stdout == "[] 67108864 False\n"
+
+
+def unused_imports(source: str) -> list:
+    """The names a module imports and never reads, ``from __future__`` imports exempt."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_unused_import_finder():
+    source = ("from __future__ import annotations\nimport numpy as np\nimport os.path\n"
+              "from .lattice import _TINY, tree_sum\n\ndef f(x: np.ndarray):\n"
+              "    return tree_sum(x)\n")
+    assert unused_imports(source) == ["_TINY", "os"]
+
+
+@pytest.mark.parametrize("module", sorted(pathlib.Path(peribessel.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_reads(module):
+    assert unused_imports(module.read_text()) == []
