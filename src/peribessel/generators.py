@@ -4,7 +4,9 @@ Random phases are derived per multi-index with a splitmix64-style hash of
 (seed, k), not from a sequential stream.  Two consequences matter for the
 refinement studies: the same seed always produces the same field, and
 restricting a field generated at a large radius equals generating it directly
-at the smaller radius.
+at the smaller radius.  The same hash on named streams gives the package's other
+seeded draws (Lanczos's start, verify's sampled indices), so no module needs
+``numpy.random``.
 """
 
 from __future__ import annotations
@@ -26,15 +28,46 @@ def _splitmix(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def _seed_state(seed: int) -> np.ndarray:
+    return _splitmix(np.full(1, np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)))
+
+
+def _unit(state: np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) doubles from the top 53 bits of each hash."""
+    return (state >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
 def _index_phases(lattice: Lattice, seed: int) -> np.ndarray:
     """Uniform [0, 2*pi) phase per lattice index, a pure function of (seed, k)."""
     component = np.arange(-lattice.radius, lattice.radius + 1, dtype=np.int64).view(np.uint64)
     with np.errstate(over="ignore"):
-        state = _splitmix(np.full(1, np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)))
+        state = _seed_state(seed)
         for _ in range(lattice.n):  # axis by axis: the state of each index prefix
             state = _splitmix(np.bitwise_xor.outer(state, component).ravel())
-    unit = (state >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-    return TWO_PI * unit
+    return TWO_PI * _unit(state)
+
+
+def _uniforms(seed: int, stream: str, count: int) -> np.ndarray:
+    """``count`` uniform [0, 1) doubles, the j-th a pure function of (seed, stream, j).
+
+    The seed's state is hashed with ``stream``, a printable name, 8 bytes at a time,
+    then with j.  A word of printable text is at least 2^61, which no lattice index
+    component equals, so a stream never replays the phases of :func:`gen_distribution`."""
+    text = stream.encode()
+    words = np.frombuffer(text + bytes(-len(text) % 8), dtype=">u8").astype(np.uint64)
+    with np.errstate(over="ignore"):
+        state = _seed_state(seed)
+        for word in words:
+            state = _splitmix(state ^ word)
+        state = _splitmix(state ^ np.arange(count, dtype=np.uint64))
+    return _unit(state)
+
+
+def _complex_normals(seed: int, stream: str, count: int) -> np.ndarray:
+    """``count`` standard complex Gaussians (E|z|^2 = 1) by Box-Muller from
+    :func:`_uniforms`: |z|^2 = -log(1 - u) is Exp(1), arg z = 2 pi u' uniform."""
+    radius, angle = _uniforms(seed, stream, 2 * count).reshape(2, count)
+    return np.sqrt(-np.log1p(-radius)) * np.exp(1j * TWO_PI * angle)
 
 
 def gen_distribution(

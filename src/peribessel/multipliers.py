@@ -31,6 +31,7 @@ from . import lattice as _lattice
 from .calculus import (SpaceIndex, _convolver, _fast_length, _refuse_overflowing_order,
                        bessel_weights, default_grid_points, hs_norm, lift)
 from .conditions import conjugate_exponent, strichartz_case
+from .generators import _complex_normals
 from .lattice import (
     GridFunction,
     SpectralField,
@@ -49,6 +50,7 @@ from .lattice import (
 GKL_TOLERANCE = 1e-12
 GKL_SEED = 0
 GKL_WARM_MIX = 1e-3  # weight of the seeded vector in a warm start
+LANCZOS_BLOCK = 1 << 16  # elements of a reorthogonalization temporary: 1 MiB, one block at 1089
 BOYD_STEPS = 8  # a fixed count at every (p, q): the cost depends on the lattice, not on u
 
 CSV_COLUMNS = (
@@ -195,26 +197,20 @@ def multiplier_operator(prob: MultiplierProblem) -> tuple:
     return side(prob.u, prob.s, prob.t), side(conj_field(prob.u), prob.t, prob.s)
 
 
-def _doubled(right: np.ndarray, left: np.ndarray, tridiagonal: np.ndarray) -> tuple:
-    """The two bases with twice their rows, and T zero-padded to twice its order."""
-    grown = [np.concatenate([rows, np.empty_like(rows)]) for rows in (right, left)]
-    return *grown, np.pad(tridiagonal, (0, len(tridiagonal)))
-
-
 @functools.lru_cache(maxsize=8)
 def _seeded_start(size: int) -> np.ndarray:
-    """The unit seeded start of length ``size``, drawn once per size; read-only."""
-    rng = np.random.default_rng(GKL_SEED)
-    seeded = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    """The unit seeded start of length ``size``, drawn once per size; read-only.  Normalised
+    standard complex Gaussians, so uniform on the unit sphere of C^size."""
+    seeded = _complex_normals(GKL_SEED, "lanczos-start", size)
     return _lattice._freeze(seeded / _deterministic_norm(seeded))
 
 
 @dataclass(frozen=True)
 class SingularTriplet:
     """What :func:`top_singular_value` found: the Ritz value sigma, its unit left
-    and right Ritz vectors x and y (A y = sigma x to rounding), the relative Ritz
-    residual |A^H x - sigma y| / sigma and the Lanczos step count, one ``matvec``
-    call per step."""
+    and right Ritz vectors x = A y / sigma and y, the relative Ritz residual
+    |A^H x - sigma y| / sigma and the Lanczos step count, one ``matvec`` call per
+    step and one more for x."""
 
     value: float
     left: np.ndarray
@@ -224,9 +220,13 @@ class SingularTriplet:
 
 
 def _combine(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_j weights[j] rows[j]`` by one tree sum; scales ``rows`` in place."""
-    rows *= weights[:, None]
-    return tree_sum(rows, axis=0)
+    """``sum_j weights[j] rows[j]`` by one tree sum per column, in column blocks of at
+    most LANCZOS_BLOCK elements: the bits of one tree sum over all of ``rows``."""
+    total = np.empty(rows.shape[1], dtype=np.complex128)
+    width = max(LANCZOS_BLOCK // len(rows), 1)
+    for c in range(0, len(total), width):
+        total[c : c + width] = tree_sum(weights[:, None] * rows[:, c : c + width], axis=0)
+    return total
 
 
 @np.errstate(over="ignore")  # once per solve, not per step: _deterministic_norm rescales
@@ -234,19 +234,23 @@ def top_singular_value(matvec, rmatvec, size: int,
                        start: np.ndarray | None = None) -> SingularTriplet:
     """Top singular triplet by Lanczos on A^H A with full reorthogonalization.
 
-    Step k keeps z = A v_k as row k of Z, alpha_k = |z|^2, and orthogonalizes A^H z -
-    alpha_k v_k - beta_(k-1) v_(k-1) = beta_k v_(k+1) against V: GKL's Krylov space,
-    T_k = B_k^H B_k, at one reorthogonalization per step (Parlett, The Symmetric
+    Step k takes z = A v_k, alpha_k = |z|^2, and orthogonalizes A^H z - alpha_k v_k -
+    beta_(k-1) v_(k-1) = beta_k v_(k+1) against V, the one basis kept: GKL's Krylov
+    space, T_k = B_k^H B_k, at one reorthogonalization per step (Parlett, The Symmetric
     Eigenvalue Problem, ch. 13).  T_k's top eigenpair (theta, s) gives sigma =
-    sqrt(theta), right y = V s and left x = Z s / sigma, A y = sigma x and |A^H x -
-    sigma y| = beta_k |s_k| / sigma; it is returned once beta_k |s_k| <= GKL_TOLERANCE
-    * theta, else ConvergenceError at step ``size``.  A^H A squares A's range (sigma =
-    1e200 is theta = 1e400), so z and A^H z are scaled by 2^-e, 2^e the power of two
-    above z_1's largest real or imaginary part, and sigma 2^e is returned: exactly 2^m
-    times as large for 2^m A.  v_1 is seeded (Kuczynski & Wozniakowski, SIMAX 13, 1992)
-    or a normalised ``start`` plus GKL_WARM_MIX times the seeded one, which still finds
-    a top right vector orthogonal to ``start``.  Tree-summed reductions, so the result
-    does not depend on the thread count.  ``size`` must be a positive integer."""
+    sqrt(theta), right y = V s and left x = A y / sigma by one more ``matvec``, and
+    |A^H x - sigma y| = beta_k |s_k| / sigma; it is returned once beta_k |s_k| <=
+    GKL_TOLERANCE * theta, else ConvergenceError at step ``size``.  The two reductions
+    against V run in blocks of at most LANCZOS_BLOCK elements, rows and then columns,
+    which move no bit: each row's and each column's tree sum is the same in any block.
+    A^H A squares A's range (sigma = 1e200 is theta = 1e400), so z and A^H z are scaled
+    by 2^-e, 2^e the power of two above z_1's largest real or imaginary part, and sigma
+    2^e is returned: exactly 2^m times as large for 2^m A.  v_1 is seeded, uniform on the
+    unit sphere (Kuczynski & Wozniakowski, SIMAX 13, 1992), or a normalised ``start``
+    plus GKL_WARM_MIX times the seeded one, which still finds a top right vector
+    orthogonal to ``start``.  Tree-summed reductions, so the result does not depend on
+    the thread count.  ``size`` must be a positive integer; ``matvec`` and ``rmatvec``
+    return new arrays, which are scaled in place."""
     if _lattice._integer(size, refusal := "size must be a positive integer, got {!r}") < 1:
         raise ValueError(refusal.format(size))
     first = _seeded_start(size)
@@ -257,33 +261,43 @@ def top_singular_value(matvec, rmatvec, size: int,
             raise ValueError(f"start must be a finite nonzero vector of length {size}")
         first = start / scale + GKL_WARM_MIX * first
         first /= _deterministic_norm(first)
-    (right, left), tridiagonal = np.empty((2, 8, size), dtype=np.complex128), np.zeros((8, 8))
+    right, tridiagonal = np.empty((8, size), dtype=np.complex128), np.zeros((8, 8))
     right[0] = first
+    height = max(LANCZOS_BLOCK // size, 1)  # rows of a block of the first reduction
     beta = theta = residual = 0.0
     for k in range(size):
-        left[k] = matvec(right[k])
+        z = matvec(right[k])
         if not k:  # capped at 2^1023, so that the scale of a subnormal image is finite
-            exponent = max(math.frexp(float(np.max(np.abs(left[0].view(float)))))[1], -1023)
+            exponent = max(math.frexp(float(np.max(np.abs(z.view(float)))))[1], -1023)
             scale = math.ldexp(1.0, -exponent)
-        left[k] *= scale
-        alpha = tridiagonal[k, k] = _deterministic_norm(left[k]) ** 2
-        w = rmatvec(left[k])  # scale * A^H z - alpha v_k - beta v_(k-1), in place, in order
+        z *= scale
+        alpha = tridiagonal[k, k] = _deterministic_norm(z) ** 2
+        w = rmatvec(z)  # scale * A^H z - alpha v_k - beta v_(k-1), in place, in order
         np.subtract(np.multiply(scale, w, out=w), alpha * right[k], out=w)
         if k:
             np.subtract(w, beta * right[k - 1], out=w)
-        coefficients = tree_sum(np.conj(right[: k + 1]) * w, axis=1)  # against V, in place
-        w -= tree_sum(coefficients[:, None] * right[: k + 1], axis=0)
+        coefficients = np.empty(k + 1, dtype=np.complex128)  # against V, a block of rows at a time
+        for j in range(0, k + 1, height):
+            block = np.conj(right[j : min(j + height, k + 1)])
+            block *= w
+            coefficients[j : j + height] = tree_sum(block, axis=1)
+        w -= _combine(right[: k + 1], coefficients)
         beta = _deterministic_norm(w)
         thetas, vectors = np.linalg.eigh(tridiagonal[: k + 1, : k + 1])  # lower triangle
         theta, top = float(thetas[-1]), vectors[:, -1]
         if (residual := beta * abs(float(top[-1]))) <= GKL_TOLERANCE * theta:
-            sigma = math.sqrt(theta)  # Z = 0 where sigma = 0: any divisor keeps x = 0
-            return SingularTriplet(
-                math.ldexp(sigma, exponent), _combine(left[: k + 1], top / (sigma or 1.0)),
-                _combine(right[: k + 1], top), residual / theta if theta > 0.0 else 0.0, k + 1,
-            )
+            sigma = math.sqrt(theta)  # A y = 0 where sigma = 0: any divisor keeps x = 0
+            y = _combine(right[: k + 1], top)
+            x = matvec(y)
+            x *= scale / (sigma or 1.0)
+            return SingularTriplet(math.ldexp(sigma, exponent), x, y,
+                                   residual / theta if theta > 0.0 else 0.0, k + 1)
         if k + 1 == len(right):
-            right, left, tridiagonal = _doubled(right, left, tridiagonal)
+            try:  # by realloc, in place where the allocator can
+                right.resize((2 * len(right), size))
+            except ValueError:  # refused while a view of right lives, say one matvec kept
+                right = np.concatenate([right, np.zeros_like(right)])
+            tridiagonal = np.pad(tridiagonal, (0, len(tridiagonal)))
         tridiagonal[k + 1, k] = beta
         np.divide(w, beta, out=right[k + 1])
     raise ConvergenceError(size, residual / theta if theta > 0.0 else np.inf)

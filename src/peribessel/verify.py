@@ -30,7 +30,7 @@ from .calculus import (
     pointwise_product,
 )
 from .conditions import conjugate_exponent, embedding_holds, strichartz_case
-from .generators import gen_distribution
+from .generators import _uniforms, gen_distribution
 from .lattice import (
     GridFunction,
     SpectralField,
@@ -160,6 +160,14 @@ def _sample_fields(ctx: VerifyContext, count: int, kind: str = "power-decay", al
     ]
 
 
+def _index_draws(seed: int, stream: str, low: int, high: int) -> list:
+    """200 seeded tuples (2s, 2t, 4p, 4q, n), each entry uniform: 2s and 2t in [low,
+    high], 4p and 4q in [5, 16], n in [1, 3]."""
+    lows, highs = np.array([low, low, 5, 5, 1]), np.array([high, high, 16, 16, 3])
+    unit = _uniforms(seed, stream, 5 * 200).reshape(200, 5)
+    return (lows + np.floor(unit * (highs - lows + 1))).astype(int).tolist()
+
+
 # --------------------------------------------------------------------------
 # fourier suite: transforms and quadrature
 # --------------------------------------------------------------------------
@@ -230,9 +238,8 @@ def _check_determinism(ctx):
 
 @_check("lift-semigroup", "bessel", 1e-13, "lift(s, lift(t, u)) = lift(s+t, u)")
 def _check_semigroup(ctx):
-    rng = np.random.default_rng(ctx.seed)
-    for u in _sample_fields(ctx, 10, alpha=0.5):
-        s, t = rng.uniform(-4.0, 4.0, size=2)
+    orders = -4.0 + 8.0 * _uniforms(ctx.seed, "lift-semigroup", 20).reshape(10, 2)
+    for u, (s, t) in zip(_sample_fields(ctx, 10, alpha=0.5), orders):
         yield _rel(lift(s, lift(t, u)).coeffs, lift(s + t, u).coeffs)
 
 
@@ -326,8 +333,8 @@ def _check_embedding_monotone_p2(ctx):
 @_check("conjugate-involution", "embedding", 1e-14,
         "conjugate_exponent is an involution on (1, inf)")
 def _check_conjugate_involution(ctx):
-    rng = np.random.default_rng(ctx.seed)
-    for p in rng.uniform(1.0 + 1e-6, 100.0, size=64):
+    low = 1.0 + 1e-6
+    for p in low + (100.0 - low) * _uniforms(ctx.seed, "conjugate-involution", 64):
         yield abs(float(conjugate_exponent(conjugate_exponent(p))) - p) / p
     yield float(conjugate_exponent(conjugate_exponent(Fraction(4, 3))) != Fraction(4, 3))
 
@@ -335,14 +342,9 @@ def _check_conjugate_involution(ctx):
 @_check("strichartz-swap-symmetry", "embedding", 0.0,
         "hypotheses hold for (s,t,p,q) iff they hold for (t,s,q',p')")
 def _check_strichartz_symmetry(ctx):
-    rng = np.random.default_rng(ctx.seed)
     mismatches = 0
-    for _ in range(200):
-        s = Fraction(int(rng.integers(0, 9)), 2)
-        t = Fraction(int(rng.integers(0, 9)), 2)
-        p = Fraction(int(rng.integers(5, 17)), 4)
-        q = Fraction(int(rng.integers(5, 17)), 4)
-        n = int(rng.integers(1, 4))
+    for s2, t2, p4, q4, n in _index_draws(ctx.seed, "strichartz-swap-symmetry", 0, 8):
+        s, t, p, q = Fraction(s2, 2), Fraction(t2, 2), Fraction(p4, 4), Fraction(q4, 4)
         direct = strichartz_case(s, t, p, q, n).holds
         swapped = strichartz_case(t, s, conjugate_exponent(q), conjugate_exponent(p), n).holds
         mismatches += direct != swapped
@@ -352,14 +354,9 @@ def _check_strichartz_symmetry(ctx):
 @_check("embedding-monotone-predicate", "embedding", 0.0,
         "raising s or lowering t never breaks an embedding")
 def _check_embedding_monotone_predicate(ctx):
-    rng = np.random.default_rng(ctx.seed)
     violations = 0
-    for _ in range(200):
-        s = Fraction(int(rng.integers(-6, 7)), 2)
-        t = Fraction(int(rng.integers(-6, 7)), 2)
-        p = Fraction(int(rng.integers(5, 17)), 4)
-        q = Fraction(int(rng.integers(5, 17)), 4)
-        n = int(rng.integers(1, 4))
+    for s2, t2, p4, q4, n in _index_draws(ctx.seed, "embedding-monotone-predicate", -6, 6):
+        s, t, p, q = Fraction(s2, 2), Fraction(t2, 2), Fraction(p4, 4), Fraction(q4, 4)
         before = embedding_holds(s, t, p, q, n).holds
         larger_s = embedding_holds(s + 1, t, p, q, n).holds
         smaller_t = embedding_holds(s, t - 1, p, q, n).holds

@@ -119,3 +119,28 @@ def test_unused_import_finder():
                          ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_reads(module):
     assert unused_imports(module.read_text()) == []
+
+
+# numpy.random costs every process that imports it about 6 MiB of RSS; the package
+# draws from its own splitmix hash instead (generators._uniforms)
+@pytest.mark.parametrize("module", sorted(pathlib.Path(peribessel.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_uses_numpy_random(module):
+    assert "np.random" not in module.read_text()
+
+
+def test_a_p2_report_and_verify_import_no_numpy_random():
+    probe = (
+        "import contextlib, io, sys\n"
+        "import peribessel as pb\n"
+        "from peribessel.cli import main\n"
+        "u = pb.gen_distribution('power-decay', pb.make_lattice(1, 4), alpha=1.0, seed=1)\n"
+        "pb.equivalence_report(pb.MultiplierProblem(u, 1.0, 1.0, 2, 2), radii=(2, 4))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(['verify', 'all', '--n', '1'])\n"
+        "print(status, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(peribessel.__file__))}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, timeout=120, check=True)
+    assert result.stdout == "0 False\n"
