@@ -24,6 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +79,7 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 
 
 def _freeze_finite(array: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(array.view(np.float64))):
+    if not np.isfinite(array.view(np.float64)).all():  # ndarray.all: np.all adds a dispatch
         raise ValueError(f"{what} must be finite (no NaN/Inf)")
     return _freeze(array)
 
@@ -329,6 +330,54 @@ def _grid_bins(lattice: Lattice, N: int) -> np.ndarray:
     return _dft_bins(lattice, N)
 
 
+class _Plan(NamedTuple):
+    """The per-(lattice, N) constants of :func:`_synthesize` and :func:`_analyze`: the
+    DFT bins, each axis's spread shape and the two slice pairs that copy the lattice
+    into its bins, last axis first, and ``scale * signs``, the analysis weights."""
+
+    lattice: Lattice
+    points: int
+    bins: np.ndarray
+    spreads: tuple
+    weights: np.ndarray
+
+
+def _plan(lattice: Lattice, points: int, bins: np.ndarray) -> _Plan:
+    """The :class:`_Plan` of ``lattice`` on ``points`` nodes per axis, whose ``bins``
+    (:func:`_dft_bins` or :func:`_grid_bins`) the caller has built, refusing what it refuses."""
+    n, R, N = lattice.n, lattice.radius, points
+    spreads = []
+    for axis in reversed(range(n)):
+        lead = (slice(None),) * axis  # k = 0..R go to bins 0..R, k = -R..-1 to N-R..N-1
+        cuts = ((lead + (slice(0, R + 1),), lead + (slice(R, None),)),
+                (lead + (slice(N - R, N),), lead + (slice(0, R),)))
+        spreads.append((axis, (lattice.side,) * axis + (N,) * (n - axis), cuts))
+    weights = TWO_PI ** (n / 2.0) / (N ** n) * lattice.signs
+    return _Plan(lattice, N, bins, tuple(spreads), weights)
+
+
+def _synthesize(coeffs: np.ndarray, plan: _Plan) -> np.ndarray:
+    """:func:`synthesize` on arrays: lattice coefficients in, a new grid of samples out."""
+    lattice = plan.lattice
+    samples = (coeffs * lattice.signs).reshape(lattice.shape)
+    for axis, shape, cuts in plan.spreads:
+        spread = np.zeros(shape, np.complex128)
+        for into, source in cuts:  # two slices: the bits of spreading by bins, faster
+            spread[into] = samples[source]
+        samples = np.fft.ifft(spread, axis=axis)
+    samples *= plan.points ** lattice.n
+    samples *= TWO_PI ** (-lattice.n / 2.0)
+    return samples
+
+
+def _analyze(samples: np.ndarray, plan: _Plan) -> np.ndarray:
+    """:func:`analyze` on arrays: grid samples in, new lattice coefficients out."""
+    spectrum = samples
+    for axis in reversed(range(plan.lattice.n)):
+        spectrum = np.fft.fft(spectrum, axis=axis).take(plan.bins, axis)
+    return plan.weights * spectrum.ravel()
+
+
 def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:
     """Evaluate the field on the uniform grid via inverse FFT.
 
@@ -340,17 +389,9 @@ def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:
     A grid of more than :data:`MAX_COEFFICIENTS` points, or a ``points_per_axis``
     that is not an integer (a bool included), raises ValueError first.
     """
-    lattice = u.lattice
     N = _integer(points_per_axis, "points_per_axis must be an integer, got {!r}")
-    bins = _grid_bins(lattice, N)
-    samples = (u.coeffs * lattice.signs).reshape(lattice.shape)
-    for axis in reversed(range(lattice.n)):
-        spread = np.zeros(samples.shape[:axis] + (N,) + samples.shape[axis + 1 :], np.complex128)
-        spread[(slice(None),) * axis + (bins,)] = samples
-        samples = np.fft.ifft(spread, axis=axis)
-    samples *= N ** lattice.n
-    samples *= TWO_PI ** (-lattice.n / 2.0)
-    return GridFunction._owned(samples)
+    plan = _plan(u.lattice, N, _grid_bins(u.lattice, N))
+    return GridFunction._owned(_synthesize(u.coeffs, plan))
 
 
 def analyze(g: GridFunction, lattice: Lattice) -> SpectralField:
@@ -364,12 +405,8 @@ def analyze(g: GridFunction, lattice: Lattice) -> SpectralField:
     if g.n != lattice.n:
         raise ValueError(f"grid dimension {g.n} != lattice dimension {lattice.n}")
     N = g.points_per_axis
-    bins = _dft_bins(lattice, N)
-    spectrum = g.samples
-    for axis in reversed(range(lattice.n)):
-        spectrum = np.fft.fft(spectrum, axis=axis).take(bins, axis)
-    scale = TWO_PI ** (lattice.n / 2.0) / (N ** lattice.n)
-    return SpectralField._owned(lattice, scale * lattice.signs * spectrum.ravel())
+    plan = _plan(lattice, N, _dft_bins(lattice, N))
+    return SpectralField._owned(lattice, _analyze(g.samples, plan))
 
 
 def lp_norm(g: GridFunction, p: float) -> float:
@@ -381,12 +418,17 @@ def lp_norm(g: GridFunction, p: float) -> float:
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"integrability index must satisfy 1 <= p < inf, got {p}")
-    weight = (TWO_PI / g.points_per_axis) ** g.n
-    magnitude = np.abs(g.samples)
+    return _lp_norm(g.samples, np.abs(g.samples), p)
+
+
+def _lp_norm(samples: np.ndarray, magnitude: np.ndarray, p: float) -> float:
+    """:func:`lp_norm` of ``samples`` from ``magnitude``, their ``np.abs``, which it
+    raises to the power p in place: one grid-sized temporary fewer, the same bits."""
+    weight = (TWO_PI / samples.shape[0]) ** samples.ndim
     with np.errstate(over="ignore"):  # an overflow, of a power or of the sum, is redone below
-        magnitude **= p  # in place: one grid-sized temporary fewer, the same bits
+        magnitude **= p
         integral = weight * float(np.real(tree_sum(magnitude)))
-    if np.finfo(float).tiny <= integral < np.inf or not np.any(g.samples):
+    if _TINY <= integral < np.inf or not np.any(samples):
         return integral ** (1.0 / p)
-    scale = float(np.max(np.abs(g.samples)))  # then 1 <= sum |samples / scale|^p <= N^n
-    return scale * lp_norm(GridFunction._owned(g.samples / scale), p)
+    scale = float(np.max(np.abs(samples)))  # then 1 <= sum |samples / scale|^p <= N^n
+    return scale * lp_norm(GridFunction._owned(samples / scale), p)

@@ -8,13 +8,15 @@ by Lanczos with full reorthogonalization: the Krylov space of Golub-Kahan-Lanczo
 once the Ritz residual |A^H x - sigma y| is at most 1e-12 sigma.  Each image is
 scaled by one power of two taken from the first, as A^H A squares A's range; the
 solver returns the whole triplet, and a refinement warm-starts each radius from
-the previous radius's right vector.  For general (p, q) a lower bound is
-reported: the best norm ratio along a fixed number of steps of Boyd's power
-method (Boyd, LAA 9, 1974; Higham, Numer. Math. 62, 1992), started from the
-all-ones field, so the classical ``|u|_{H^(-t)_q} / |E|_{H^s_p}`` certificate
-is its first step.  The best iterate's norms are re-checked on its N
-nodes per axis and on those shifted by half a node, unless N nodes integrate them
-exactly; none is at p, q in {2, 4}.
+the previous radius's right vector, running the solver's loop without the left
+vector.  For general (p, q) a lower bound is reported: the best norm ratio along
+a fixed number of steps of Boyd's power method (Boyd, LAA 9, 1974; Higham, Numer.
+Math. 62, 1992), started from the all-ones field, so the classical
+``|u|_{H^(-t)_q} / |E|_{H^s_p}`` certificate is its first step.  The loop runs on
+arrays and fills a private record of what it found; a report at p != 2 takes the
+certificate's |E|_{H^s_p} from the record's first step.  The best iterate's norms
+are re-checked on its N nodes per axis and on those shifted by half a node, unless
+N nodes integrate them exactly; none is at p, q in {2, 4}.
 ``MultiplierProblem(..., grid_points=None)`` sets N, by default 2(2R+1).
 """
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,11 +35,9 @@ from .calculus import (SpaceIndex, _convolver, _fast_length, _refuse_overflowing
 from .conditions import conjugate_exponent, strichartz_case
 from .generators import _complex_normals
 from .lattice import (
-    GridFunction,
     SpectralField,
     TWO_PI,
     _deterministic_norm,
-    analyze,
     conj_field,
     constant_field,
     lp_norm,
@@ -181,12 +181,13 @@ def multiplier_operator(prob: MultiplierProblem) -> tuple:
     padded = (_fast_length(3 * lattice.radius + 1),) * lattice.n
     # Cube positions are index + R, so the product's index l sits at l + 2R.
     window = slice(lattice.radius, lattice.radius + lattice.side)
+    weights_s = bessel_weights(-float(prob.s), lattice)
+    weights_t = bessel_weights(-float(prob.t), lattice)
 
-    def side(u: SpectralField, s: float, t: float):
+    def side(u: SpectralField, source: np.ndarray, target: np.ndarray):
         convolve = _convolver(u.cube(), padded, window)
-        source = bessel_weights(-float(s), lattice)
-        target = TWO_PI ** (-lattice.n / 2.0) * bessel_weights(-float(t), lattice)
-        target = target.reshape(lattice.shape)  # the window's shape: multiplied uncopied
+        # the window's shape: multiplied uncopied
+        target = (TWO_PI ** (-lattice.n / 2.0) * target).reshape(lattice.shape)
 
         def apply(v: np.ndarray) -> np.ndarray:
             cubes = (source * v).reshape(v.shape[:-1] + lattice.shape)
@@ -194,7 +195,7 @@ def multiplier_operator(prob: MultiplierProblem) -> tuple:
 
         return apply
 
-    return side(prob.u, prob.s, prob.t), side(conj_field(prob.u), prob.t, prob.s)
+    return side(prob.u, weights_s, weights_t), side(conj_field(prob.u), weights_t, weights_s)
 
 
 @functools.lru_cache(maxsize=8)
@@ -229,7 +230,7 @@ def _combine(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return total
 
 
-@np.errstate(over="ignore")  # once per solve, not per step: _deterministic_norm rescales
+@np.errstate(over="ignore")  # for the left vector's matvec, as _lanczos for each step's
 def top_singular_value(matvec, rmatvec, size: int,
                        start: np.ndarray | None = None) -> SingularTriplet:
     """Top singular triplet by Lanczos on A^H A with full reorthogonalization.
@@ -250,7 +251,18 @@ def top_singular_value(matvec, rmatvec, size: int,
     plus GKL_WARM_MIX times the seeded one, which still finds a top right vector
     orthogonal to ``start``.  Tree-summed reductions, so the result does not depend on
     the thread count.  ``size`` must be a positive integer; ``matvec`` and ``rmatvec``
-    return new arrays, which are scaled in place."""
+    return new arrays, which are scaled in place.  The loop is :func:`_lanczos`, which
+    a refinement calls directly: it reads only sigma and y."""
+    value, right, residual, steps, left_scale = _lanczos(matvec, rmatvec, size, start)
+    left = matvec(right)
+    left *= left_scale
+    return SingularTriplet(value, left, right, residual, steps)
+
+
+@np.errstate(over="ignore")  # once per solve, not per step: _deterministic_norm rescales
+def _lanczos(matvec, rmatvec, size: int, start: np.ndarray | None) -> tuple:
+    """The loop of :func:`top_singular_value`, without its last ``matvec``: ``(value,
+    right, residual, steps, left_scale)``, the left vector being ``A right * left_scale``."""
     if _lattice._integer(size, refusal := "size must be a positive integer, got {!r}") < 1:
         raise ValueError(refusal.format(size))
     first = _seeded_start(size)
@@ -287,11 +299,8 @@ def top_singular_value(matvec, rmatvec, size: int,
         theta, top = float(thetas[-1]), vectors[:, -1]
         if (residual := beta * abs(float(top[-1]))) <= GKL_TOLERANCE * theta:
             sigma = math.sqrt(theta)  # A y = 0 where sigma = 0: any divisor keeps x = 0
-            y = _combine(right[: k + 1], top)
-            x = matvec(y)
-            x *= scale / (sigma or 1.0)
-            return SingularTriplet(math.ldexp(sigma, exponent), x, y,
-                                   residual / theta if theta > 0.0 else 0.0, k + 1)
+            return (math.ldexp(sigma, exponent), _combine(right[: k + 1], top),
+                    residual / theta if theta > 0.0 else 0.0, k + 1, scale / (sigma or 1.0))
         if k + 1 == len(right):
             try:  # by realloc, in place where the allocator can
                 right.resize((2 * len(right), size))
@@ -313,28 +322,48 @@ def multiplier_norm_l2(prob: MultiplierProblem) -> float:
 
 def _refine_l2(problems: list) -> list:
     """The p = q = 2 norm of each problem, on lattices of ascending radius, by the
-    library's one :func:`top_singular_value` call: the first from the seeded start,
-    each later one from the previous top right vector, zero-padded onto its lattice."""
+    Lanczos loop of :func:`top_singular_value`, less its left vector: the first from the
+    seeded start, each later one from the previous top right vector, zero-padded onto
+    its lattice."""
     values, start = [], None
     for prob in problems:
         lattice = prob.u.lattice
         if start is not None:
             start = np.pad(start.reshape(previous.shape), lattice.radius - previous.radius).ravel()
-        triplet = top_singular_value(*multiplier_operator(prob), lattice.size, start=start)
-        values.append(triplet.value)
-        start, previous = triplet.right, lattice
+        value, start = _lanczos(*multiplier_operator(prob), lattice.size, start)[:2]
+        values.append(value)
+        previous = lattice
     return values
 
 
 def _dual(values: np.ndarray, r: float) -> np.ndarray:
-    """Duality map |w|^(r-2) w, w = values / max|values|, as (|values| / max)^(r-2)
-    / max * values, from one |values| scaled in place; zeros stay 0 (0.0 ** (r-2) = inf)."""
-    magnitude = np.abs(values)
+    """Duality map |w|^(r-2) w, w = values / max|values|: :func:`_dual_of` from |values|."""
+    return _dual_of(values, np.abs(values), r)
+
+
+def _dual_of(values: np.ndarray, magnitude: np.ndarray, r: float) -> np.ndarray:
+    """:func:`_dual` from ``magnitude``, the ``np.abs`` of ``values``, scaled in place:
+    (|values| / max)^(r-2) / max * values, zeros kept at 0 (0.0 ** (r-2) = inf)."""
     scale = np.max(magnitude)
     magnitude /= scale
     np.power(magnitude, r - 2.0, out=magnitude, where=magnitude > 0.0)
     magnitude /= scale
     return magnitude * values
+
+
+class _BoydResult(NamedTuple):  # defined in about 0.1 ms at import, a frozen dataclass 0.7
+    """What one run of Boyd's power method found: ``value``, the lower bound
+    :func:`multiplier_norm_lp` returns; ``start``, the step-0 ratio, and its denominator
+    ``start_denominator``, |E|_{H^s_p} on N nodes per axis; the best iterate ``x`` =
+    lift(s, f) and its ``image`` A x, with their N-node ``ratio`` and ``rechecked`` ratio."""
+
+    value: float
+    start: float
+    start_denominator: float
+    x: SpectralField
+    image: SpectralField
+    ratio: float
+    rechecked: float
 
 
 def multiplier_norm_lp(prob: MultiplierProblem) -> float:
@@ -346,34 +375,70 @@ def multiplier_norm_lp(prob: MultiplierProblem) -> float:
     x = lift(s, f) is scored by |f*u|_{H^(-t)_q} / |f|_{H^s_p} on N = ``prob.points``
     nodes per axis, and the best x and A x are kept; those of their two norms that
     ``prob.exact_on_grid`` does not clear are redone by :func:`_half_shift_norm`.
-    Returns max(start ratio, the smaller of the best's N-node and re-checked ratios).
+    Returns max(start ratio, the smaller of the best's N-node and re-checked ratios):
+    the ``value`` of :func:`_boyd`'s record, 0 for u = 0.
     """
+    run = _boyd(prob)
+    return 0.0 if run is None else run.value
+
+
+def _boyd(prob: MultiplierProblem) -> _BoydResult | None:
+    """The run of :func:`multiplier_norm_lp`, or None for u = 0.  It goes on arrays, with
+    the transforms' constants built once; each image grid's modulus is taken once, for
+    its L^q sum and its duality map, and every array is refused unless finite, as the
+    library's fields and grids are."""
     lattice, points = prob.u.lattice, prob.points
     if not np.any(prob.u.coeffs):
-        return 0.0
+        return None
     p, q, p_conj = float(prob.p), float(prob.q), float(conjugate_exponent(prob.p))
     matvec, rmatvec = multiplier_operator(prob)
-    x, best = lift(float(prob.s), constant_field(lattice)), -1.0
+    plan = _lattice._plan(lattice, points, _lattice._grid_bins(lattice, points))
+    finite = _lattice._freeze_finite
+
+    def synthesized(coeffs: np.ndarray) -> np.ndarray:
+        return finite(_lattice._synthesize(coeffs, plan), "samples")
+
+    def analyzed(samples: np.ndarray) -> np.ndarray:
+        return finite(_lattice._analyze(finite(samples, "samples"), plan), "coefficients")
+
+    def norm(coeffs: np.ndarray, r: float, dual: bool = False) -> tuple:
+        """The L^r norm of the grid of ``coeffs`` and, if ``dual``, the coefficients of the
+        grid's duality map, both from one modulus: the norm raises a copy of it to the power r.
+        Analyzed here, the map's grid is freed before the next step's grids are made."""
+        samples = synthesized(coeffs)
+        magnitude = np.abs(samples)
+        value = _lattice._lp_norm(samples, magnitude.copy() if dual else magnitude, r)
+        return value, analyzed(_dual_of(samples, magnitude, r)) if dual else None
+
+    x, best = lift(float(prob.s), constant_field(lattice)).coeffs, -1.0
     for step in range(BOYD_STEPS + 1):
-        if step:
-            dual = analyze(GridFunction._owned(_dual(samples.samples, q)), lattice)
-            source = synthesize(SpectralField._owned(lattice, rmatvec(dual.coeffs)), points)
-            x = analyze(GridFunction._owned(_dual(source.samples, p_conj)), lattice)
+        if step:  # dual: the coefficients of dual_q of the last image's grid
+            adjoint = finite(rmatvec(dual), "coefficients")
+            x = analyzed(_dual(synthesized(adjoint), p_conj))
         # u != 0 and each x pairs positively with the adjoint image it came from: no zero norm
-        denominator = lp_norm(synthesize(x, points), p)
-        image = SpectralField._owned(lattice, matvec(x.coeffs))
-        samples = synthesize(image, points)
-        numerator = lp_norm(samples, q)
+        denominator = norm(x, p)[0]
+        image = finite(matvec(x), "coefficients")
+        numerator, dual = norm(image, q, dual=step < BOYD_STEPS)
         ratio = numerator / denominator
-        start = ratio if step == 0 else start
+        if step == 0:
+            start, start_denominator = ratio, denominator
         if ratio > best:
             best, best_x, best_image, norms = ratio, x, image, (numerator, denominator)
+    best_x, best_image = (SpectralField._owned(lattice, a) for a in (best_x, best_image))
     numerator, denominator = norms
     if not prob.exact_on_grid(q):  # the re-check
         numerator = _half_shift_norm(best_image, points, q, numerator)
     if not prob.exact_on_grid(p):
         denominator = _half_shift_norm(best_x, points, p, denominator)
-    return max(start, min(best, numerator / denominator))
+    rechecked = numerator / denominator
+    return _BoydResult(max(start, min(best, rechecked)), start, start_denominator,
+                       best_x, best_image, best, rechecked)
+
+
+@functools.lru_cache(maxsize=1)  # a report's two re-checks share one lattice and N
+def _half_shift_phases(lattice: _lattice.Lattice, points: int) -> np.ndarray:
+    """exp(i pi sum(k) / N) per lattice index k: the shift by pi/N per axis; read-only."""
+    return _lattice._freeze(np.exp(1j * np.pi / points * lattice.indices.sum(axis=1)))
 
 
 def _half_shift_norm(field: SpectralField, points: int, r: float, norm: float) -> float:
@@ -381,7 +446,7 @@ def _half_shift_norm(field: SpectralField, points: int, r: float, norm: float) -
     and the sum on nodes shifted by pi/N per axis, coefficient k times exp(i pi sum(k)/N):
     the shift flips the sign of the leading alias terms (Trefethen & Weideman, SIAM Rev.
     56, 2014), and at n = 1 the mean is the 2N rule.  Combined relative to the larger norm."""
-    shift = np.exp(1j * np.pi / points * field.lattice.indices.sum(axis=1)) * field.coeffs
+    shift = _half_shift_phases(field.lattice, points) * field.coeffs
     shifted = lp_norm(synthesize(SpectralField._owned(field.lattice, shift), points), r)
     large = max(norm, shifted)
     return large * ((1.0 + (min(norm, shifted) / large) ** r) / 2.0) ** (1.0 / r)
@@ -427,7 +492,10 @@ def equivalence_report(
     classical lower-bound certificate ``|u|_{H^(-t)_q} / |E|_{H^s_p}`` is checked against
     the reported norm and floors it at every (p, q): a single-radius report equals
     :func:`multiplier_norm_l2` unless the certificate floors it, by at most 1e-12
-    relative.  ``family_seed`` is ignored.
+    relative.  At p != 2 its |E|_{H^s_p} is the top radius's Boyd step-0 denominator,
+    ``hs_norm`` of E on the same N nodes to the bit; at p = 2 it is ``hs_norm``'s
+    coefficient sum, which can differ from that quadrature by an ulp.  ``family_seed``
+    is ignored.
     """
     del family_seed
     verdict = strichartz_case(prob.s, prob.t, prob.p, prob.q, prob.n)
@@ -443,15 +511,23 @@ def equivalence_report(
 
     exact = float(prob.p) == 2.0 and float(prob.q) == 2.0
     restricted = [replace(prob, u=fields[r]) for r in sorted(fields)]
-    norms = _refine_l2(restricted) if exact else list(map(multiplier_norm_lp, restricted))
+    if exact:
+        norms = _refine_l2(restricted)
+    else:
+        runs = list(map(_boyd, restricted))
+        norms = [0.0 if run is None else run.value for run in runs]
     top_radius, norm, top = max(fields), norms[-1], restricted[-1]
 
     target_norm, dual_norm = _intersection_terms(top.u, top.s, top.p, top.t, top.q, top.points)
     inter = max(target_norm, dual_norm)
     if inter == 0.0:
         raise ValueError(f"restriction to radius {top_radius} is zero; ratio undefined")
-    source = SpaceIndex(float(prob.s), float(prob.p))
-    certificate = target_norm / hs_norm(constant_field(top.u.lattice), source, top.points)
+    if float(prob.p) == 2.0:  # the coefficient sum, an ulp off the N-node quadrature at some N
+        source = SpaceIndex(float(prob.s), float(prob.p))
+        source_norm = hs_norm(constant_field(top.u.lattice), source, top.points)
+    else:  # u's restriction is nonzero, so Boyd ran from E on these N nodes
+        source_norm = runs[-1].start_denominator
+    certificate = target_norm / source_norm
     if certificate > norm * (1.0 + 1e-12):
         raise RuntimeError(f"lower-bound certificate {certificate} exceeds multiplier norm {norm}")
     norms[-1] = norm = max(norm, certificate)  # the constant field's ratio bounds it too

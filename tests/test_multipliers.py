@@ -151,14 +151,7 @@ class TestProblemGrid:
     @pytest.mark.parametrize("p, q", [(3.0, 3.0), (4.0, 3.0), (2, Fraction(3, 2))],
                              ids=["recheck-grid", "recheck-grid-q", "recheck-grid-p2"])
     def test_recheck_needs_no_larger_grid(self, monkeypatch, p, q):
-        synthesized = []
-
-        def counted_synthesize(u, points_per_axis):
-            synthesized.append(points_per_axis)
-            return synthesize(u, points_per_axis)
-
-        synthesize = multipliers.synthesize
-        monkeypatch.setattr(multipliers, "synthesize", counted_synthesize)
+        synthesized = count_syntheses(monkeypatch)
         monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", 10000)
         prob = MultiplierProblem(self.u, 1, 1, p, q, grid_points=90)
         assert np.isfinite(multiplier_norm_lp(prob))
@@ -542,6 +535,19 @@ class TestSingularTriplet:
             top_singular_value(*multiplier_operator(prob), size)
 
 
+def count_syntheses(monkeypatch) -> list:
+    """Record the N of every synthesis, ``synthesize``'s and Boyd's on arrays alike: both
+    run ``lattice._synthesize``."""
+    synthesized = []
+
+    def counted(coeffs, plan, _original=lattice._synthesize):
+        synthesized.append(plan.points)
+        return _original(coeffs, plan)
+
+    monkeypatch.setattr(lattice, "_synthesize", counted)
+    return synthesized
+
+
 def count_calls(monkeypatch, *functions) -> dict:
     """Replace each ``(module, name)`` function by one that counts its calls, by name."""
     counts = {name: 0 for _, name in functions}
@@ -600,6 +606,23 @@ class TestHotPathCalls:
         assert (triplet.value, triplet.steps, triplet.right.tobytes()) == (
             plain.value, plain.steps, plain.right.tobytes())
 
+    # One p != 2 report at (3, 4) synthesizes on N = 18 nodes Boyd's grids and the two
+    # intersection terms', none for the certificate: its |E|_{H^s_p} is Boyd's step-0
+    # denominator.  The one-axis transforms are those of each grid and each product:
+    # 12 for step 0's two grids and product, 27 for each later step's five grids and two
+    # products, 3 per re-check and intersection grid
+    @pytest.mark.parametrize("p, q, rechecked", [(3.0, 1.5, 2), (4.0, 3.0, 1), (4.0, 4.0, 0)])
+    def test_a_p_not_2_report_synthesizes_no_certificate_grid(self, monkeypatch, p, q,
+                                                                rechecked):
+        prob = random_problem(4, 1, n=3, s=2.0, t=0.5, p=p, q=q)
+        synthesized = count_syntheses(monkeypatch)
+        names = ("fft", "ifft", "fftn", "ifftn")
+        counts = count_calls(monkeypatch, *((np.fft, name) for name in names))
+        equivalence_report(prob, force=True)
+        assert synthesized == [18] * (2 + 3 * BOYD_STEPS + rechecked + 2)
+        assert counts["fft"] + counts["ifft"] == 12 + 27 * BOYD_STEPS + 3 * (rechecked + 2)
+        assert (counts["fftn"], counts["ifftn"]) == (2, 0)  # FFT(u) and FFT(conj u), once
+
     def test_a_lanczos_step_calls_eigh_once_and_diag_never(self, monkeypatch):
         prob = random_problem(4, 2, n=2, alpha=0.0, s=0.6, t=0.6)
         operator = multiplier_operator(prob)
@@ -645,11 +668,11 @@ class TestWarmRefinement:
         monkeypatch.setattr(multipliers, "multiplier_operator",
                             lambda sub: counted_operator(sub, calls))
         equivalence_report(prob, radii=radii, force=True)
-        assert 0 < len(calls) - len(radii) < sum(cold)  # less one matvec per solve for x
+        assert 0 < len(calls) < sum(cold)  # one matvec per step: a refinement takes no x
         # Lanczos on A^H A spans GKL's Krylov space step for step.  With the seeded start
         # of numpy.random these were GKL's counts, [22, 26, 28] and 73 warm steps; the
         # start drawn by Box-Muller from the splitmix hash gives [23, 26, 28] and 74
-        assert cold == [23, 26, 28] and len(calls) == 74 + len(radii)
+        assert cold == [23, 26, 28] and len(calls) == 74
 
     # the refinement to the bit on the benchmark's two refinement shapes: mult-l2's
     # near-tied field, warm-started at radii 8 and 16, and mult-lp's Dirac field,
@@ -764,6 +787,20 @@ class TestMultiplierNormLp:
         u = gen_distribution(kind, make_lattice(3, 4), alpha=alpha, seed=seed)
         assert multiplier_norm_lp(MultiplierProblem(u, *indices)).hex() == expected
 
+    # The run's record: its step-0 denominator is hs_norm of E on the same N nodes to the
+    # bit, which lets a p != 2 report skip that synthesis, and its value is the bound
+    @pytest.mark.parametrize("p, q", [(3.0, 1.5), (Fraction(21, 20), Fraction(3, 2)), (4.0, 4.0)])
+    @pytest.mark.parametrize("n, radius, points", [(1, 8, None), (2, 4, 19), (3, 2, None)])
+    def test_record_starts_at_the_certificate_denominator(self, n, radius, points, p, q):
+        u = gen_distribution("power-decay", make_lattice(n, radius), alpha=1.0, seed=2)
+        prob = MultiplierProblem(u, 1.5, 0.5, p, q, grid_points=points)
+        run = multipliers._boyd(prob)
+        source = SpaceIndex(float(prob.s), float(prob.p))
+        assert run.start_denominator == hs_norm(constant_field(u.lattice), source, prob.points)
+        assert run.value == multiplier_norm_lp(prob) == max(run.start,
+                                                            min(run.ratio, run.rechecked))
+        assert run.x.lattice == run.image.lattice == u.lattice
+
     @pytest.mark.parametrize("p, q", [(3.0, 1.5), (1.5, 3.0), (4 / 3, 4 / 3), (2.0, 1.5)])
     @pytest.mark.parametrize("kind, alpha", [("power-decay", 1.0), ("dirac", None)])
     def test_at_least_the_certificate(self, p, q, kind, alpha):
@@ -810,14 +847,7 @@ class TestMultiplierNormLp:
         ids=["3.0-1.5", "1.5-3.0", "2.0-2.0", "4.0-4.0", "4.0-3.0", "2.0-4.0"],
     )
     def test_step_count_independent_of_field(self, monkeypatch, p, q, rechecked):
-        synthesized = []
-
-        def counted_synthesize(u, points_per_axis):
-            synthesized.append(points_per_axis)
-            return synthesize(u, points_per_axis)
-
-        synthesize = multipliers.synthesize
-        monkeypatch.setattr(multipliers, "synthesize", counted_synthesize)
+        synthesized = count_syntheses(monkeypatch)
         lat = make_lattice(2, 4)
         for kind, alpha, seed in [("dirac", None, 0), ("power-decay", 2.0, 3), ("power-decay", 2.0, 8)]:
             synthesized.clear()
@@ -843,14 +873,7 @@ class TestMultiplierNormLp:
         # on N = 2R+1 or N = 4R nodes |g|^4 has degree 4R >= N, so the re-check
         # of both norms still runs, one more N-node synthesis each; |g|^2 (degree
         # 2R < 2R+1) needs none
-        synthesized = []
-
-        def counted_synthesize(u, points_per_axis):
-            synthesized.append(points_per_axis)
-            return synthesize(u, points_per_axis)
-
-        synthesize = multipliers.synthesize
-        monkeypatch.setattr(multipliers, "synthesize", counted_synthesize)
+        synthesized = count_syntheses(monkeypatch)
         lat = make_lattice(2, 3)
         u = gen_distribution("power-decay", lat, alpha=1.0, seed=4)
         for points, pq, rechecked in ((lat.side, 4.0, 2), (4 * lat.radius, 4.0, 2), (lat.side, 2.0, 0)):
@@ -1064,10 +1087,59 @@ class TestEquivalenceReport:
         assert report.refinement == equivalence_report(prob, radii=[2, 4]).refinement
         assert all(type(radius) is int for radius, _ in report.refinement)
 
-    def test_field_zero_on_top_radius_rejected(self):
-        prob = problem(delta_field(make_lattice(1, 4), (4,)))
+    @pytest.mark.parametrize("p, q", [(2, 2), (3, Fraction(3, 2))], ids=["l2", "boyd"])
+    def test_field_zero_on_top_radius_rejected(self, p, q):
+        prob = problem(delta_field(make_lattice(1, 4), (4,)), p=p, q=q)
         with pytest.raises(ValueError, match="restriction to radius 2 is zero"):
             equivalence_report(prob, radii=[2])
+
+    def test_a_zero_restriction_below_the_top_reports_zero_at_p_not_2(self):
+        # Boyd does not run on the zero radius-2 field; the top radius's run floors the report
+        prob = problem(delta_field(make_lattice(1, 4), (4,)), p=3, q=Fraction(3, 2))
+        report = equivalence_report(prob, radii=(2, 4))
+        assert report.refinement == ((2, 0.0), (4, 0.1785441237505187))
+
+    # Whole p != 2 reports to the bit: the five mult-lp shapes, shape j drawn with seed j
+    # as in test_boyd_pinned_bits, mult-lp's Dirac refinement, and a p = 2, q = 3 report.
+    # There the certificate's |E|_{H^s_2} is the coefficient sum, as hs_norm takes it; the
+    # N-node quadrature of Boyd's step 0 would give 0x1.15f3e7d3ebf4cp-2, 1 ulp higher.
+    # Fields: multiplier norm, certificate, intersection norm, ratio, then the refinement
+    @pytest.mark.parametrize(
+        "n, radius, seed, kind, alpha, indices, radii, expected",
+        [
+            (3, 4, 1, "power-decay", 1.0, (2, Fraction(1, 2), 3, Fraction(3, 2)), None,
+             ("0x1.9a7c32289ba07p+0", "0x1.988dca85ffe9cp+0", "0x1.40e0a13d914a2p+3",
+              "0x1.477d78157e082p-3", ("0x1.9a7c32289ba07p+0",))),
+            (3, 4, 2, "power-decay", 2.0, (Fraction(1, 2), Fraction(5, 2), Fraction(3, 2), 3),
+             None, ("0x1.910af4ccff08fp-6", "0x1.949fd0ca6e79fp-7", "0x1.c6d34d847ce0ep-1",
+                    "0x1.c374e14e17ef4p-6", ("0x1.910af4ccff08fp-6",))),
+            (3, 4, 3, "random-smooth", None, (Fraction(3, 2), Fraction(3, 2), 4, 4), None,
+             ("0x1.797e8926ebcdbp-4", "0x1.60c7f00c03afap-4", "0x1.2917f6b190cd6p+2",
+              "0x1.45479df6c4d01p-6", ("0x1.797e8926ebcdbp-4",))),
+            (3, 4, 4, "dirac", None, (3, 0, Fraction(21, 20), Fraction(3, 2)), None,
+             ("0x1.69e17eb7e8e3fp-6", "0x1.74d6f5b6d9060p-7", "0x1.15d7411977820p+1",
+              "0x1.4d6f062d9e821p-7", ("0x1.69e17eb7e8e3fp-6",))),
+            (3, 4, 5, "power-decay", 0.0, (1, Fraction(5, 2), 4, 3), None,
+             ("0x1.483e58a6c2609p-1", "0x1.d669b6a59b524p-3", "0x1.a52c7b4326b47p+4",
+              "0x1.8f0783e155f5dp-6", ("0x1.483e58a6c2609p-1",))),
+            (3, 4, 0, "dirac", None, (3, 0, Fraction(21, 20), Fraction(3, 2)), (2, 3, 4),
+             ("0x1.69e17eb7e8e3fp-6", "0x1.74d6f5b6d9060p-7", "0x1.15d7411977820p+1",
+              "0x1.4d6f062d9e821p-7",
+              ("0x1.37062f52cccacp-7", "0x1.fa2eaf7e4edb3p-7", "0x1.69e17eb7e8e3fp-6"))),
+            (1, 8, 0, "dirac", None, (Fraction(3, 2), 1, 2, 3), None,
+             ("0x1.86d3905eeab9fp-2", "0x1.15f3e7d3ebf4bp-2", "0x1.5c5cb3d161c9bp-1",
+              "0x1.1f34a4926f555p-1", ("0x1.86d3905eeab9fp-2",))),
+        ],
+        ids=["mult-lp-1", "mult-lp-2", "mult-lp-3", "mult-lp-4", "mult-lp-5",
+             "mult-lp-dirac-refinement", "p2-q3-dirac"],
+    )
+    def test_pinned_reports(self, n, radius, seed, kind, alpha, indices, radii, expected):
+        u = gen_distribution(kind, make_lattice(n, radius), alpha=alpha, seed=seed)
+        report = equivalence_report(MultiplierProblem(u, *indices), radii=radii)
+        values = (report.multiplier_norm, report.lower_bound_certificate,
+                  report.intersection_norm, report.ratio)
+        assert tuple(value.hex() for value in values) == expected[:4]
+        assert [value.hex() for _, value in report.refinement] == list(expected[4])
 
     def test_sampled_route_for_general_exponents(self):
         prob = random_problem(4, 2, s=1.5, t=0.5, p=3.0, q=2.0, alpha=2.0)

@@ -228,7 +228,7 @@ class TestVerifySuites:
         # slower at a large prime length such as a product's 4R+1 = 33 at R = 8
         points, lengths = [], set()
         original_lattice, original_convolver = verify.make_lattice, calculus._convolver
-        original_synthesize = verify.synthesize
+        original_synthesize = lattice._synthesize  # every synthesis, Boyd's included
 
         def recording_lattice(n, radius):
             points.append((2 * radius + 1) ** n)
@@ -239,17 +239,16 @@ class TestVerifySuites:
             lengths.update(shape)
             return original_convolver(a, shape, window)
 
-        def recording_synthesize(u, points_per_axis):
-            points.append(points_per_axis ** u.lattice.n)
-            return original_synthesize(u, points_per_axis)
+        def recording_synthesize(coeffs, plan):
+            points.append(plan.points ** plan.lattice.n)
+            return original_synthesize(coeffs, plan)
 
         ctx = VerifyContext(n=n, radius=ctx_radius)
         for module in (lattice, calculus, verify):
             monkeypatch.setattr(module, "make_lattice", recording_lattice)
         for module in (calculus, multipliers):
             monkeypatch.setattr(module, "_convolver", recording_convolver)
-        for module in (lattice, calculus, multipliers, verify):
-            monkeypatch.setattr(module, "synthesize", recording_synthesize)
+        monkeypatch.setattr(lattice, "_synthesize", recording_synthesize)
         results = run_suite("all", ctx)
         assert all(result.passed for result in results), format_report(results)
         assert points and max(points) <= verify._largest_grid(ctx) ** n
