@@ -431,4 +431,4 @@ def _lp_norm(samples: np.ndarray, magnitude: np.ndarray, p: float) -> float:
     if _TINY <= integral < np.inf or not np.any(samples):
         return integral ** (1.0 / p)
     scale = float(np.max(np.abs(samples)))  # then 1 <= sum |samples / scale|^p <= N^n
-    return scale * lp_norm(GridFunction._owned(samples / scale), p)
+    return scale * _lp_norm(rescaled := samples / scale, np.abs(rescaled), p)

@@ -6,17 +6,18 @@ norm is the top singular value, the square root of the top eigenvalue of A^H A
 by Lanczos with full reorthogonalization: the Krylov space of Golub-Kahan-Lanczos
 (GKL) bidiagonalization at one reorthogonalized basis per step, not two.  It stops
 once the Ritz residual |A^H x - sigma y| is at most 1e-12 sigma.  Each image is
-scaled by one power of two taken from the first, as A^H A squares A's range; the
-solver returns the whole triplet, and a refinement warm-starts each radius from
-the previous radius's right vector, running the solver's loop without the left
-vector.  For general (p, q) a lower bound is reported: the best norm ratio along
-a fixed number of steps of Boyd's power method (Boyd, LAA 9, 1974; Higham, Numer.
-Math. 62, 1992), started from the all-ones field, so the classical
-``|u|_{H^(-t)_q} / |E|_{H^s_p}`` certificate is its first step.  The loop runs on
-arrays and fills a private record of what it found; a report at p != 2 takes the
-certificate's |E|_{H^s_p} from the record's first step.  The best iterate's norms
-are re-checked on its N nodes per axis and on those shifted by half a node, unless
-N nodes integrate them exactly; none is at p, q in {2, 4}.
+scaled by one power of two taken from the first, as A^H A squares A's range.  The
+solver's loop returns its triplet as one record, which the solver completes with the
+left vector; a refinement returns one record per radius, with no left vector, and
+warm-starts each radius from the previous record's right vector.  For general (p, q)
+a lower bound is reported: the best norm ratio along a fixed number of steps of
+Boyd's power method (Boyd, LAA 9, 1974; Higham, Numer. Math. 62, 1992), started
+from the all-ones field, so the classical ``|u|_{H^(-t)_q} / |E|_{H^s_p}``
+certificate is its first step.  The loop runs on arrays and returns a private
+record of what it found, for every u; a report at p != 2 takes the certificate's
+|E|_{H^s_p} from the record's first step.  The best iterate's norms are re-checked
+on its N nodes per axis and on those shifted by half a node, unless N nodes
+integrate them exactly; none is at p, q in {2, 4}.
 ``MultiplierProblem(..., grid_points=None)`` sets N, by default 2(2R+1).
 """
 
@@ -40,9 +41,7 @@ from .lattice import (
     _deterministic_norm,
     conj_field,
     constant_field,
-    lp_norm,
     restrict_field,
-    synthesize,
     tree_sum,
 )
 
@@ -206,15 +205,14 @@ def _seeded_start(size: int) -> np.ndarray:
     return _lattice._freeze(seeded / _deterministic_norm(seeded))
 
 
-@dataclass(frozen=True)
-class SingularTriplet:
+class SingularTriplet(NamedTuple):
     """What :func:`top_singular_value` found: the Ritz value sigma, its unit left
     and right Ritz vectors x = A y / sigma and y, the relative Ritz residual
     |A^H x - sigma y| / sigma and the Lanczos step count, one ``matvec`` call per
-    step and one more for x."""
+    step and one more for x.  :func:`_lanczos` leaves ``left`` None."""
 
     value: float
-    left: np.ndarray
+    left: np.ndarray | None
     right: np.ndarray
     residual: float
     steps: int
@@ -251,18 +249,18 @@ def top_singular_value(matvec, rmatvec, size: int,
     plus GKL_WARM_MIX times the seeded one, which still finds a top right vector
     orthogonal to ``start``.  Tree-summed reductions, so the result does not depend on
     the thread count.  ``size`` must be a positive integer; ``matvec`` and ``rmatvec``
-    return new arrays, which are scaled in place.  The loop is :func:`_lanczos`, which
-    a refinement calls directly: it reads only sigma and y."""
-    value, right, residual, steps, left_scale = _lanczos(matvec, rmatvec, size, start)
-    left = matvec(right)
-    left *= left_scale
-    return SingularTriplet(value, left, right, residual, steps)
+    return new arrays, which are scaled in place.  The loop is :func:`_lanczos`, whose
+    record a refinement keeps as it is."""
+    triplet = _lanczos(matvec, rmatvec, size, start)
+    left = matvec(triplet.right)
+    left *= 1.0 / (triplet.value or 1.0)  # A y = 0 where sigma = 0: any divisor keeps x = 0
+    return triplet._replace(left=left)
 
 
 @np.errstate(over="ignore")  # once per solve, not per step: _deterministic_norm rescales
-def _lanczos(matvec, rmatvec, size: int, start: np.ndarray | None) -> tuple:
-    """The loop of :func:`top_singular_value`, without its last ``matvec``: ``(value,
-    right, residual, steps, left_scale)``, the left vector being ``A right * left_scale``."""
+def _lanczos(matvec, rmatvec, size: int, start: np.ndarray | None) -> SingularTriplet:
+    """The loop of :func:`top_singular_value`, without its last ``matvec``: the triplet
+    with ``left`` None."""
     if _lattice._integer(size, refusal := "size must be a positive integer, got {!r}") < 1:
         raise ValueError(refusal.format(size))
     first = _seeded_start(size)
@@ -298,9 +296,9 @@ def _lanczos(matvec, rmatvec, size: int, start: np.ndarray | None) -> tuple:
         thetas, vectors = np.linalg.eigh(tridiagonal[: k + 1, : k + 1])  # lower triangle
         theta, top = float(thetas[-1]), vectors[:, -1]
         if (residual := beta * abs(float(top[-1]))) <= GKL_TOLERANCE * theta:
-            sigma = math.sqrt(theta)  # A y = 0 where sigma = 0: any divisor keeps x = 0
-            return (math.ldexp(sigma, exponent), _combine(right[: k + 1], top),
-                    residual / theta if theta > 0.0 else 0.0, k + 1, scale / (sigma or 1.0))
+            return SingularTriplet(math.ldexp(math.sqrt(theta), exponent), None,
+                                   _combine(right[: k + 1], top),
+                                   residual / theta if theta > 0.0 else 0.0, k + 1)
         if k + 1 == len(right):
             try:  # by realloc, in place where the allocator can
                 right.resize((2 * len(right), size))
@@ -317,33 +315,28 @@ def multiplier_norm_l2(prob: MultiplierProblem) -> float:
     :func:`multiplier_operator`: the one-radius :func:`_refine_l2`, seeded start."""
     if not (prob.p == 2 and prob.q == 2):
         raise ValueError("the exact multiplier norm requires p = q = 2")
-    return _refine_l2([prob])[0]
+    return _refine_l2([prob])[0].value
 
 
 def _refine_l2(problems: list) -> list:
-    """The p = q = 2 norm of each problem, on lattices of ascending radius, by the
-    Lanczos loop of :func:`top_singular_value`, less its left vector: the first from the
-    seeded start, each later one from the previous top right vector, zero-padded onto
-    its lattice."""
-    values, start = [], None
+    """The :class:`SingularTriplet` of each problem, on lattices of ascending radius, from
+    the Lanczos loop of :func:`top_singular_value`, with ``left`` None: the first from the
+    seeded start, each later one from the previous ``right``, zero-padded onto its lattice."""
+    triplets, start = [], None
     for prob in problems:
         lattice = prob.u.lattice
-        if start is not None:
-            start = np.pad(start.reshape(previous.shape), lattice.radius - previous.radius).ravel()
-        value, start = _lanczos(*multiplier_operator(prob), lattice.size, start)[:2]
-        values.append(value)
+        if triplets:
+            start = triplets[-1].right.reshape(previous.shape)
+            start = np.pad(start, lattice.radius - previous.radius).ravel()
+        triplets.append(_lanczos(*multiplier_operator(prob), lattice.size, start))
         previous = lattice
-    return values
+    return triplets
 
 
-def _dual(values: np.ndarray, r: float) -> np.ndarray:
-    """Duality map |w|^(r-2) w, w = values / max|values|: :func:`_dual_of` from |values|."""
-    return _dual_of(values, np.abs(values), r)
-
-
-def _dual_of(values: np.ndarray, magnitude: np.ndarray, r: float) -> np.ndarray:
-    """:func:`_dual` from ``magnitude``, the ``np.abs`` of ``values``, scaled in place:
-    (|values| / max)^(r-2) / max * values, zeros kept at 0 (0.0 ** (r-2) = inf)."""
+def _dual(values: np.ndarray, magnitude: np.ndarray, r: float) -> np.ndarray:
+    """Duality map |w|^(r-2) w, w = values / max|values|, from ``magnitude``, the ``np.abs``
+    of ``values``, scaled in place: (|values| / max)^(r-2) / max * values, zeros kept at 0
+    (0.0 ** (r-2) = inf)."""
     scale = np.max(magnitude)
     magnitude /= scale
     np.power(magnitude, r - 2.0, out=magnitude, where=magnitude > 0.0)
@@ -378,76 +371,63 @@ def multiplier_norm_lp(prob: MultiplierProblem) -> float:
     Returns max(start ratio, the smaller of the best's N-node and re-checked ratios):
     the ``value`` of :func:`_boyd`'s record, 0 for u = 0.
     """
-    run = _boyd(prob)
-    return 0.0 if run is None else run.value
+    return _boyd(prob).value
 
 
-def _boyd(prob: MultiplierProblem) -> _BoydResult | None:
-    """The run of :func:`multiplier_norm_lp`, or None for u = 0.  It goes on arrays, with
-    the transforms' constants built once; each image grid's modulus is taken once, for
-    its L^q sum and its duality map, and every array is refused unless finite, as the
-    library's fields and grids are."""
-    lattice, points = prob.u.lattice, prob.points
-    if not np.any(prob.u.coeffs):
-        return None
+def _grid(coeffs: np.ndarray, plan: _lattice._Plan) -> tuple:
+    """The samples of ``coeffs`` on ``plan``'s nodes, refused unless finite, and their modulus."""
+    samples = _lattice._freeze_finite(_lattice._synthesize(coeffs, plan), "samples")
+    return samples, np.abs(samples)
+
+
+def _boyd(prob: MultiplierProblem) -> _BoydResult:
+    """The run of :func:`multiplier_norm_lp`, on arrays, with the transforms' constants
+    built once.  Each image grid's modulus is taken once, for its L^q sum and its duality
+    map, and every array is refused unless finite, as the library's fields and grids are.
+    For u = 0 only step 0 runs: a zero image has no duality map, and its ratio is 0."""
+    lattice, points, finite = prob.u.lattice, prob.points, _lattice._freeze_finite
     p, q, p_conj = float(prob.p), float(prob.q), float(conjugate_exponent(prob.p))
     matvec, rmatvec = multiplier_operator(prob)
     plan = _lattice._plan(lattice, points, _lattice._grid_bins(lattice, points))
-    finite = _lattice._freeze_finite
-
-    def synthesized(coeffs: np.ndarray) -> np.ndarray:
-        return finite(_lattice._synthesize(coeffs, plan), "samples")
-
-    def analyzed(samples: np.ndarray) -> np.ndarray:
-        return finite(_lattice._analyze(finite(samples, "samples"), plan), "coefficients")
-
-    def norm(coeffs: np.ndarray, r: float, dual: bool = False) -> tuple:
-        """The L^r norm of the grid of ``coeffs`` and, if ``dual``, the coefficients of the
-        grid's duality map, both from one modulus: the norm raises a copy of it to the power r.
-        Analyzed here, the map's grid is freed before the next step's grids are made."""
-        samples = synthesized(coeffs)
-        magnitude = np.abs(samples)
-        value = _lattice._lp_norm(samples, magnitude.copy() if dual else magnitude, r)
-        return value, analyzed(_dual_of(samples, magnitude, r)) if dual else None
-
+    steps = BOYD_STEPS if np.any(prob.u.coeffs) else 0
     x, best = lift(float(prob.s), constant_field(lattice)).coeffs, -1.0
-    for step in range(BOYD_STEPS + 1):
-        if step:  # dual: the coefficients of dual_q of the last image's grid
-            adjoint = finite(rmatvec(dual), "coefficients")
-            x = analyzed(_dual(synthesized(adjoint), p_conj))
-        # u != 0 and each x pairs positively with the adjoint image it came from: no zero norm
-        denominator = norm(x, p)[0]
+    for step in range(steps + 1):
+        if step:  # x = analyze(dual_p'(synthesize(A^H dual))), dual from the last image
+            x = _dual(*_grid(finite(rmatvec(dual), "coefficients"), plan), p_conj)
+            x = finite(_lattice._analyze(finite(x, "samples"), plan), "coefficients")
+        # no zero denominator: lift(s, E) != 0, and each later x pairs positively with A^H dual
+        denominator = _lattice._lp_norm(*_grid(x, plan), p)
         image = finite(matvec(x), "coefficients")
-        numerator, dual = norm(image, q, dual=step < BOYD_STEPS)
+        samples, modulus = _grid(image, plan)
+        numerator = _lattice._lp_norm(samples, modulus.copy() if step < steps else modulus, q)
+        if step < steps:  # the map analyzed now: no grid of this step outlives it
+            dual = finite(_dual(samples, modulus, q), "samples")
+            dual = finite(_lattice._analyze(dual, plan), "coefficients")
+        del samples, modulus
         ratio = numerator / denominator
         if step == 0:
             start, start_denominator = ratio, denominator
         if ratio > best:
             best, best_x, best_image, norms = ratio, x, image, (numerator, denominator)
-    best_x, best_image = (SpectralField._owned(lattice, a) for a in (best_x, best_image))
     numerator, denominator = norms
-    if not prob.exact_on_grid(q):  # the re-check
-        numerator = _half_shift_norm(best_image, points, q, numerator)
+    if numerator and not prob.exact_on_grid(q):  # the re-check; a zero image is exact
+        numerator = _half_shift_norm(best_image, plan, q, numerator)
     if not prob.exact_on_grid(p):
-        denominator = _half_shift_norm(best_x, points, p, denominator)
+        denominator = _half_shift_norm(best_x, plan, p, denominator)
     rechecked = numerator / denominator
+    best_x, best_image = (SpectralField._owned(lattice, a) for a in (best_x, best_image))
     return _BoydResult(max(start, min(best, rechecked)), start, start_denominator,
                        best_x, best_image, best, rechecked)
 
 
-@functools.lru_cache(maxsize=1)  # a report's two re-checks share one lattice and N
-def _half_shift_phases(lattice: _lattice.Lattice, points: int) -> np.ndarray:
-    """exp(i pi sum(k) / N) per lattice index k: the shift by pi/N per axis; read-only."""
-    return _lattice._freeze(np.exp(1j * np.pi / points * lattice.indices.sum(axis=1)))
-
-
-def _half_shift_norm(field: SpectralField, points: int, r: float, norm: float) -> float:
-    """L^r norm of ``field`` by the mean of its N-node rectangle sum, of norm ``norm`` > 0,
-    and the sum on nodes shifted by pi/N per axis, coefficient k times exp(i pi sum(k)/N):
-    the shift flips the sign of the leading alias terms (Trefethen & Weideman, SIAM Rev.
-    56, 2014), and at n = 1 the mean is the 2N rule.  Combined relative to the larger norm."""
-    shift = _half_shift_phases(field.lattice, points) * field.coeffs
-    shifted = lp_norm(synthesize(SpectralField._owned(field.lattice, shift), points), r)
+def _half_shift_norm(coeffs: np.ndarray, plan: _lattice._Plan, r: float, norm: float) -> float:
+    """L^r norm of the grid of ``coeffs`` on ``plan``'s N nodes per axis by the mean of its
+    rectangle sum, of norm ``norm`` > 0, and the sum on nodes shifted by pi/N per axis,
+    coefficient k times exp(i pi sum(k)/N): the shift flips the sign of the leading alias
+    terms (Trefethen & Weideman, SIAM Rev. 56, 2014), and at n = 1 the mean is the 2N rule.
+    Combined relative to the larger norm."""
+    phases = np.exp(1j * np.pi / plan.points * plan.lattice.indices.sum(axis=1))
+    shifted = _lattice._lp_norm(*_grid(phases * coeffs, plan), r)
     large = max(norm, shifted)
     return large * ((1.0 + (min(norm, shifted) / large) ** r) / 2.0) ** (1.0 / r)
 
@@ -511,11 +491,8 @@ def equivalence_report(
 
     exact = float(prob.p) == 2.0 and float(prob.q) == 2.0
     restricted = [replace(prob, u=fields[r]) for r in sorted(fields)]
-    if exact:
-        norms = _refine_l2(restricted)
-    else:
-        runs = list(map(_boyd, restricted))
-        norms = [0.0 if run is None else run.value for run in runs]
+    runs = _refine_l2(restricted) if exact else list(map(_boyd, restricted))
+    norms = [run.value for run in runs]
     top_radius, norm, top = max(fields), norms[-1], restricted[-1]
 
     target_norm, dual_norm = _intersection_terms(top.u, top.s, top.p, top.t, top.q, top.points)

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -321,7 +322,8 @@ class TestMultiplierNormL2:
 
     # A^H A squares A's range, so the solver scales every image by one power of two
     # taken from the first: 2^e u is solved in the same bits as u, and the norm is
-    # exactly 2^e times as large, also where 2^e u's squares over- or underflow
+    # exactly 2^e times as large, also where 2^e u's squares over- or underflow.  The
+    # whole triplet keeps its bits: x = A y times 1 / sigma, 2^e A y times 2^-e / sigma
     @pytest.mark.parametrize("exponent", [-600, 600, 1000])
     @pytest.mark.parametrize(
         "n, radius, kind, alpha, s, t",
@@ -337,6 +339,11 @@ class TestMultiplierNormL2:
         value = multiplier_norm_l2(problem(u, s=s, t=t))
         scaled = SpectralField(u.lattice, math.ldexp(1.0, exponent) * u.coeffs)
         assert multiplier_norm_l2(problem(scaled, s=s, t=t)) == math.ldexp(value, exponent)
+        base, other = (top_singular_value(*multiplier_operator(problem(v, s=s, t=t)),
+                                          u.lattice.size) for v in (u, scaled))
+        assert other.value == math.ldexp(base.value, exponent)
+        assert (other.left.tobytes(), other.right.tobytes(), other.steps, other.residual) == (
+            base.left.tobytes(), base.right.tobytes(), base.steps, base.residual)
 
     def test_memory_grows_with_steps_not_size_squared(self):
         prob = problem(
@@ -696,6 +703,24 @@ class TestWarmRefinement:
         report = equivalence_report(MultiplierProblem(u, *indices), radii=radii, force=force)
         assert [(r, value.hex()) for r, value in report.refinement] == list(zip(radii, expected))
 
+    # _refine_l2 returns one record per radius, with no left vector, and each later solve
+    # starts from the previous record's right vector, zero-padded onto its lattice
+    def test_refinement_returns_its_records(self):
+        u = gen_distribution("power-decay", make_lattice(2, 16), alpha=0.0, seed=0)
+        prob, radii = MultiplierProblem(u, 0.6, 0.6, 2, 2), (4, 8, 16)
+        restricted = [replace(prob, u=restrict_field(u, radius)) for radius in radii]
+        triplets = multipliers._refine_l2(restricted)
+        report = equivalence_report(prob, radii=radii, force=True)
+        assert report.lower_bound_certificate < report.multiplier_norm  # not floored
+        assert [t.value for t in triplets] == [value for _, value in report.refinement]
+        assert all(t.left is None for t in triplets)
+        for (small, large), (previous, triplet) in zip(pairwise(restricted), pairwise(triplets)):
+            before, after = small.u.lattice, large.u.lattice
+            start = np.pad(previous.right.reshape(before.shape), after.radius - before.radius)
+            again = multipliers._lanczos(*multiplier_operator(large), after.size, start.ravel())
+            assert (again.value, again.residual, again.steps, again.right.tobytes()) == (
+                triplet.value, triplet.residual, triplet.steps, triplet.right.tobytes())
+
     def test_a_zero_restriction_passes_its_start_on(self):
         # u vanishes on the radius-2 lattice: that solve has value 0, and the next
         # one starts from its right vector (the seeded start) and still converges
@@ -891,7 +916,8 @@ class TestMultiplierNormLp:
     @pytest.mark.parametrize("points", [17, 34, 35])
     def test_half_shift_mean_is_the_2n_rule_at_n_one(self, kind, alpha, r, points):
         field = gen_distribution(kind, make_lattice(1, 8), alpha=alpha, seed=2)
-        value = _half_shift_norm(field, points, r, lp_norm(synthesize(field, points), r))
+        plan = lattice._plan(field.lattice, points, lattice._grid_bins(field.lattice, points))
+        value = _half_shift_norm(field.coeffs, plan, r, lp_norm(synthesize(field, points), r))
         assert value == pytest.approx(lp_norm(synthesize(field, 2 * points), r), rel=1e-13)
 
     # On the rough Dirac shapes the best iterate's re-checked ratio lies nearer its
@@ -900,8 +926,9 @@ class TestMultiplierNormLp:
     def test_recheck_is_nearer_the_4n_rule_than_the_2n_rule(self, monkeypatch, n):
         calls = []
 
-        def recorded(field, points, r, norm):
-            calls.append((field, points, r, half_shift_norm(field, points, r, norm)))
+        def recorded(coeffs, plan, r, norm):
+            field = SpectralField(plan.lattice, coeffs)
+            calls.append((field, plan.points, r, half_shift_norm(coeffs, plan, r, norm)))
             return calls[-1][-1]
 
         half_shift_norm = multipliers._half_shift_norm
@@ -935,14 +962,17 @@ class TestMultiplierNormLp:
         value = multiplier_norm_lp(prob)
         assert np.isfinite(value) and value > 0.0
 
-    def test_zero_field(self):
+    @pytest.mark.parametrize("q", [2.0, 3.0])  # at q = 3 the zero image skips the re-check
+    def test_zero_field(self, q):
         lat = make_lattice(2, 3)
-        assert multiplier_norm_lp(problem(SpectralField(lat, np.zeros(lat.size)), p=3.0)) == 0.0
+        prob = problem(SpectralField(lat, np.zeros(lat.size)), p=3.0, q=q)
+        assert multiplier_norm_lp(prob) == 0.0
+        assert multipliers._boyd(prob).value == 0.0
 
     def test_dual_maps_zeros_to_zero(self):
         values = np.array([0.0, 2.0, -1.0j, 0.0, 0.5])
         with np.errstate(all="raise"):
-            dual = _dual(values, 1.5)
+            dual = _dual(values, np.abs(values), 1.5)
         w = values / 2.0
         assert dual[0] == 0.0 and dual[3] == 0.0
         np.testing.assert_allclose(dual[[1, 2, 4]], np.abs(w[[1, 2, 4]]) ** -0.5 * w[[1, 2, 4]])

@@ -121,6 +121,45 @@ def test_no_module_imports_a_name_it_never_reads(module):
     assert unused_imports(module.read_text()) == []
 
 
+def dead_private_names(sources: list) -> list:
+    """The module-level ``_names`` that ``sources`` define and none of them reads: by name,
+    as an attribute or in a ``from`` import.  A function registered by ``@_check(...)``
+    is exempt; its decorator reads it."""
+    defined, read = set(), set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_check"
+                           for d in node.decorator_list):
+                    defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return sorted(name for name in defined - read
+                  if name.startswith("_") and not name.startswith("__"))
+
+
+def test_dead_private_name_finder():
+    library = ("_LIMIT, _SPARE = 1, 2\n_table: dict = {}\nclass _Record: pass\n"
+               "def _wrapper(x):\n    return _core(x)\ndef _core(x):\n    return x\n"
+               "@_check('id')\ndef _check_law(ctx):\n    yield 0.0\n"
+               "def __getattr__(name):\n    return _LIMIT\n")
+    user = "from .library import _table\ndef public(x):\n    return library._Record(x)\n"
+    assert dead_private_names([library, user]) == ["_SPARE", "_wrapper"]
+
+
+def test_every_private_module_level_name_is_read():
+    modules = sorted(pathlib.Path(peribessel.__file__).parent.glob("*.py"))
+    assert dead_private_names([module.read_text() for module in modules]) == []
+
+
 # numpy.random costs every process that imports it about 6 MiB of RSS; the package
 # draws from its own splitmix hash instead (generators._uniforms)
 @pytest.mark.parametrize("module", sorted(pathlib.Path(peribessel.__file__).parent.glob("*.py")),

@@ -795,8 +795,9 @@ class TestCliExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("a solve began")
 
-        for name in ("multiplier_norm_l2", "multiplier_norm_lp", "synthesize"):
-            monkeypatch.setattr(multipliers, name, never)
+        for module, name in ((multipliers, "multiplier_norm_l2"),
+                             (multipliers, "multiplier_norm_lp"), (lattice, "_synthesize")):
+            monkeypatch.setattr(module, name, never)
         if limit is not None:
             monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", limit)
         monkeypatch.chdir(tmp_path)
