@@ -127,9 +127,10 @@ def _convolver(a: np.ndarray, shape: tuple, window: slice):
     ifftn(FFT(a) * fftn(b, shape))``, with FFT(a) taken once, over the trailing
     ``a.ndim`` axes of b, cut to ``window`` on each.  b is transformed by ``fftn``'s
     one-axis calls, last axis first, and multiplied in place, FFT(a) the first operand
-    (with FMA, complex a*b and b*a can differ in the last bit).  Each axis is cut right
-    after its inverse transform, in ``ifftn``'s order, so later axes transform only the
-    kept lines, bit for bit.  A length of at least the two extents summed minus one per
+    (with FMA, complex a*b and b*a can differ in the last bit).  The inverse transforms
+    run in place in that product, each axis cut right after its own, in ``ifftn``'s order,
+    so later axes transform only the kept lines, bit for bit; the result is a view of the
+    product.  A length of at least the two extents summed minus one per
     axis wraps nothing; callers round it up by :func:`_fast_length`: only rounding changes."""
     axes = tuple(range(-a.ndim, 0))
     spectrum = np.fft.fftn(a, shape, axes)
@@ -137,10 +138,10 @@ def _convolver(a: np.ndarray, shape: tuple, window: slice):
     def convolve(b: np.ndarray) -> np.ndarray:
         for axis in reversed(axes):
             b = np.fft.fft(b, shape[axis], axis)
-        out = np.multiply(spectrum, b, out=b)
+        np.multiply(spectrum, b, out=b)
         for axis in reversed(axes):
-            out = np.fft.ifft(out, axis=axis)[(..., window) + (slice(None),) * (-1 - axis)]
-        return out
+            b = np.fft.ifft(b, axis=axis, out=b)[(..., window) + (slice(None),) * (-1 - axis)]
+        return b
 
     return convolve
 

@@ -78,10 +78,14 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _freeze_finite(array: np.ndarray, what: str) -> np.ndarray:
+def _finite(array: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(array.view(np.float64)).all():  # ndarray.all: np.all adds a dispatch
         raise ValueError(f"{what} must be finite (no NaN/Inf)")
-    return _freeze(array)
+    return array
+
+
+def _freeze_finite(array: np.ndarray, what: str) -> np.ndarray:
+    return _freeze(_finite(array, what))
 
 
 def _integer(value, refusal: str) -> int:
@@ -297,12 +301,15 @@ def real_part_field(u: SpectralField) -> SpectralField:
 
 
 def restrict_field(u: SpectralField, radius: int) -> SpectralField:
-    """Restriction of the coefficient field to a smaller (or equal) radius."""
+    """Restriction of the coefficient field to a smaller (or equal) radius; at u's own
+    radius, u itself."""
     if radius > u.lattice.radius:
         raise ValueError(
             f"cannot restrict radius {u.lattice.radius} field to larger radius {radius}"
         )
     target = make_lattice(u.lattice.n, radius)
+    if target == u.lattice:  # u itself: fields are immutable, and its lattice keeps its caches
+        return u
     offset = u.lattice.radius - radius
     window = tuple(slice(offset, offset + target.side) for _ in range(u.lattice.n))
     return SpectralField(target, u.cube()[window].ravel())
@@ -357,24 +364,28 @@ def _plan(lattice: Lattice, points: int, bins: np.ndarray) -> _Plan:
 
 
 def _synthesize(coeffs: np.ndarray, plan: _Plan) -> np.ndarray:
-    """:func:`synthesize` on arrays: lattice coefficients in, a new grid of samples out."""
+    """:func:`synthesize` on arrays: lattice coefficients in, a new grid of samples out.
+    Each stage is freed once spread, and each spread is transformed in place."""
     lattice = plan.lattice
     samples = (coeffs * lattice.signs).reshape(lattice.shape)
     for axis, shape, cuts in plan.spreads:
         spread = np.zeros(shape, np.complex128)
         for into, source in cuts:  # two slices: the bits of spreading by bins, faster
             spread[into] = samples[source]
-        samples = np.fft.ifft(spread, axis=axis)
+        samples = spread
+        np.fft.ifft(samples, axis=axis, out=samples)
     samples *= plan.points ** lattice.n
     samples *= TWO_PI ** (-lattice.n / 2.0)
     return samples
 
 
 def _analyze(samples: np.ndarray, plan: _Plan) -> np.ndarray:
-    """:func:`analyze` on arrays: grid samples in, new lattice coefficients out."""
+    """:func:`analyze` on arrays: grid samples in, new lattice coefficients out.  It
+    consumes ``samples``, a writable grid: the first axis is transformed in place in it,
+    and each later one in place in the previous axis's cut."""
     spectrum = samples
     for axis in reversed(range(plan.lattice.n)):
-        spectrum = np.fft.fft(spectrum, axis=axis).take(plan.bins, axis)
+        spectrum = np.fft.fft(spectrum, axis=axis, out=spectrum).take(plan.bins, axis)
     return plan.weights * spectrum.ravel()
 
 
@@ -385,7 +396,8 @@ def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:
     points_per_axis >= 2R+1 so every lattice frequency has its own DFT bin.
     Axes go in ``ifftn``'s order, last first, each spread into its bins just
     before its transform, so only lines that carry lattice data are transformed;
-    numpy transforms each line on its own, so this is ``ifftn`` bit for bit.
+    numpy transforms each line on its own, so this is ``ifftn`` bit for bit.  Each
+    spread is transformed in place, once the stage it was spread from is freed.
     A grid of more than :data:`MAX_COEFFICIENTS` points, or a ``points_per_axis``
     that is not an integer (a bool included), raises ValueError first.
     """
@@ -400,13 +412,14 @@ def analyze(g: GridFunction, lattice: Lattice) -> SpectralField:
     coeff_k = (2*pi)^(n/2) / N^n * sum_j samples(x_j) * exp(-i<k, x_j>); exact
     for inputs band-limited to the lattice when N >= 2R+1.  As in
     :func:`synthesize`, in ``fftn``'s order, each axis cut to its bins after
-    its transform: ``fftn`` bit for bit.
+    its transform: ``fftn`` bit for bit.  The transforms run in place in one copy
+    of the samples.
     """
     if g.n != lattice.n:
         raise ValueError(f"grid dimension {g.n} != lattice dimension {lattice.n}")
     N = g.points_per_axis
     plan = _plan(lattice, N, _dft_bins(lattice, N))
-    return SpectralField._owned(lattice, _analyze(g.samples, plan))
+    return SpectralField._owned(lattice, _analyze(g.samples.copy(), plan))
 
 
 def lp_norm(g: GridFunction, p: float) -> float:

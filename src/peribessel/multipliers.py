@@ -291,6 +291,7 @@ def _lanczos(matvec, rmatvec, size: int, start: np.ndarray | None) -> SingularTr
             block = np.conj(right[j : min(j + height, k + 1)])
             block *= w
             coefficients[j : j + height] = tree_sum(block, axis=1)
+        del block  # not held through _combine's own blocks
         w -= _combine(right[: k + 1], coefficients)
         beta = _deterministic_norm(w)
         thetas, vectors = np.linalg.eigh(tridiagonal[: k + 1, : k + 1])  # lower triangle
@@ -299,12 +300,12 @@ def _lanczos(matvec, rmatvec, size: int, start: np.ndarray | None) -> SingularTr
             return SingularTriplet(math.ldexp(math.sqrt(theta), exponent), None,
                                    _combine(right[: k + 1], top),
                                    residual / theta if theta > 0.0 else 0.0, k + 1)
-        if k + 1 == len(right):
+        if k + 1 == len(right):  # 8 rows more, as at the start: at most 7 rows spare
             try:  # by realloc, in place where the allocator can
-                right.resize((2 * len(right), size))
+                right.resize((k + 9, size))
             except ValueError:  # refused while a view of right lives, say one matvec kept
-                right = np.concatenate([right, np.zeros_like(right)])
-            tridiagonal = np.pad(tridiagonal, (0, len(tridiagonal)))
+                right = np.concatenate([right, np.zeros((8, size), dtype=np.complex128)])
+            tridiagonal = np.pad(tridiagonal, (0, 8))
         tridiagonal[k + 1, k] = beta
         np.divide(w, beta, out=right[k + 1])
     raise ConvergenceError(size, residual / theta if theta > 0.0 else np.inf)
@@ -336,12 +337,12 @@ def _refine_l2(problems: list) -> list:
 def _dual(values: np.ndarray, magnitude: np.ndarray, r: float) -> np.ndarray:
     """Duality map |w|^(r-2) w, w = values / max|values|, from ``magnitude``, the ``np.abs``
     of ``values``, scaled in place: (|values| / max)^(r-2) / max * values, zeros kept at 0
-    (0.0 ** (r-2) = inf)."""
+    (0.0 ** (r-2) = inf).  It is written over ``values``, which it returns."""
     scale = np.max(magnitude)
     magnitude /= scale
     np.power(magnitude, r - 2.0, out=magnitude, where=magnitude > 0.0)
     magnitude /= scale
-    return magnitude * values
+    return np.multiply(magnitude, values, out=values)
 
 
 class _BoydResult(NamedTuple):  # defined in about 0.1 ms at import, a frozen dataclass 0.7
@@ -375,8 +376,9 @@ def multiplier_norm_lp(prob: MultiplierProblem) -> float:
 
 
 def _grid(coeffs: np.ndarray, plan: _lattice._Plan) -> tuple:
-    """The samples of ``coeffs`` on ``plan``'s nodes, refused unless finite, and their modulus."""
-    samples = _lattice._freeze_finite(_lattice._synthesize(coeffs, plan), "samples")
+    """The samples of ``coeffs`` on ``plan``'s nodes, refused unless finite, and their modulus;
+    both writable, for :func:`_dual` and ``lattice._analyze`` to work in place."""
+    samples = _lattice._finite(_lattice._synthesize(coeffs, plan), "samples")
     return samples, np.abs(samples)
 
 
@@ -384,8 +386,10 @@ def _boyd(prob: MultiplierProblem) -> _BoydResult:
     """The run of :func:`multiplier_norm_lp`, on arrays, with the transforms' constants
     built once.  Each image grid's modulus is taken once, for its L^q sum and its duality
     map, and every array is refused unless finite, as the library's fields and grids are.
+    Each duality map is written over its grid and analyzed in place, once the modulus is
+    freed.
     For u = 0 only step 0 runs: a zero image has no duality map, and its ratio is 0."""
-    lattice, points, finite = prob.u.lattice, prob.points, _lattice._freeze_finite
+    lattice, points, finite = prob.u.lattice, prob.points, _lattice._finite
     p, q, p_conj = float(prob.p), float(prob.q), float(conjugate_exponent(prob.p))
     matvec, rmatvec = multiplier_operator(prob)
     plan = _lattice._plan(lattice, points, _lattice._grid_bins(lattice, points))
@@ -400,10 +404,11 @@ def _boyd(prob: MultiplierProblem) -> _BoydResult:
         image = finite(matvec(x), "coefficients")
         samples, modulus = _grid(image, plan)
         numerator = _lattice._lp_norm(samples, modulus.copy() if step < steps else modulus, q)
-        if step < steps:  # the map analyzed now: no grid of this step outlives it
-            dual = finite(_dual(samples, modulus, q), "samples")
-            dual = finite(_lattice._analyze(dual, plan), "coefficients")
+        if step < steps:  # the map, written over the samples
+            dual = _dual(samples, modulus, q)
         del samples, modulus
+        if step < steps:  # analyzed in place, the only grid of this step still alive
+            dual = finite(_lattice._analyze(finite(dual, "samples"), plan), "coefficients")
         ratio = numerator / denominator
         if step == 0:
             start, start_denominator = ratio, denominator

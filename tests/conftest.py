@@ -7,7 +7,10 @@ implementations are checked against something slower but obviously correct.
 ``best_ratio`` scores fixed test fields through the library's public operator,
 transforms and norms instead, in the order Boyd's iteration evaluates them, so
 that tests can compare those fields with the solvers to the last bit.
+``peak_bytes`` is the memory probe of the tests that bound an allocation peak.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -26,6 +29,16 @@ def rel_err(value, reference) -> float:
     reference = np.asarray(reference)
     scale = max(float(np.max(np.abs(reference))), np.finfo(float).tiny)
     return float(np.max(np.abs(value - reference))) / scale
+
+
+def peak_bytes(fn) -> int:
+    """tracemalloc's peak over one call of ``fn()``, in bytes; what ``fn`` raises propagates."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def seven_smooth(k: int) -> bool:

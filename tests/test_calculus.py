@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from peribessel.conditions import conjugate_exponent
 from peribessel.calculus import _convolver, _fast_length, bessel_weights
 from peribessel.lattice import tree_sum
 
-from conftest import convolve_direct, rectangle_quadrature, rel_err, seven_smooth
+from conftest import convolve_direct, peak_bytes, rectangle_quadrature, rel_err, seven_smooth
 
 TWO_PI = 2.0 * np.pi
 
@@ -154,13 +153,7 @@ class TestHsNorm:
         lat = make_lattice(2, 255)
         u, index = random_field(lat, seed=0), SpaceIndex(1.0, 2.0)
         hs_norm(u, index)  # builds the lattice's cached |k|^2 outside the measurement
-        tracemalloc.start()
-        try:
-            hs_norm(u, index)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 23 * lat.size
+        assert peak_bytes(lambda: hs_norm(u, index)) < 23 * lat.size
 
     def test_p2_norm_that_overflows_is_inf_not_nan(self):
         # the lifted coefficient 2^400 * 1e200 overflows: the norm is inf, though
@@ -312,14 +305,12 @@ class TestPointwiseProduct:
         monkeypatch.setattr(lattice_module, "MAX_COEFFICIENTS", 100)
         f = random_field(make_lattice(2, 3), seed=1)  # 49 coefficients; radius 6 has 169
         assert pointwise_product(f, f).lattice.size == 49
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ValueError, match="n=2, R=6 exceeds 100 coefficients"):
                 pointwise_product(f, f, exact=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+
+        assert peak_bytes(refused) < 2**20
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("n", [33, 40, 64])

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from conftest import (
     analyze_reference,
     grid_scatter_reference,
     is_real_valued,
+    peak_bytes,
     rel_err,
     synthesize_direct,
     synthesize_reference,
@@ -269,21 +269,27 @@ class TestTransforms:
         assert np.array_equal(grid.samples, synthesize(u, 18).samples)
         assert hs_norm(u, SpaceIndex(0.0, 3.0), np.int64(18)) == hs_norm(u, SpaceIndex(0.0, 3.0), 18)
 
+    # Each spread is inverse-transformed in place once the stage it was spread from is
+    # freed; a new output per transform, with its input alive, held 2.63 grids here
+    def test_synthesize_holds_at_most_2_grids(self):
+        lat = make_lattice(2, 255)
+        u, N = SpectralField(lat, np.ones(lat.size)), 2 * lat.side
+        lat.signs  # cached outside the measurement
+        assert peak_bytes(lambda: synthesize(u, N)) <= 2 * N ** 2 * np.dtype(np.complex128).itemsize
+
     # A one-coefficient field at n = 30 asks hs_norm for 2^30 grid points (16 GiB);
     # at n = 64, for 2^64.  Both are refused before the grid is allocated.
     @pytest.mark.parametrize("n", [30, 64])
     def test_synthesize_refuses_oversized_grid_before_allocating(self, n):
         u = constant_field(make_lattice(n, 0))
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ValueError, match=f"quadrature grid 2\\^{n} exceeds"):
                 synthesize(u, 2)
             with pytest.raises(ValueError, match=f"quadrature grid 2\\^{n} exceeds"):
                 hs_norm(u, SpaceIndex(0.0, 3.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+
+        assert peak_bytes(refused) < 2**20
 
     def test_analyze_all_ones_gives_constant_field(self):
         lat = make_lattice(1, 3)
@@ -552,6 +558,11 @@ class TestRestrict:
         assert [small.coefficient((k,)) for k in range(-2, 3)] == [
             u.coefficient((k,)) for k in range(-2, 3)
         ]
+
+    def test_restriction_to_its_own_radius_is_the_field(self):
+        # its lattice's cached arrays are kept, not rebuilt for a new lattice
+        u = constant_field(make_lattice(2, 3))
+        assert restrict_field(u, 3) is u and restrict_field(u, np.int64(3)) is u
 
     def test_restriction_rejects_growth(self):
         with pytest.raises(ValueError):

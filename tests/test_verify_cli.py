@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from peribessel.calculus import SpaceIndex, bessel_weights
 from peribessel.multipliers import CSV_COLUMNS, index_cells
 from peribessel.verify import REGISTRY, SUITES, VerifyContext, format_report
 
-from conftest import seven_smooth
+from conftest import peak_bytes, seven_smooth
 
 CLI = [sys.executable, "-m", "peribessel.cli"]
 # CLI child processes import the package from this checkout, as pytest does
@@ -313,14 +312,12 @@ class TestVerifySuites:
         monkeypatch.setattr(verify, "REGISTRY", tuple(
             dataclasses.replace(spec, runner=never) for spec in REGISTRY
         ))
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ValueError, match=message):
                 build()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+
+        assert peak_bytes(refused) < 2**20
 
     def test_context_stores_numpy_integers_as_ints(self):
         ctx = VerifyContext(radius=np.int64(2), n=np.int32(1), seed=np.uint8(3))
@@ -664,15 +661,10 @@ class TestCliExitCodes:
             raise AssertionError("a field was generated")
 
         monkeypatch.setattr(generators, "gen_distribution", never)
-        out = tmp_path / "out"
-        tracemalloc.start()
-        try:
-            code = cli.main(argv + ["--out", str(out)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, codes = tmp_path / "out", []
+        peak = peak_bytes(lambda: codes.append(cli.main(argv + ["--out", str(out)])))
         err = capsys.readouterr().err
-        assert code == 2 and not out.exists()
+        assert codes == [2] and not out.exists()
         assert err.startswith("error:") and len(err.splitlines()) == 1 and message in err
         assert peak < 2**20
 
@@ -706,14 +698,10 @@ class TestCliExitCodes:
             raise AssertionError("a check ran")
 
         monkeypatch.setattr(verify, "run_suite", never)
-        tracemalloc.start()
-        try:
-            code = cli.main(["verify", "fourier"] + flags)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        codes = []
+        peak = peak_bytes(lambda: codes.append(cli.main(["verify", "fourier"] + flags)))
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
+        assert codes == [2] and captured.out == ""
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert message in captured.err
         assert peak < 2**20
