@@ -213,13 +213,9 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 def _emit_record(record: dict, fmt: str, stream):
     if fmt == "json":
         stream.write(json.dumps(record, allow_nan=False) + "\n")  # a non-finite value raises
-    else:
+    else:  # the csv module prints a float by repr
         import csv
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(record.keys())
-        writer.writerow(
-            [repr(v) if isinstance(v, float) else v for v in record.values()]
-        )
+        csv.writer(stream, lineterminator="\n").writerows([record.keys(), record.values()])
 
 
 def _usage(build, *args, **kwargs):
@@ -328,9 +324,7 @@ def _cmd_sweep(args) -> int:
     import csv
     from .generators import gen_distribution
     from .lattice import make_lattice
-    from .multipliers import (
-        CSV_COLUMNS, HypothesisError, MultiplierProblem, equivalence_report, index_cells,
-    )
+    from .multipliers import CSV_COLUMNS, HypothesisError, MultiplierProblem, equivalence_report
     grids = (args.s_grid, args.t_grid, args.p_grid, args.q_grid, args.radius_grid)
     if any(len(grid) == 0 for grid in grids):
         raise UsageError("sweep grids must be nonempty")
@@ -354,14 +348,12 @@ def _cmd_sweep(args) -> int:
             sys.stderr.write(
                 f"warning: refused (s={s}, t={t}, p={p}, q={q}, R={radius}): {exc}\n"
             )
-            cells = index_cells(args.n, radius, s, t, p, q)
-            rows.append(cells + [""] * (len(CSV_COLUMNS) - len(cells)) + ["refused"])
+            row = [args.n, radius, *map(float, (s, t, p, q))]
+            rows.append(row + [""] * (len(CSV_COLUMNS) - len(row)) + ["refused"])
         else:
             rows.append(report.csv_row() + ["ok"])
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(list(CSV_COLUMNS) + ["status"])
-        writer.writerows(rows)
+        csv.writer(handle, lineterminator="\n").writerows([[*CSV_COLUMNS, "status"], *rows])
     if refusals:
         sys.stderr.write(f"warning: {refusals} grid point(s) refused by the hypothesis gate\n")
     return 0

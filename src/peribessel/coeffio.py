@@ -18,6 +18,8 @@ import numpy as np
 
 from .lattice import SpectralField, make_lattice
 
+WRITE_CHUNK = 1 << 14  # coefficient entries encoded per write
+
 
 class CoeffFileError(ValueError):
     """Malformed coefficient file."""
@@ -34,16 +36,20 @@ def _is_finite_number(value) -> bool:
     return abs(value) <= sys.float_info.max
 
 
-def field_to_dict(u: SpectralField) -> dict:
+def _entries(u: SpectralField, positions: np.ndarray) -> list:
+    """The ``entries`` of u's coefficients at ``positions``, flat indices into its lattice."""
     lattice = u.lattice
-    nonzero = np.flatnonzero(u.coeffs)
-    indices = np.stack(np.unravel_index(nonzero, lattice.shape), axis=1) - lattice.radius
-    values = u.coeffs[nonzero]
-    entries = [
+    indices = np.stack(np.unravel_index(positions, lattice.shape), axis=1) - lattice.radius
+    values = u.coeffs[positions]
+    return [
         [*k, re, im]
         for k, re, im in zip(indices.tolist(), values.real.tolist(), values.imag.tolist())
     ]
-    return {"n": lattice.n, "radius": lattice.radius, "entries": entries}
+
+
+def field_to_dict(u: SpectralField) -> dict:
+    entries = _entries(u, np.flatnonzero(u.coeffs))
+    return {"n": u.lattice.n, "radius": u.lattice.radius, "entries": entries}
 
 
 def field_from_dict(data: dict) -> SpectralField:
@@ -85,9 +91,18 @@ def field_from_dict(data: dict) -> SpectralField:
 
 
 def write_coeff_file(path, u: SpectralField):
+    """Write ``json.dumps(field_to_dict(u))`` and a newline, :data:`WRITE_CHUNK` entries
+    at a time, so that memory holds one chunk of the document, not all of it."""
+    nonzero = np.flatnonzero(u.coeffs)
+    # dumps, not dump: dump always takes the pure-Python encoder; the bytes agree
+    head = json.dumps({"n": u.lattice.n, "radius": u.lattice.radius, "entries": []})
     with open(path, "w", encoding="utf-8") as handle:
-        # dumps, not dump: dump always takes the pure-Python encoder; the bytes agree
-        handle.write(json.dumps(field_to_dict(u)) + "\n")
+        handle.write(head[:-2])  # up to the entries' "["
+        for start in range(0, len(nonzero), WRITE_CHUNK):
+            if start:
+                handle.write(", ")
+            handle.write(json.dumps(_entries(u, nonzero[start : start + WRITE_CHUNK]))[1:-1])
+        handle.write("]}\n")
 
 
 def parse_coeff_file(path) -> SpectralField:

@@ -323,20 +323,6 @@ def _require_same_lattice(u: SpectralField, v: SpectralField):
         )
 
 
-def _dft_bins(lattice: Lattice, N: int) -> np.ndarray:
-    """DFT bin ``k mod N`` of each lattice frequency along one axis, for N >= 2R+1."""
-    if N < lattice.side:
-        raise ValueError(f"grid too small: need at least {lattice.side} points per axis, got {N}")
-    return np.arange(-lattice.radius, lattice.radius + 1) % N
-
-
-def _grid_bins(lattice: Lattice, N: int) -> np.ndarray:
-    """:func:`_dft_bins` of a grid to allocate, refusing one of over MAX_COEFFICIENTS points."""
-    if N ** lattice.n > MAX_COEFFICIENTS:  # first: numpy cannot take N % beyond int64
-        raise ValueError(f"quadrature grid {N}^{lattice.n} exceeds {MAX_COEFFICIENTS} points")
-    return _dft_bins(lattice, N)
-
-
 class _Plan(NamedTuple):
     """The per-(lattice, N) constants of :func:`_synthesize` and :func:`_analyze`: the
     DFT bins, each axis's spread shape and the two slice pairs that copy the lattice
@@ -349,10 +335,14 @@ class _Plan(NamedTuple):
     weights: np.ndarray
 
 
-def _plan(lattice: Lattice, points: int, bins: np.ndarray) -> _Plan:
-    """The :class:`_Plan` of ``lattice`` on ``points`` nodes per axis, whose ``bins``
-    (:func:`_dft_bins` or :func:`_grid_bins`) the caller has built, refusing what it refuses."""
+def _plan(lattice: Lattice, points: int) -> _Plan:
+    """The :class:`_Plan` of ``lattice`` on ``points`` nodes per axis.  It refuses a grid
+    of more than MAX_COEFFICIENTS points, then one of fewer than 2R+1 points per axis."""
     n, R, N = lattice.n, lattice.radius, points
+    if N ** n > MAX_COEFFICIENTS:  # first: numpy cannot take N % beyond int64
+        raise ValueError(f"quadrature grid {N}^{n} exceeds {MAX_COEFFICIENTS} points")
+    if N < lattice.side:
+        raise ValueError(f"grid too small: need at least {lattice.side} points per axis, got {N}")
     spreads = []
     for axis in reversed(range(n)):
         lead = (slice(None),) * axis  # k = 0..R go to bins 0..R, k = -R..-1 to N-R..N-1
@@ -360,7 +350,7 @@ def _plan(lattice: Lattice, points: int, bins: np.ndarray) -> _Plan:
                 (lead + (slice(N - R, N),), lead + (slice(0, R),)))
         spreads.append((axis, (lattice.side,) * axis + (N,) * (n - axis), cuts))
     weights = TWO_PI ** (n / 2.0) / (N ** n) * lattice.signs
-    return _Plan(lattice, N, bins, tuple(spreads), weights)
+    return _Plan(lattice, N, np.arange(-R, R + 1) % N, tuple(spreads), weights)
 
 
 def _synthesize(coeffs: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -402,8 +392,7 @@ def synthesize(u: SpectralField, points_per_axis: int) -> GridFunction:
     that is not an integer (a bool included), raises ValueError first.
     """
     N = _integer(points_per_axis, "points_per_axis must be an integer, got {!r}")
-    plan = _plan(u.lattice, N, _grid_bins(u.lattice, N))
-    return GridFunction._owned(_synthesize(u.coeffs, plan))
+    return GridFunction._owned(_synthesize(u.coeffs, _plan(u.lattice, N)))
 
 
 def analyze(g: GridFunction, lattice: Lattice) -> SpectralField:
@@ -413,12 +402,12 @@ def analyze(g: GridFunction, lattice: Lattice) -> SpectralField:
     for inputs band-limited to the lattice when N >= 2R+1.  As in
     :func:`synthesize`, in ``fftn``'s order, each axis cut to its bins after
     its transform: ``fftn`` bit for bit.  The transforms run in place in one copy
-    of the samples.
+    of the samples.  A grid of more than :data:`MAX_COEFFICIENTS` points raises
+    ValueError before that copy, as :func:`synthesize` refuses it.
     """
     if g.n != lattice.n:
         raise ValueError(f"grid dimension {g.n} != lattice dimension {lattice.n}")
-    N = g.points_per_axis
-    plan = _plan(lattice, N, _dft_bins(lattice, N))
+    plan = _plan(lattice, g.points_per_axis)
     return SpectralField._owned(lattice, _analyze(g.samples.copy(), plan))
 
 

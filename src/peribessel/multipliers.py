@@ -67,11 +67,6 @@ CSV_COLUMNS = (
 )
 
 
-def index_cells(n: int, radius: int, s, t, p, q) -> list:
-    """The first six :data:`CSV_COLUMNS` cells of a report row: n, R, s, t, p, q."""
-    return [str(n), str(radius), *(repr(float(x)) for x in (s, t, p, q))]
-
-
 class ConvergenceError(RuntimeError):
     """The singular-value solver hit its step cap before its residual test."""
 
@@ -119,7 +114,7 @@ class MultiplierProblem:
         _refuse_overflowing_order(self.s, self.n, self.u.lattice.radius)  # no weights built
         if self.p == 2 and self.q == 2:
             return
-        _lattice._grid_bins(self.u.lattice, self.points)  # the grids synthesize refuses
+        _lattice._plan(self.u.lattice, self.points)  # the grids synthesize refuses
 
     @property
     def n(self) -> int:
@@ -156,13 +151,9 @@ class MultiplierReport:
         return {**asdict(self), "refinement": [list(step) for step in self.refinement]}
 
     def csv_row(self) -> list:
-        return index_cells(self.n, self.radius, self.s, self.t, self.p, self.q) + [
-            repr(self.multiplier_norm),
-            "1" if self.exact else "0",
-            repr(self.intersection_norm),
-            repr(self.ratio),
-            repr(self.lower_bound_certificate),
-        ]
+        """The :data:`CSV_COLUMNS` values, ints and floats, ``exact`` as 0 or 1."""
+        return [self.n, self.radius, self.s, self.t, self.p, self.q, self.multiplier_norm,
+                int(self.exact), self.intersection_norm, self.ratio, self.lower_bound_certificate]
 
 
 def multiplier_operator(prob: MultiplierProblem) -> tuple:
@@ -392,7 +383,7 @@ def _boyd(prob: MultiplierProblem) -> _BoydResult:
     lattice, points, finite = prob.u.lattice, prob.points, _lattice._finite
     p, q, p_conj = float(prob.p), float(prob.q), float(conjugate_exponent(prob.p))
     matvec, rmatvec = multiplier_operator(prob)
-    plan = _lattice._plan(lattice, points, _lattice._grid_bins(lattice, points))
+    plan = _lattice._plan(lattice, points)
     steps = BOYD_STEPS if np.any(prob.u.coeffs) else 0
     x, best = lift(float(prob.s), constant_field(lattice)).coeffs, -1.0
     for step in range(steps + 1):

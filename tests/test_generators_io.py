@@ -24,7 +24,7 @@ from peribessel import (
 from peribessel import coeffio, lattice
 from peribessel.generators import _index_phases
 
-from conftest import field_to_dict_reference, index_phases_reference
+from conftest import field_to_dict_reference, index_phases_reference, peak_bytes
 
 TWO_PI = 2.0 * np.pi
 
@@ -122,6 +122,25 @@ class TestCoeffFiles:
         for u in (dense, delta_field(lat, (1, -3)), signed_zeros, exact, constant_field(lat)):
             expected = json.dumps(field_to_dict_reference(u))
             assert json.dumps(coeffio.field_to_dict(u)) == expected
+
+    # chunks of 7 and 1 split the 49 dense entries at every boundary; 1 << 14 writes one chunk
+    @pytest.mark.parametrize("chunk", [1 << 14, 7, 1])
+    def test_file_is_the_dumped_document(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(coeffio, "WRITE_CHUNK", chunk)
+        lat = make_lattice(2, 3)
+        empty = SpectralField(lat, np.zeros(lat.size))
+        dense = gen_distribution("power-decay", lat, alpha=1.0, seed=4)
+        for u in (empty, delta_field(lat, (1, -3)), dense):
+            write_coeff_file(tmp_path / "u.json", u)
+            expected = json.dumps(coeffio.field_to_dict(u)) + "\n"
+            assert (tmp_path / "u.json").read_bytes() == expected.encode("utf-8")
+
+    # The whole document in memory peaked at 85.7 MiB for this 14.4 MiB file
+    def test_writer_holds_less_than_the_file(self, tmp_path):
+        u = gen_distribution("power-decay", make_lattice(2, 255), alpha=1.0, seed=1)
+        path = tmp_path / "u.json"
+        peak = peak_bytes(lambda: write_coeff_file(path, u))
+        assert peak < path.stat().st_size
 
     def test_round_trip_is_exact(self, tmp_path):
         u = gen_distribution("power-decay", make_lattice(2, 3), alpha=1.0, seed=4)

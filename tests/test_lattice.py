@@ -22,6 +22,7 @@ from peribessel import (
     synthesize,
     tree_sum,
 )
+from peribessel import lattice
 from peribessel.lattice import grid_nodes
 
 from conftest import (
@@ -307,6 +308,21 @@ class TestTransforms:
         g = GridFunction(np.ones(4, dtype=complex))
         with pytest.raises(ValueError, match="grid too small"):
             analyze(g, make_lattice(1, 2))
+
+    # A grid of more than MAX_COEFFICIENTS points is refused before analyze copies it,
+    # as synthesize refuses one; analyze once accepted it and copied it
+    def test_analyze_refuses_oversized_grid_before_copying(self, monkeypatch):
+        monkeypatch.setattr(lattice, "MAX_COEFFICIENTS", 100)
+        g, refusals = GridFunction(np.zeros((11, 11))), []
+
+        def refused():
+            try:
+                analyze(g, make_lattice(2, 1))
+            except ValueError as exc:  # not pytest.raises, which allocates more than g
+                refusals.append(str(exc))
+
+        assert peak_bytes(refused) < g.samples.nbytes
+        assert refusals == ["quadrature grid 11^2 exceeds 100 points"]
 
     @pytest.mark.parametrize(
         "samples, message",

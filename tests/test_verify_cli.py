@@ -28,7 +28,7 @@ from peribessel import (
 )
 from peribessel import calculus, coeffio, generators, lattice, multipliers
 from peribessel.calculus import SpaceIndex, bessel_weights
-from peribessel.multipliers import CSV_COLUMNS, index_cells
+from peribessel.multipliers import CSV_COLUMNS
 from peribessel.verify import REGISTRY, SUITES, VerifyContext, format_report
 
 from conftest import peak_bytes, seven_smooth
@@ -70,15 +70,25 @@ REQUIRED_CHECKS = {
 
 def record_grids(monkeypatch) -> list:
     """The point count N^n of every grid ``synthesize`` builds from now on, wherever
-    it is imported: each passes ``lattice._grid_bins``."""
-    grids, grid_bins = [], lattice._grid_bins
+    it is imported: each is planned by ``lattice._plan``, which this patches."""
+    grids, plan = [], lattice._plan
 
     def recorded(lat, N):
         grids.append(N ** lat.n)
-        return grid_bins(lat, N)
+        return plan(lat, N)
 
-    monkeypatch.setattr(lattice, "_grid_bins", recorded)
+    monkeypatch.setattr(lattice, "_plan", recorded)
     return grids
+
+
+def report_cells(report: dict) -> list:
+    """A report's CSV cells by the cell rule, from its ``as_dict()``: ``str`` of each int,
+    ``repr`` of each float and ``exact`` as "1" or "0"."""
+    values = [report[key] for key in ("n", "radius", "s", "t", "p", "q", "multiplier_norm",
+                                      "exact", "intersection_norm", "ratio",
+                                      "lower_bound_certificate")]
+    assert [type(value) for value in values] == [int] * 2 + [float] * 5 + [bool] + [float] * 3
+    return [str(int(value)) if type(value) in (int, bool) else repr(value) for value in values]
 
 
 def run_cli(*args, cwd=None):
@@ -425,7 +435,26 @@ class TestCliBasics:
         header, row = csv.reader(io.StringIO(capsys.readouterr().out))
         prob = MultiplierProblem(parse_coeff_file(path), 1, 1, p, q)
         assert header == list(CSV_COLUMNS)
-        assert row == equivalence_report(prob, radii=radii, force=True).csv_row()
+        assert row == list(map(str, equivalence_report(prob, radii=radii, force=True).csv_row()))
+
+    @pytest.mark.parametrize(
+        "flags, radii, p, q, flag",
+        [(["--radii", "2,4,8"], [2, 4, 8], 2, 2, "1"),
+         (["--p", "3", "--q", "3/2"], None, 3, Fraction(3, 2), "0")],
+        ids=["p2-radii", "p3-q3/2"],
+    )
+    def test_mult_norm_csv_cells_follow_the_cell_rule(
+        self, tmp_path, capsys, flags, radii, p, q, flag
+    ):
+        path = tmp_path / "u.json"
+        write_coeff_file(path, gen_distribution("power-decay", make_lattice(2, 8), alpha=2.0))
+        argv = ["mult-norm", "--input", str(path), "--force", "--format", "csv", *flags]
+        assert cli.main(argv) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        prob = MultiplierProblem(parse_coeff_file(path), 1, 1, p, q)
+        assert header == list(CSV_COLUMNS)
+        assert row == report_cells(equivalence_report(prob, radii=radii, force=True).as_dict())
+        assert row[7] == flag
 
     # |g|^p overflows at p = 1000 and underflows at p = 400, s = -3, which made
     # these Infinity, 0.0 and a NaN ratio with an overflow warning
@@ -1379,14 +1408,26 @@ class TestSweep:
     def report_row(s, radius):
         field = gen_distribution("power-decay", make_lattice(1, radius), alpha=3.0, seed=2)
         prob = MultiplierProblem(field, s, 0.1, 2, 2)
-        return equivalence_report(prob, force=True, family_seed=2).csv_row() + ["ok"]
+        return [*map(str, equivalence_report(prob, force=True, family_seed=2).csv_row()), "ok"]
 
     def test_rows_match_in_process_reports(self, tmp_path, capsys):
-        refused = [index_cells(1, radius, 0.4, 0.1, 2, 2) + [""] * 5 + ["refused"]
+        refused = [[*map(str, (1, radius, 0.4, 0.1, 2.0, 2.0)), *[""] * 5, "refused"]
                    for radius in (4, 8)]
         expected = [self.report_row(1, 4), self.report_row(1, 8)] + refused
         assert self.sweep(tmp_path) == expected
         assert capsys.readouterr().err.count("index hypotheses fail") == 2
+
+    def test_cells_follow_the_cell_rule(self, tmp_path):
+        def cells(s, radius):
+            field = gen_distribution("power-decay", make_lattice(1, radius), alpha=3.0, seed=2)
+            prob = MultiplierProblem(field, s, 0.1, 2, 2)
+            return report_cells(equivalence_report(prob, force=True).as_dict()) + ["ok"]
+
+        refused = [[str(1), str(radius), *map(repr, (0.4, 0.1, 2.0, 2.0)), *[""] * 5, "refused"]
+                   for radius in (4, 8)]
+        rows = self.sweep(tmp_path)
+        assert rows == [cells(1, 4), cells(1, 8)] + refused
+        assert [row[7] for row in rows] == ["1", "1", "", ""]
 
     def test_force_reports_refused_points(self, tmp_path):
         expected = [self.report_row(s, radius) for s in (1, 0.4) for radius in (4, 8)]
